@@ -232,10 +232,9 @@ def _full_csi_rate(h1, h2, p):
     return np.log2(1.0 + p * snr), snr
 
 
-def _rate_pipeline_min(h1, h2, p, delta, t):
-    """Min adapted rate of the lower-edge quantizer pipeline, per trial."""
-    q1 = rate_levels(h1, delta, t).astype(np.float64) * delta
-    q2 = rate_levels(h2, delta, t).astype(np.float64) * delta
+def _rate_pipeline_min(q1, q2, p):
+    """Min adapted rate of the lower-edge quantizer pipeline, per trial;
+    q1 and q2 are the fed-back gains, rate_levels * delta."""
     qs = np.maximum(q1, q2)
     qw = np.minimum(q1, q2)
     live = qw > 0.0
@@ -247,10 +246,9 @@ def _rate_pipeline_min(h1, h2, p, delta, t):
     return np.minimum(r1, r2)
 
 
-def _outage_conditions(h1, h2, p, delta, t, beta):
-    """(outage_system, outage_rx1, outage_rx2) for the upper-edge pipeline."""
-    q1 = outage_levels(h1, delta, t).astype(np.float64) * delta
-    q2 = outage_levels(h2, delta, t).astype(np.float64) * delta
+def _outage_conditions(h1, h2, q1, q2, p, beta):
+    """(outage_system, outage_rx1, outage_rx2) for the upper-edge pipeline;
+    h1 and h2 are the true gains, q1 and q2 the fed-back outage_levels * delta."""
     rx1_strong = q1 >= q2
     qs = np.where(rx1_strong, q1, q2)
     qw = np.where(rx1_strong, q2, q1)
@@ -284,7 +282,7 @@ def run_min_rate(cfg, progress=None):
             rf, _ = _full_csi_rate(h1, h2, p)
             cols = [rf.sum(), (rf * rf).sum()]
             for d, t in dts:
-                rq = _rate_pipeline_min(h1, h2, p, d, t)
+                rq = _rate_pipeline_min(rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
                 cols += [rq.sum(), (rq * rq).sum()]
             rt = 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
             cols += [rt.sum(), (rt * rt).sum()]
@@ -320,10 +318,11 @@ def run_rate_loss(cfg, progress=None):
         rt = 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
         cols = [rt.sum(), (rt * rt).sum()]
         for d, t in dts:
-            rq = _rate_pipeline_min(h1, h2, p, d, t)
+            n1, n2 = rate_levels(h1, d, t), rate_levels(h2, d, t)
+            rq = _rate_pipeline_min(n1 * d, n2 * d, p)
             loss = rf - rq
-            l1 = vle_lengths(rate_levels(h1, d, t)).astype(np.float64)
-            l2 = vle_lengths(rate_levels(h2, d, t)).astype(np.float64)
+            l1 = vle_lengths(n1).astype(np.float64)
+            l2 = vle_lengths(n2).astype(np.float64)
             cols += [rq.sum(), (rq * rq).sum(), loss.sum(), (loss * loss).sum(),
                      l1.sum(), (l1 * l1).sum(), l2.sum(), (l2 * l2).sum()]
         return cols
@@ -371,7 +370,8 @@ def run_outage(cfg, progress=None):
             _, snr = _full_csi_rate(h1, h2, p)
             cols = [float(np.count_nonzero(p * snr < beta))]
             for d, t in dts:
-                out_sys, _, _ = _outage_conditions(h1, h2, p, d, t, beta)
+                out_sys, _, _ = _outage_conditions(
+                    h1, h2, outage_levels(h1, d, t) * d, outage_levels(h2, d, t) * d, p, beta)
                 cols.append(float(np.count_nonzero(out_sys)))
             cols.append(float(np.count_nonzero(p * np.minimum(h1, h2) < beta_tdma)))
             return cols
@@ -416,9 +416,10 @@ def run_outage_loss(cfg, progress=None):
             h1, h2 = block[:, 0], block[:, 1]
             _, snr = _full_csi_rate(h1, h2, p)
             out_full = p * snr < beta
-            out_sys, _, _ = _outage_conditions(h1, h2, p, d, t, beta)
-            l1 = vle_lengths(outage_levels(h1, d, t)).astype(np.float64)
-            l2 = vle_lengths(outage_levels(h2, d, t)).astype(np.float64)
+            m1, m2 = outage_levels(h1, d, t), outage_levels(h2, d, t)
+            out_sys, _, _ = _outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)
+            l1 = vle_lengths(m1).astype(np.float64)
+            l2 = vle_lengths(m2).astype(np.float64)
             return [float(np.count_nonzero(out_full)),
                     float(np.count_nonzero(out_sys)),
                     float(np.count_nonzero(out_sys & ~out_full)),
@@ -532,8 +533,12 @@ def run_diversity(cfg, progress=None):
             h1, h2 = block[:, 0], block[:, 1]
             _, snr = _full_csi_rate(h1, h2, p)
             out_full = p * snr < beta
-            sys_fix, rx1_fix, rx2_fix = _outage_conditions(h1, h2, p, d_fix, t_fix, beta)
-            sys_pol, _, _ = _outage_conditions(h1, h2, p, d_pol, t_pol, beta)
+            sys_fix, rx1_fix, rx2_fix = _outage_conditions(
+                h1, h2, outage_levels(h1, d_fix, t_fix) * d_fix,
+                outage_levels(h2, d_fix, t_fix) * d_fix, p, beta)
+            sys_pol, _, _ = _outage_conditions(
+                h1, h2, outage_levels(h1, d_pol, t_pol) * d_pol,
+                outage_levels(h2, d_pol, t_pol) * d_pol, p, beta)
             return [float(np.count_nonzero(c))
                     for c in (out_full, sys_fix, sys_pol, rx1_fix, rx2_fix)]
 

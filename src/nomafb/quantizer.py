@@ -108,13 +108,22 @@ def vle_length(level):
 
 
 def vle_lengths(levels):
-    """Vectorized vle_length with the same boundary-exactness guarantee."""
+    """Vectorized vle_length, exact for every int64 level up to 2^63 - 3.
+
+    The frexp exponent of level+2 is floor(log2(level+2)) + 1 while the
+    float conversion is exact (below 2^53). Above that the conversion may
+    round up to the next power of two (2^63 at the top), so those lengths
+    are capped at 62 and step back by one where 2^length exceeds level+2.
+    """
     v = np.asarray(levels, dtype=np.int64) + 2
-    if np.any(v < 2):
+    if v.size == 0:
+        return v
+    if v.min() < 2:
         raise ValueError("levels must be nonnegative")
-    n = np.floor(np.log2(v)).astype(np.int64)
-    n = np.where(2 ** (n + 1) <= v, n + 1, n)
-    n = np.where(2**n > v, n - 1, n)
+    n = np.frexp(v.astype(np.float64))[1].astype(np.int64) - 1
+    if v.max() >= 1 << 53:
+        n = np.minimum(n, 62)
+        n -= np.left_shift(1, n) > v
     return n
 
 

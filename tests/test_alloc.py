@@ -245,6 +245,60 @@ class TestSolver:
             alloc.batch_max_min_rate(np.array([[1.0, 0.5]]), 10.0, eps=0.0)
 
 
+def _parent_varpi_rows(r, gains_desc, p):
+    k = gains_desc.shape[1]
+    expo = np.arange(k - 1, -1, -1, dtype=np.float64)
+    powers = 2.0 ** (r[:, None] * expo[None, :])
+    return (2.0 ** r - 1.0) * np.sum(powers / (p * gains_desc), axis=1)
+
+
+def _parent_batch_max_min_rate(g, p, eps):
+    """The bisection as first written, before its kernel was sped up; kept as
+    the reference that the fast kernel must match bit for bit."""
+    r_ub = np.log2(1.0 + p * g[:, -1])
+    top = float(r_ub.max())
+    if top <= eps:
+        return np.zeros(g.shape[0]), 0
+    n_iter = math.ceil(math.log2(top / eps))
+    lo = np.zeros(g.shape[0])
+    hi = r_ub.copy()
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        feasible = _parent_varpi_rows(mid, g, p) < 1.0
+        lo = np.where(feasible, mid, lo)
+        hi = np.where(feasible, hi, mid)
+    return lo, n_iter
+
+
+class TestBatchBitExact:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_matches_reference_bisection(self, k):
+        rng = np.random.default_rng(600 + k)
+        gains = 10.0 ** rng.uniform(-6.0, 3.0, (400, k))
+        gains[:20] = gains[:20, :1]  # rows of equal gains
+        desc = np.sort(gains, axis=1)[:, ::-1]
+        # The drivers pass negative-stride views; solve_max_min_k passes one row.
+        for g in (desc, np.ascontiguousarray(desc), desc[:1]):
+            for p_db in (-10.0, 0.0, 17.0, 40.0):
+                p = 10.0 ** (p_db / 10.0)
+                rates = rng.uniform(0.0, 1.2, g.shape[0]) * np.log2(1.0 + p * g[:, -1])
+                pg_cols = list(np.ascontiguousarray((p * g).T))
+                assert np.array_equal(alloc._varpi_rows(rates, pg_cols),
+                                      _parent_varpi_rows(rates, g, p))
+                for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+                    want_r, want_iter = _parent_batch_max_min_rate(g, p, eps)
+                    r, iters = alloc.batch_max_min_rate(g, p, eps)
+                    assert iters == want_iter
+                    assert np.array_equal(r, want_r), (k, p_db, eps)
+
+    def test_row_sum_matches_numpy_order(self):
+        rng = np.random.default_rng(77)
+        for k in list(range(1, 40)) + [127, 128, 129, 200, 300]:
+            t = rng.exponential(1.0, (50, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (50, k))
+            got = alloc._row_sum(list(np.ascontiguousarray(t.T)))
+            assert np.array_equal(got, np.sum(t, axis=1)), k
+
+
 class TestRateHelpers:
     def test_rate_k_matches_sic_rates(self):
         gd = np.array([2.0, 1.0, 0.5])

@@ -1,0 +1,65 @@
+"""Golden CSV hashes: every experiment kind, end to end through the CLI.
+
+Each case is small enough to run in about a second. The hashes were taken
+before the alloc and quantizer kernels were rewritten for speed, so any
+change to an output byte, from any layer, fails here. Each case runs at one
+and at two workers, because the output must not depend on the worker count.
+A change that is meant to move results must re-pin the hash and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from nomafb import cli
+
+GOLDEN = {
+    "minrate": (
+        ["minrate", "--p-db", "0,20", "--delta", "0.05,0.2", "--trials", "20000"],
+        "d7003f0e6647ae69b09bf49e052d1fb9dcd2739d188a01d58d92f356658404b8",
+    ),
+    "rateloss": (
+        ["rateloss", "--p-db", "10", "--delta", "0.05,0.2", "--trials", "20000"],
+        "b564bdf98c6222815bc1db1d67f2eb7865c62b91d7990cee74339e19cbab8374",
+    ),
+    "outage": (
+        ["outage", "--p-db", "10,20", "--delta", "0.1", "--min-outage-events", "1000"],
+        "23a90daaa0565ebe1e9512138844fce5268bfe5723f4350b3871da33bc3c4c67",
+    ),
+    "outageloss": (
+        ["outageloss", "--p-db", "10", "--delta", "0.05,0.2", "--trials", "20000"],
+        "0c55ed83d7421401b7b01630eae01576a388b0c9fb5df9ea53d4185caca21c65",
+    ),
+    "feedback_fixed": (
+        ["feedback", "--delta", "0.05,0.2", "--trials", "20000"],
+        "e63c8eecdbad84b4283190257373937dba7256e90f3726fae2f8d0f689112d31",
+    ),
+    "feedback_policy": (
+        ["feedback", "--p-db", "10,20", "--delta-policy", "pcube", "--trials", "20000"],
+        "483e5e95c36b718dd6a6709795c1852ddc44872b9de978244ace7d6ffc3b5dcd",
+    ),
+    "diversity": (
+        ["diversity", "--p-db", "0:20:5", "--delta", "0.1", "--min-outage-events", "1000",
+         "--trial-cap", "500000"],
+        "9974648a850d2f224d84ca595a0e8aca4900e8409688727fb76b044ef22929ff",
+    ),
+    "kuser_k2": (
+        ["kuser", "--k", "2", "--p-db", "10", "--delta", "0.05,0.2", "--trials", "20000"],
+        "71c8e43cfabf9782722f5b61cf8df84a28e94b21c39c0d86909faf66e87dfd51",
+    ),
+    # Nine receivers: numpy sums rows of eight or more with partial accumulators.
+    "kuser_k9": (
+        ["kuser", "--k", "9", "--p-db", "10", "--delta", "0.1", "--trials", "20000"],
+        "334b5c44532f8c43f71bc53f906e2e05f7d09e1188e849111719aa8c7b6a2ba2",
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_csv_hash_is_pinned(case, workers, tmp_path, capsys):
+    argv, want = GOLDEN[case]
+    path = tmp_path / "out.csv"
+    rc = cli.main(argv + ["--seed", "3", "--workers", str(workers), "--out", str(path)])
+    assert rc == 0, capsys.readouterr().err
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want

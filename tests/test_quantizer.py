@@ -154,6 +154,15 @@ class TestVle:
         want = np.array([(int(n) + 2).bit_length() - 1 for n in levels])
         assert_array_equal(quantizer.vle_lengths(levels), want)
 
+    def test_vectorized_lengths_at_every_power_of_two(self):
+        # 2^k - 2 is the first level of length k; int64 max - 2 is the largest level.
+        top = np.iinfo(np.int64).max - 2
+        levels = [(1 << k) - 2 + d for k in range(2, 64) for d in range(-3, 2)]
+        levels = np.array([n for n in levels if 0 <= n <= top], dtype=np.int64)
+        assert levels[-1] == top
+        want = np.array([quantizer.vle_length(int(n)) for n in levels])
+        assert_array_equal(quantizer.vle_lengths(levels), want)
+
     def test_decode_validation(self):
         with pytest.raises(ValueError):
             quantizer.vle_decode("")
