@@ -5,42 +5,28 @@ from .alloc import (
     PowerAllocation,
     SolverResult,
     alloc_from_rate,
+    equal_rate_split,
     max_min_rate_two_user,
     optimal_alpha_two_user,
-    rate_k,
+    outage_conditions,
     sic_rates,
     solve_max_min_k,
     tdma_min_rate,
+    two_user_rates,
     varpi,
 )
 from .quantizer import (
     OUTAGE,
     RATE,
-    FeedbackWord,
-    QuantizerConfig,
     default_t_outage,
     default_t_rate,
     fle_bits,
-    quantize_outage,
-    quantize_rate,
     vle_decode,
     vle_encode,
     vle_length,
     vle_rate_bound,
 )
-from .evaluator import (
-    OutageConfig,
-    TrialOutcome,
-    achievable_check,
-    actual_min_rate,
-    adapted_rates,
-    alpha_from_quantized,
-    outage_indicator,
-    outage_loss,
-    rate_loss_bound,
-    run_trial,
-    snr_decomposition,
-)
+from .evaluator import achievable_check, rate_loss_bound
 from .harness import (
     ExperimentConfig,
     MetricPoint,

@@ -1,8 +1,9 @@
-"""Full-CSI max-min power allocation.
+"""Max-min power allocation: the two-user kernel the experiments run.
 
-Closed form for two receivers, bisection on the feasibility function varpi
-for any number of receivers. Rates are bits/s/Hz (log base 2); noise power
-is 1, so p is the transmit SNR. Array inputs broadcast elementwise.
+Closed form for two receivers, applied to true or fed-back gains alike, and
+bisection on the feasibility function varpi for any number of receivers.
+Rates are bits/s/Hz (log base 2); noise power is 1, so p is the transmit SNR.
+Array inputs broadcast elementwise.
 """
 
 import math
@@ -38,6 +39,12 @@ def _check_power(p):
         raise ValueError("power must be positive")
 
 
+def _split_den(x, y, p):
+    """Denominator of sic_snr and of the equal-rate split when x decodes last."""
+    s = x + y
+    return np.sqrt(s * s + 4.0 * x * y * y * p) + s
+
+
 def sic_snr(h_last, h_first, p):
     """Equivalent SNR of the max-min split when h_last decodes last.
 
@@ -46,21 +53,56 @@ def sic_snr(h_last, h_first, p):
     """
     x = np.asarray(h_last, dtype=np.float64)
     y = np.asarray(h_first, dtype=np.float64)
-    s = x + y
-    return 2.0 * x * y / (np.sqrt(s * s + 4.0 * x * y * y * p) + s)
+    return 2.0 * x * y / _split_den(x, y, p)
+
+
+def equal_rate_split(g_strong, g_weak, p):
+    """Power fraction of the stronger receiver that gives both the same rate;
+    0 where g_weak is 0, so neither is served. Needs g_strong >= g_weak >= 0."""
+    gs = np.asarray(g_strong, dtype=np.float64)
+    gw = np.asarray(g_weak, dtype=np.float64)
+    _check_power(p)
+    if np.any(gw < 0) or np.any(gs < gw):
+        raise ValueError("need g_strong >= g_weak >= 0; order the gains first")
+    den = _split_den(gs, gw, p)
+    return np.divide(2.0 * gw, den, out=np.zeros_like(den), where=gw > 0.0)
+
+
+def two_user_rates(a, g_strong, g_weak, p):
+    """(strong, weak) rates when the strong receiver gets power fraction a and
+    decodes last; the weak one treats that share as interference."""
+    a = np.asarray(a, dtype=np.float64)
+    if np.any(a < 0) or np.any(a > 1):
+        raise ValueError("alpha must lie in [0, 1]")
+    r_strong = np.log2(1.0 + p * a * g_strong)
+    r_weak = np.log2(1.0 + p * g_weak * (1.0 - a) / (p * g_weak * a + 1.0))
+    return r_strong, r_weak
+
+
+def outage_conditions(h1, h2, q1, q2, p, beta):
+    """(system, receiver 1, receiver 2) outage masks on true gains h1, h2 when
+    power is split on fed-back gains q1, q2 (receiver 1 is strong on ties) and
+    both messages are sent at log2(1 + beta). Each rate test log2(1 + sinr) <
+    log2(1 + beta) is made as sinr < beta, the weak denominator multiplied out.
+    """
+    rx1_strong = q1 >= q2
+    qs = np.where(rx1_strong, q1, q2)
+    qw = np.where(rx1_strong, q2, q1)
+    a = equal_rate_split(qs, qw, p)
+    hs = np.where(rx1_strong, h1, h2)
+    hw = np.where(rx1_strong, h2, h1)
+    bad_strong = p * a * hs < beta
+    bad_weak = p * hw * (1.0 - a) < beta * (p * hw * a + 1.0)
+    out_rx1 = np.where(rx1_strong, bad_strong, bad_weak)
+    out_rx2 = np.where(rx1_strong, bad_weak, bad_strong)
+    return bad_strong | bad_weak, out_rx1, out_rx2
 
 
 def optimal_alpha_two_user(h_strong, h_weak, p):
     """Power fraction of the stronger receiver that equalizes both rates."""
-    hs = np.asarray(h_strong, dtype=np.float64)
-    hw = np.asarray(h_weak, dtype=np.float64)
-    _check_power(p)
-    if np.any(hw <= 0):
+    if np.any(np.asarray(h_weak) <= 0):
         raise ValueError("gains must be positive")
-    if np.any(hs < hw):
-        raise ValueError("h_strong must be >= h_weak; order the gains first")
-    s = hs + hw
-    a = 2.0 * hw / (np.sqrt(s * s + 4.0 * hs * hw * hw * p) + s)
+    a = equal_rate_split(h_strong, h_weak, p)
     return float(a) if a.ndim == 0 else a
 
 
@@ -73,32 +115,6 @@ def max_min_rate_two_user(h1, h2, p):
         raise ValueError("gains must be positive")
     r = np.log2(1.0 + p * sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p))
     return float(r) if r.ndim == 0 else r
-
-
-def _check_desc(gains):
-    g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("gains must be a nonempty vector")
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    if np.any(np.diff(g) > 0):
-        raise ValueError("gains must be sorted in descending order")
-    return g
-
-
-def rate_k(alphas, gains_desc, p, k):
-    """Rate of the k-th receiver (1-based) under SIC in descending-gain order."""
-    g = _check_desc(gains_desc)
-    a = np.asarray(alphas, dtype=np.float64)
-    _check_power(p)
-    if a.shape != g.shape:
-        raise ValueError("alphas and gains must have the same length")
-    if a.sum() > 1.0 + 1e-9 or np.any(a < 0):
-        raise ValueError("alphas must be nonnegative and sum to at most 1")
-    if not 1 <= k <= g.size:
-        raise ValueError("receiver index k out of range")
-    interference = a[: k - 1].sum()
-    return float(np.log2(1.0 + a[k - 1] / (interference + 1.0 / (p * g[k - 1]))))
 
 
 def sic_rates(alphas, gains, p):
@@ -116,38 +132,37 @@ def sic_rates(alphas, gains, p):
 
 def varpi(r, gains_desc, p):
     """Feasibility measure of equal rate r; its root at 1 is the max-min rate."""
-    g = _check_desc(gains_desc)
+    g = np.asarray(gains_desc, dtype=np.float64)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError("gains must be a nonempty vector")
+    if np.any(g <= 0):
+        raise ValueError("gains must be positive")
+    if np.any(np.diff(g) > 0):
+        raise ValueError("gains must be sorted in descending order")
     _check_power(p)
     if r < 0:
         raise ValueError("rate must be nonnegative")
-    k = g.size
-    powers = 2.0 ** (r * np.arange(k - 1, -1, -1, dtype=np.float64))
-    return float((2.0**r - 1.0) * np.sum(powers / (p * g)))
+    return float(_varpi_rows(r, list(p * g)))
 
 
 def alloc_from_rate(r, gains_desc, p):
-    """Power fractions giving every receiver exactly rate r."""
-    g = _check_desc(gains_desc)
+    """Power fractions giving every receiver exactly rate r.
+
+    gains_desc is (..., K), descending along the last axis, and r broadcasts
+    against its leading axes: a scalar r with a gain vector, or n rates with
+    n rows of gains.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    g = np.asarray(gains_desc, dtype=np.float64)
     _check_power(p)
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
+    if np.any(r < 0) or np.any(g <= 0):
+        raise ValueError("need a nonnegative rate and positive gains")
     b = 2.0**r - 1.0
     out = np.empty_like(g)
-    consumed = 0.0
-    for k in range(g.size):
-        out[k] = b * (consumed + 1.0 / (p * g[k]))
-        consumed += out[k]
-    return out
-
-
-def _alloc_from_rate_rows(r, gains_desc, p):
-    # rows version of alloc_from_rate: r is (n,), gains_desc is (n, K)
-    b = 2.0 ** r - 1.0
-    out = np.empty_like(gains_desc)
-    consumed = np.zeros_like(r)
-    for k in range(gains_desc.shape[1]):
-        out[:, k] = b * (consumed + 1.0 / (p * gains_desc[:, k]))
-        consumed += out[:, k]
+    consumed = np.zeros_like(b)
+    for k in range(g.shape[-1]):
+        out[..., k] = b * (consumed + 1.0 / (p * g[..., k]))
+        consumed += out[..., k]
     return out
 
 
@@ -227,13 +242,8 @@ def solve_max_min_k(gains, p, eps=1e-4):
     permutation so callers can map fractions back to receiver indices.
     """
     g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
+    if g.ndim != 1:
         raise ValueError("gains must be a nonempty vector")
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    _check_power(p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     order = np.argsort(-g, kind="stable")
     gd = g[order]
     r, n_iter = batch_max_min_rate(gd[None, :], p, eps)

@@ -288,12 +288,6 @@ def render_json(stats):
     return json.dumps(stats_rows(stats), indent=1) + "\n"
 
 
-def emit_csv(stats, path=None):
-    """Write the CSV (header always present) to path or stdout."""
-    text = render_csv(stats)
-    _write_out(text, path)
-
-
 def _write_out(text, path):
     if path is None:
         sys.stdout.write(text)

@@ -1,71 +1,14 @@
-"""One-trial limited-feedback pipeline and the analytic bound formulas.
+"""Analytic rate-loss bound and the decodability check of limited feedback.
 
 The base station sees only quantized gains: it orders receivers by them,
 splits power with the same closed form as the full-CSI case, and transmits
-at the rates the quantized gains support. Everything here evaluates what
-then happens on the true channels. Array inputs broadcast elementwise.
+at the rates the quantized gains support (all of it in ``alloc``). What
+remains here judges that pipeline on the true channels.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import alloc, quantizer
-
-
-@dataclass(frozen=True)
-class OutageConfig:
-    """Target rate for outage counting."""
-
-    r_th: float
-
-    def __post_init__(self):
-        if not self.r_th > 0:
-            raise ValueError("r_th must be positive")
-
-    @property
-    def beta(self):
-        return 2.0**self.r_th - 1.0
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    r_max_full: float
-    r_adapted_min: float
-    rate_loss: float
-    r_q_actual: float
-    outage_full: bool
-    outage_q: bool
-    feedback_bits: tuple
-
-
-def _as_float(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def alpha_from_quantized(q1, q2, p):
-    """Power split from quantized gains; zero when either gain quantized to zero."""
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    alloc._check_power(p)
-    if np.any(q2 < 0) or np.any(q1 < q2):
-        raise ValueError("need q1 >= q2 >= 0; order by quantized gain first")
-    live = q2 > 0
-    qs = np.where(live, q1, 1.0)
-    qw = np.where(live, q2, 1.0)
-    s = qs + qw
-    a = 2.0 * qw / (np.sqrt(s * s + 4.0 * qs * qw * qw * p) + s)
-    return _as_float(np.where(live, a, 0.0))
-
-
-def adapted_rates(q1, q2, p):
-    """Transmission rates the quantized gains support (both zero if alpha is)."""
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    a = alpha_from_quantized(q1, q2, p)
-    r1q = np.log2(1.0 + p * a * q1)
-    r2q = np.log2(1.0 + p * q2 * (1.0 - a) / (p * q2 * a + 1.0))
-    return _as_float(r1q), _as_float(r2q)
+from . import alloc
 
 
 def achievable_check(h1, h2, q1, q2, p, tol=1e-12):
@@ -77,40 +20,12 @@ def achievable_check(h1, h2, q1, q2, p, tol=1e-12):
     decoding the weak message before SIC, and the strong receiver decoding
     its own message after SIC.
     """
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    a = alpha_from_quantized(q1, q2, p)
-    r1q, r2q = adapted_rates(q1, q2, p)
-    c_weak_own = np.log2(1.0 + p * h2 * (1.0 - a) / (p * h2 * a + 1.0))
-    c_strong_cross = np.log2(1.0 + p * h1 * (1.0 - a) / (p * h1 * a + 1.0))
-    c_strong_own = np.log2(1.0 + p * a * h1)
+    a = alloc.equal_rate_split(q1, q2, p)
+    r1q, r2q = alloc.two_user_rates(a, q1, q2, p)
+    c_strong_own, c_weak_own = alloc.two_user_rates(a, h1, h2, p)
+    _, c_strong_cross = alloc.two_user_rates(a, h1, h1, p)
     ok = (c_weak_own >= r2q - tol) & (c_strong_cross >= r2q - tol) & (c_strong_own >= r1q - tol)
     return bool(ok) if np.ndim(ok) == 0 else ok
-
-
-def actual_min_rate(h1, h2, alpha_q, rx1_strong, p):
-    """Min achieved rate on the true gains with a quantized-CSI power split.
-
-    rx1_strong says which receiver the transmitter believes is stronger
-    (and therefore performs SIC); ties in quantized gains go to receiver 1.
-    """
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    a = np.asarray(alpha_q, dtype=np.float64)
-    alloc._check_power(p)
-    if np.any(a < 0) or np.any(a > 1):
-        raise ValueError("alpha must lie in [0, 1]")
-    hs = np.where(rx1_strong, h1, h2)
-    hw = np.where(rx1_strong, h2, h1)
-    r_sic = np.log2(1.0 + p * a * hs)
-    r_other = np.log2(1.0 + p * hw * (1.0 - a) / (p * hw * a + 1.0))
-    return _as_float(np.minimum(r_sic, r_other))
-
-
-def outage_indicator(h1, h2, alpha_q, rx1_strong, p, cfg):
-    """Strict threshold: the achieved min rate must reach r_th to avoid outage."""
-    out = actual_min_rate(h1, h2, alpha_q, rx1_strong, p) < cfg.r_th
-    return bool(out) if np.ndim(out) == 0 else out
 
 
 def rate_loss_bound(p, delta, t, lambda1, lambda2):
@@ -120,67 +35,3 @@ def rate_loss_bound(p, delta, t, lambda1, lambda2):
     c0 = max(4.0 + lambda1 / lambda2, lambda2)
     tail = max(np.exp(-t * delta / lambda1), delta)
     return float(np.log2(1.0 + c0 * p * tail))
-
-
-def outage_loss(outage_q_flags, outage_full_flags):
-    """Probability mass the quantizer adds: quantized outage on full-CSI success."""
-    q = np.asarray(outage_q_flags, dtype=bool)
-    f = np.asarray(outage_full_flags, dtype=bool)
-    if q.shape != f.shape or q.size == 0:
-        raise ValueError("flag arrays must be nonempty and congruent")
-    return float(np.mean(q & ~f))
-
-
-def snr_decomposition(h1, h2, p):
-    """(snr_max, g_ge, g_lt): the equivalent-SNR forms behind the closed-form rate.
-
-    g_ge assumes the first argument decodes last, g_lt the second;
-    snr_max picks the branch matching the actual gain order, and
-    log2(1 + p * snr_max) is the full-CSI max-min rate.
-    """
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
-    if np.any(h1 <= 0) or np.any(h2 <= 0):
-        raise ValueError("gains must be positive")
-    g_ge = alloc.sic_snr(h1, h2, p)
-    g_lt = alloc.sic_snr(h2, h1, p)
-    snr_max = np.where(h1 >= h2, g_ge, g_lt)
-    return _as_float(snr_max), _as_float(g_ge), _as_float(g_lt)
-
-
-def run_trial(h1, h2, p, rate_cfg, outage_cfg, ocfg):
-    """Full pipeline for one channel draw; mostly a readable reference path."""
-    r_full = alloc.max_min_rate_two_user(h1, h2, p)
-
-    w1 = quantizer.quantize_rate(h1, rate_cfg)
-    w2 = quantizer.quantize_rate(h2, rate_cfg)
-    rx1_strong = w1.reconstructed >= w2.reconstructed
-    if rx1_strong:
-        q1, q2 = w1.reconstructed, w2.reconstructed
-    else:
-        q1, q2 = w2.reconstructed, w1.reconstructed
-    a = alpha_from_quantized(q1, q2, p)
-    r1q, r2q = adapted_rates(q1, q2, p)
-    r_adapted = min(r1q, r2q)
-    r_actual = actual_min_rate(h1, h2, a, rx1_strong, p)
-
-    o1 = quantizer.quantize_outage(h1, outage_cfg)
-    o2 = quantizer.quantize_outage(h2, outage_cfg)
-    o_rx1_strong = o1.reconstructed >= o2.reconstructed
-    if o_rx1_strong:
-        oq1, oq2 = o1.reconstructed, o2.reconstructed
-    else:
-        oq1, oq2 = o2.reconstructed, o1.reconstructed
-    a_o = alpha_from_quantized(oq1, oq2, p)
-
-    out_full = r_full < ocfg.r_th
-    out_q = outage_indicator(h1, h2, a_o, o_rx1_strong, p, ocfg)
-    return TrialOutcome(
-        r_max_full=r_full,
-        r_adapted_min=r_adapted,
-        rate_loss=r_full - r_adapted,
-        r_q_actual=r_actual,
-        outage_full=bool(out_full),
-        outage_q=bool(out_q),
-        feedback_bits=(w1.bit_length, w2.bit_length),
-    )

@@ -1,7 +1,8 @@
 """Monte Carlo experiment drivers.
 
-Each driver sweeps one variable, runs a vectorized per-chunk kernel over the
-trial stream, and reduces per-chunk partial sums with math.fsum in fixed
+Each driver sweeps one variable and runs a vectorized per-chunk kernel over
+the trial stream. A kernel names its metrics, each a per-trial array or an
+event mask; one scan reduces them per chunk and with math.fsum in fixed
 chunk order. Chunks are keyed by index, so the worker count changes nothing
 but wall time; adaptive stopping picks the shortest chunk prefix meeting the
 event target, which is again a property of the ordered chunks alone.
@@ -10,7 +11,7 @@ event target, which is again a property of the ordered chunks alone.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +31,11 @@ from .quantizer import (
 
 KINDS = ("minrate", "rateloss", "outage", "outageloss", "feedback", "diversity", "kuser")
 POLICIES = ("fixed", "pcube", "min02-pcube")
+FIXED_DELTA_KINDS = ("minrate", "rateloss", "outageloss", "kuser")
 WORKERS_ENV = "NOMAFB_WORKERS"
+# More threads cannot run at once; in an adaptive scan they only widen the
+# waves that run past the stopping point.
+MAX_WORKERS_PER_CPU = 4
 
 
 @dataclass(frozen=True)
@@ -94,18 +99,19 @@ class RunStats:
 
 
 def resolve_workers(requested):
-    if requested:
-        return requested
+    """Worker threads for a run: requested, else $NOMAFB_WORKERS, else one per
+    CPU; never more than MAX_WORKERS_PER_CPU per CPU."""
+    cpus = os.cpu_count() or 1
+    n = requested
     env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
+    if not n and env:
         try:
             n = int(env)
         except ValueError:
             raise ValueError("%s must be an integer, got %r" % (WORKERS_ENV, env))
         if n < 1:
             raise ValueError("%s must be at least 1" % WORKERS_ENV)
-        return n
-    return os.cpu_count() or 1
+    return min(n or cpus, MAX_WORKERS_PER_CPU * cpus)
 
 
 def policy_delta(policy, fixed_delta, p):
@@ -125,84 +131,80 @@ def policy_delta(policy, fixed_delta, p):
 def _run_jobs(job, indices, workers):
     if workers <= 1 or len(indices) <= 1:
         return [job(ci) for ci in indices]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    with ThreadPoolExecutor(max_workers=min(workers, len(indices))) as ex:
         return list(ex.map(job, indices))
 
 
-def _scan_fixed(params, seed, trials, workers, kernel):
-    """All chunks of a fixed-trial run; returns fsum-reduced column sums."""
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-    tail = trials - CHUNK * (n_chunks - 1)
-
-    def job(ci):
-        count = CHUNK if ci < n_chunks - 1 else tail
-        return kernel(sample_block(params, seed, ci, count))
-
-    partials = _run_jobs(job, range(n_chunks), workers)
-    return [math.fsum(col) for col in zip(*partials)]
+def _moments(x):
+    """(sum, sum of squares) of one chunk of a metric; an event mask is 0/1 data,
+    so both are its count."""
+    if x.dtype == bool:
+        count = float(np.count_nonzero(x))
+        return count, count
+    return x.sum(), (x * x).sum()
 
 
-def _scan_adaptive(params, seed, workers, kernel, event_cols, target, cap):
-    """Extend the scan wave by wave until every event column reaches target.
+def _scan(params, seed, workers, kernel, trials, events=(), target=0):
+    """Reduce the kernel's metrics over the first `trials` trials, chunk by chunk.
 
-    The kept prefix is the shortest one meeting the target, determined from
-    per-chunk counts in index order, so the wave width (worker count) cannot
-    change the result. Returns (sums, trials, capped).
+    kernel yields (metric, per-trial array or event mask) pairs for a block of
+    gains; each is reduced as it comes, so a chunk holds few arrays at once.
+    Without events every chunk runs in one wave. With events the scan grows
+    wave by wave (one chunk per worker) and keeps the shortest chunk prefix in
+    which every named event count reaches target; that prefix follows from
+    the per-chunk counts in index order, so the wave width cannot change it.
+    Returns (moments, n, capped): moments maps each metric to its fsum-reduced
+    (sum, sum of squares) over the n kept trials, and capped says the target
+    was not reached within `trials`.
     """
-    max_chunks = max(1, cap // CHUNK)
-    wave = max(1, workers)
+    n_chunks = (trials + CHUNK - 1) // CHUNK
+    wave = max(1, workers) if events else n_chunks
 
     def job(ci):
-        return kernel(sample_block(params, seed, ci))
+        block = sample_block(params, seed, ci, min(CHUNK, trials - ci * CHUNK))
+        return {metric: _moments(x) for metric, x in kernel(block)}
 
     partials = []
-    cum = [0.0] * len(event_cols)
-    scanned = 0
-    stop = None
-    while stop is None and len(partials) < max_chunks:
+    counts = dict.fromkeys(events, 0.0)
+    keep = None
+    while keep is None and len(partials) < n_chunks:
         lo = len(partials)
-        hi = min(lo + wave, max_chunks)
-        partials.extend(_run_jobs(job, range(lo, hi), workers))
-        while scanned < len(partials):
-            for j, col in enumerate(event_cols):
-                cum[j] += partials[scanned][col]
-            scanned += 1
-            if all(c >= target for c in cum):
-                stop = scanned - 1
+        partials.extend(_run_jobs(job, range(lo, min(lo + wave, n_chunks)), workers))
+        for ci in range(lo, len(partials)):
+            for e in events:
+                counts[e] += partials[ci][e][0]
+            if events and all(c >= target for c in counts.values()):
+                keep = ci + 1
                 break
-    capped = stop is None
-    keep = max_chunks if capped else stop + 1
-    sums = [math.fsum(col) for col in zip(*partials[:keep])]
-    return sums, keep * CHUNK, capped
+    capped = keep is None and bool(events)
+    kept = partials[:keep]
+    moments = {metric: (math.fsum(part[metric][0] for part in kept),
+                        math.fsum(part[metric][1] for part in kept))
+               for metric in kept[0]}
+    return moments, min(len(kept) * CHUNK, trials), capped
 
 
 # ---------------------------------------------------------------------------
 # statistics
 
-def _stat_point(sweep_value, metric, total, total_sq, n):
-    mean = total / n
-    var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
-    se = math.sqrt(max(var, 0.0) / n)
-    return MetricPoint(sweep_value, metric, mean, se, n)
-
-
-def _flag_point(sweep_value, metric, count, n):
-    # indicator data: sum of squares equals the sum
-    return _stat_point(sweep_value, metric, count, count, n)
+def _points(sweep_value, moments, n):
+    """{metric: MetricPoint} with each mean and its standard error."""
+    points = {}
+    for metric, (total, total_sq) in moments.items():
+        mean = total / n
+        var = (total_sq - n * mean * mean) / (n - 1) if n > 1 else 0.0
+        se = math.sqrt(max(var, 0.0) / n)
+        points[metric] = MetricPoint(sweep_value, metric, mean, se, n)
+    return points
 
 
 def _const_point(sweep_value, metric, value, n):
     return MetricPoint(sweep_value, metric, float(value), 0.0, n)
 
 
-def _vle_points(sweep_value, metric_prefix, sums, n):
-    """vle_rx1/vle_rx2/vle_min points from ((s1, s1sq), (s2, s2sq))."""
-    (s1, s1q), (s2, s2q) = sums
-    p1 = _stat_point(sweep_value, metric_prefix + "_rx1", s1, s1q, n)
-    p2 = _stat_point(sweep_value, metric_prefix + "_rx2", s2, s2q, n)
-    low = p1 if p1.value <= p2.value else p2
-    pmin = MetricPoint(sweep_value, metric_prefix + "_min", low.value, low.stderr, n)
-    return [p1, p2, pmin]
+def _min_point(metric, points):
+    """The lowest of points (the first on ties), renamed to metric."""
+    return replace(min(points, key=lambda m: m.value), metric=metric)
 
 
 def _add_points(stats, pts):
@@ -225,42 +227,19 @@ def _two_user_params(cfg):
 def _expect(cfg, kind):
     if cfg.kind != kind:
         raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
+    if kind in FIXED_DELTA_KINDS and cfg.delta_policy != "fixed":
+        raise ValueError("%s does not take a delta policy; give --delta values" % kind)
 
 
-def _full_csi_rate(h1, h2, p):
-    snr = np.where(h1 >= h2, alloc.sic_snr(h1, h2, p), alloc.sic_snr(h2, h1, p))
-    return np.log2(1.0 + p * snr), snr
+def _full_csi_snr(h1, h2, p):
+    return alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p)
 
 
-def _rate_pipeline_min(q1, q2, p):
+def _quantized_min_rate(q1, q2, p):
     """Min adapted rate of the lower-edge quantizer pipeline, per trial;
     q1 and q2 are the fed-back gains, rate_levels * delta."""
-    qs = np.maximum(q1, q2)
-    qw = np.minimum(q1, q2)
-    live = qw > 0.0
-    s = qs + qw
-    den = np.where(live, s, 1.0)
-    a = np.where(live, 2.0 * qw / (np.sqrt(den * den + 4.0 * qs * qw * qw * p) + den), 0.0)
-    r1 = np.log2(1.0 + p * a * qs)
-    r2 = np.log2(1.0 + p * qw * (1.0 - a) / (p * qw * a + 1.0))
-    return np.minimum(r1, r2)
-
-
-def _outage_conditions(h1, h2, q1, q2, p, beta):
-    """(outage_system, outage_rx1, outage_rx2) for the upper-edge pipeline;
-    h1 and h2 are the true gains, q1 and q2 the fed-back outage_levels * delta."""
-    rx1_strong = q1 >= q2
-    qs = np.where(rx1_strong, q1, q2)
-    qw = np.where(rx1_strong, q2, q1)
-    s = qs + qw
-    a = 2.0 * qw / (np.sqrt(s * s + 4.0 * qs * qw * qw * p) + s)
-    hs = np.where(rx1_strong, h1, h2)
-    hw = np.where(rx1_strong, h2, h1)
-    bad_strong = p * a * hs < beta
-    bad_weak = p * hw * (1.0 - a) < beta * (p * hw * a + 1.0)
-    out_rx1 = np.where(rx1_strong, bad_strong, bad_weak)
-    out_rx2 = np.where(rx1_strong, bad_weak, bad_strong)
-    return bad_strong | bad_weak, out_rx1, out_rx2
+    qs, qw = np.maximum(q1, q2), np.minimum(q1, q2)
+    return np.minimum(*alloc.two_user_rates(alloc.equal_rate_split(qs, qw, p), qs, qw, p))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +247,6 @@ def _outage_conditions(h1, h2, q1, q2, p, beta):
 
 def run_min_rate(cfg, progress=None):
     _expect(cfg, "minrate")
-    if cfg.delta_policy != "fixed":
-        raise ValueError("minrate does not take a delta policy; give --delta values")
     params = _two_user_params(cfg)
     workers = resolve_workers(cfg.workers)
     dts = [(d, default_t_rate(d, cfg.variances[0])) for d in cfg.deltas]
@@ -279,22 +256,14 @@ def run_min_rate(cfg, progress=None):
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
-            rf, _ = _full_csi_rate(h1, h2, p)
-            cols = [rf.sum(), (rf * rf).sum()]
+            yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
+            yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
             for d, t in dts:
-                rq = _rate_pipeline_min(rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
-                cols += [rq.sum(), (rq * rq).sum()]
-            rt = 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            cols += [rt.sum(), (rt * rt).sum()]
-            return cols
+                yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
+                    rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
 
-        sums = _scan_fixed(params, cfg.seed, cfg.trials, workers, kernel)
-        n = cfg.trials
-        pts = [_stat_point(pdb, "r_full", sums[0], sums[1], n)]
-        for i, (d, _) in enumerate(dts):
-            pts.append(_stat_point(pdb, "r_qr[delta=%s]" % _fmt(d), sums[2 + 2 * i], sums[3 + 2 * i], n))
-        pts.append(_stat_point(pdb, "r_tdma", sums[-2], sums[-1], n))
-        _add_points(stats, pts)
+        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
+        _add_points(stats, _points(pdb, moments, n).values())
         if progress:
             progress("minrate p_db=%s: %d trials" % (_fmt(pdb), n))
     return stats
@@ -304,43 +273,34 @@ def run_rate_loss(cfg, progress=None):
     _expect(cfg, "rateloss")
     if len(cfg.p_db) != 1:
         raise ValueError("rateloss sweeps delta; give exactly one p_db value")
-    if cfg.delta_policy != "fixed":
-        raise ValueError("rateloss does not take a delta policy; give --delta values")
     params = _two_user_params(cfg)
     workers = resolve_workers(cfg.workers)
     lam1, lam2 = cfg.variances
     p = 10.0 ** (cfg.p_db[0] / 10.0)
     dts = [(d, default_t_rate(d, lam1)) for d in cfg.deltas]
 
+    # Every delta shares one scan; metrics are keyed (name, delta), with
+    # delta None for those that do not depend on it.
     def kernel(block):
         h1, h2 = block[:, 0], block[:, 1]
-        rf, _ = _full_csi_rate(h1, h2, p)
-        rt = 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-        cols = [rt.sum(), (rt * rt).sum()]
+        rf = alloc.max_min_rate_two_user(h1, h2, p)
+        yield ("r_tdma", None), 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
         for d, t in dts:
             n1, n2 = rate_levels(h1, d, t), rate_levels(h2, d, t)
-            rq = _rate_pipeline_min(n1 * d, n2 * d, p)
-            loss = rf - rq
-            l1 = vle_lengths(n1).astype(np.float64)
-            l2 = vle_lengths(n2).astype(np.float64)
-            cols += [rq.sum(), (rq * rq).sum(), loss.sum(), (loss * loss).sum(),
-                     l1.sum(), (l1 * l1).sum(), l2.sum(), (l2 * l2).sum()]
-        return cols
+            rq = _quantized_min_rate(n1 * d, n2 * d, p)
+            yield ("r_qr", d), rq
+            yield ("rate_loss", d), rf - rq
+            yield ("vle_rx1", d), vle_lengths(n1)
+            yield ("vle_rx2", d), vle_lengths(n2)
 
-    sums = _scan_fixed(params, cfg.seed, cfg.trials, workers, kernel)
-    n = cfg.trials
+    moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
     stats = RunStats(experiment=cfg.kind, sweep="delta", seed=cfg.seed)
-    for i, (d, t) in enumerate(dts):
-        base = 2 + 8 * i
-        pts = [
-            _stat_point(d, "r_qr", sums[base], sums[base + 1], n),
-            _stat_point(d, "r_tdma", sums[0], sums[1], n),
-            _stat_point(d, "rate_loss", sums[base + 2], sums[base + 3], n),
-            _const_point(d, "rate_loss_bound", rate_loss_bound(p, d, t, lam1, lam2), n),
-        ]
-        pts += _vle_points(d, "vle", ((sums[base + 4], sums[base + 5]),
-                                      (sums[base + 6], sums[base + 7])), n)
-        _add_points(stats, pts)
+    for d, t in dts:
+        pts = _points(d, {name: m for (name, at), m in moments.items() if at in (d, None)}, n)
+        pts["rate_loss_bound"] = _const_point(d, "rate_loss_bound",
+                                              rate_loss_bound(p, d, t, lam1, lam2), n)
+        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
+        _add_points(stats, pts.values())
         if progress:
             progress("rateloss delta=%s: %d trials" % (_fmt(d), n))
     return stats
@@ -358,44 +318,34 @@ def run_outage(cfg, progress=None):
     for pdb in cfg.p_db:
         p = 10.0 ** (pdb / 10.0)
         if policy == "fixed":
-            dts = [(d, default_t_outage(d, lam1)) for d in cfg.deltas]
-            labels = ["out_qo[delta=%s]" % _fmt(d) for d in cfg.deltas]
+            dts = [("out_qo[delta=%s]" % _fmt(d), d, default_t_outage(d, lam1))
+                   for d in cfg.deltas]
         else:
             d = policy_delta(policy, cfg.deltas[0], p)
-            dts = [(d, default_t_outage(d, lam1))]
-            labels = ["out_qo[policy=%s]" % policy]
+            dts = [("out_qo[policy=%s]" % policy, d, default_t_outage(d, lam1))]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
-            _, snr = _full_csi_rate(h1, h2, p)
-            cols = [float(np.count_nonzero(p * snr < beta))]
-            for d, t in dts:
-                out_sys, _, _ = _outage_conditions(
-                    h1, h2, outage_levels(h1, d, t) * d, outage_levels(h2, d, t) * d, p, beta)
-                cols.append(float(np.count_nonzero(out_sys)))
-            cols.append(float(np.count_nonzero(p * np.minimum(h1, h2) < beta_tdma)))
-            return cols
+            yield "out_full", p * _full_csi_snr(h1, h2, p) < beta
+            yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
+            for label, d, t in dts:
+                yield label, alloc.outage_conditions(
+                    h1, h2, outage_levels(h1, d, t) * d, outage_levels(h2, d, t) * d, p, beta)[0]
 
-        sums, n, capped = _scan_adaptive(params, cfg.seed, workers, kernel,
-                                         event_cols=(0,), target=cfg.min_outage_events,
-                                         cap=cfg.trial_cap)
+        moments, n, capped = _scan(params, cfg.seed, workers, kernel, cfg.trial_cap,
+                                   events=("out_full",), target=cfg.min_outage_events)
+        events = int(moments["out_full"][0])
         if capped:
             stats.notes.append("p_db=%s: trial cap %d reached with %d/%d events"
-                               % (_fmt(pdb), n, int(sums[0]), cfg.min_outage_events))
-        pts = [_flag_point(pdb, "out_full", sums[0], n)]
-        for label, s in zip(labels, sums[1:-1]):
-            pts.append(_flag_point(pdb, label, s, n))
-        pts.append(_flag_point(pdb, "out_tdma", sums[-1], n))
-        _add_points(stats, pts)
+                               % (_fmt(pdb), n, events, cfg.min_outage_events))
+        _add_points(stats, _points(pdb, moments, n).values())
         if progress:
-            progress("outage p_db=%s: %d trials, %d events" % (_fmt(pdb), n, int(sums[0])))
+            progress("outage p_db=%s: %d trials, %d events" % (_fmt(pdb), n, events))
     return stats
 
 
 def run_outage_loss(cfg, progress=None):
     _expect(cfg, "outageloss")
-    if cfg.delta_policy != "fixed":
-        raise ValueError("outageloss does not take a delta policy; give --delta values")
     if len(cfg.p_db) > 1 and len(cfg.deltas) > 1:
         raise ValueError("outageloss sweeps either p_db or delta, not both")
     params = _two_user_params(cfg)
@@ -414,27 +364,19 @@ def run_outage_loss(cfg, progress=None):
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
-            _, snr = _full_csi_rate(h1, h2, p)
-            out_full = p * snr < beta
+            out_full = p * _full_csi_snr(h1, h2, p) < beta
             m1, m2 = outage_levels(h1, d, t), outage_levels(h2, d, t)
-            out_sys, _, _ = _outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)
-            l1 = vle_lengths(m1).astype(np.float64)
-            l2 = vle_lengths(m2).astype(np.float64)
-            return [float(np.count_nonzero(out_full)),
-                    float(np.count_nonzero(out_sys)),
-                    float(np.count_nonzero(out_sys & ~out_full)),
-                    l1.sum(), (l1 * l1).sum(), l2.sum(), (l2 * l2).sum()]
+            out_qo = alloc.outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)[0]
+            yield from (("out_full", out_full), ("out_qo", out_qo),
+                        ("outage_loss", out_qo & ~out_full))
+            yield "vle_rx1", vle_lengths(m1)
+            yield "vle_rx2", vle_lengths(m2)
 
-        sums = _scan_fixed(params, cfg.seed, cfg.trials, workers, kernel)
-        n = cfg.trials
-        pts = [
-            _flag_point(value, "out_full", sums[0], n),
-            _flag_point(value, "out_qo", sums[1], n),
-            _flag_point(value, "outage_loss", sums[2], n),
-            _const_point(value, "sqrt_delta", math.sqrt(d), n),
-        ]
-        pts += _vle_points(value, "vle", ((sums[3], sums[4]), (sums[5], sums[6])), n)
-        _add_points(stats, pts)
+        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
+        pts = _points(value, moments, n)
+        pts["sqrt_delta"] = _const_point(value, "sqrt_delta", math.sqrt(d), n)
+        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
+        _add_points(stats, pts.values())
         if progress:
             progress("outageloss %s=%s: %d trials" % (sweep, _fmt(value), n))
     return stats
@@ -462,20 +404,17 @@ def run_feedback_rate(cfg, progress=None):
             level_fn, flavor = rate_levels, RATE
 
         def kernel(block):
-            l1 = vle_lengths(level_fn(block[:, 0], d, t)).astype(np.float64)
-            l2 = vle_lengths(level_fn(block[:, 1], d, t)).astype(np.float64)
-            return [l1.sum(), (l1 * l1).sum(), l2.sum(), (l2 * l2).sum()]
+            yield "vle_rx1", vle_lengths(level_fn(block[:, 0], d, t))
+            yield "vle_rx2", vle_lengths(level_fn(block[:, 1], d, t))
 
-        sums = _scan_fixed(params, cfg.seed, cfg.trials, workers, kernel)
-        n = cfg.trials
-        pts = [
-            _const_point(value, "fle_bits", fle_bits(t, flavor), n),
-            _const_point(value, "t_bins", t, n),
-        ]
+        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
+        pts = _points(value, moments, n)
+        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
+        pts["fle_bits"] = _const_point(value, "fle_bits", fle_bits(t, flavor), n)
+        pts["t_bins"] = _const_point(value, "t_bins", t, n)
         if by_policy:
-            pts.append(_const_point(value, "delta_used", d, n))
-        pts += _vle_points(value, "vle", ((sums[0], sums[1]), (sums[2], sums[3])), n)
-        _add_points(stats, pts)
+            pts["delta_used"] = _const_point(value, "delta_used", d, n)
+        _add_points(stats, pts.values())
         if progress:
             progress("feedback %s=%s: %d trials" % (sweep, _fmt(value), n))
     return stats
@@ -515,13 +454,13 @@ def run_diversity(cfg, progress=None):
     d_fix = cfg.deltas[0]
     t_fix = default_t_outage(d_fix, lam1)
     policy = cfg.delta_policy if cfg.delta_policy != "fixed" else "min02-pcube"
-    names = [
+    names = (
         "out_full",
         "out_qo_fixed[delta=%s]" % _fmt(d_fix),
         "out_qo_policy[%s]" % policy,
         "out_rx1_fixed[delta=%s]" % _fmt(d_fix),
         "out_rx2_fixed[delta=%s]" % _fmt(d_fix),
-    ]
+    )
     curves = {name: [] for name in names}
     stats = RunStats(experiment=cfg.kind, sweep="p_db", seed=cfg.seed)
     for pdb in cfg.p_db:
@@ -531,28 +470,24 @@ def run_diversity(cfg, progress=None):
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
-            _, snr = _full_csi_rate(h1, h2, p)
-            out_full = p * snr < beta
-            sys_fix, rx1_fix, rx2_fix = _outage_conditions(
+            fixed = alloc.outage_conditions(
                 h1, h2, outage_levels(h1, d_fix, t_fix) * d_fix,
                 outage_levels(h2, d_fix, t_fix) * d_fix, p, beta)
-            sys_pol, _, _ = _outage_conditions(
+            sys_pol = alloc.outage_conditions(
                 h1, h2, outage_levels(h1, d_pol, t_pol) * d_pol,
-                outage_levels(h2, d_pol, t_pol) * d_pol, p, beta)
-            return [float(np.count_nonzero(c))
-                    for c in (out_full, sys_fix, sys_pol, rx1_fix, rx2_fix)]
+                outage_levels(h2, d_pol, t_pol) * d_pol, p, beta)[0]
+            yield from zip(names, (p * _full_csi_snr(h1, h2, p) < beta, fixed[0], sys_pol,
+                                   fixed[1], fixed[2]))
 
-        sums, n, capped = _scan_adaptive(params, cfg.seed, workers, kernel,
-                                         event_cols=tuple(range(5)),
-                                         target=cfg.min_outage_events, cap=cfg.trial_cap)
+        moments, n, capped = _scan(params, cfg.seed, workers, kernel, cfg.trial_cap,
+                                   events=names, target=cfg.min_outage_events)
         if capped:
             stats.notes.append("p_db=%s: trial cap %d reached before %d events on every curve"
                                % (_fmt(pdb), n, cfg.min_outage_events))
-        pts = []
-        for name, s in zip(names, sums):
-            pts.append(_flag_point(pdb, name, s, n))
-            curves[name].append((pdb, s / n))
-        _add_points(stats, pts)
+        pts = _points(pdb, moments, n)
+        for name in names:
+            curves[name].append((pdb, pts[name].value))
+        _add_points(stats, pts.values())
         if progress:
             progress("diversity p_db=%s: %d trials" % (_fmt(pdb), n))
 
@@ -574,8 +509,6 @@ def run_k_user(cfg, progress=None):
     _expect(cfg, "kuser")
     if len(cfg.p_db) != 1:
         raise ValueError("kuser sweeps delta; give exactly one p_db value")
-    if cfg.delta_policy != "fixed":
-        raise ValueError("kuser does not take a delta policy; give --delta values")
     if len(cfg.variances) < 2:
         raise ValueError("kuser needs at least two receivers")
     params = ChannelParams(cfg.variances)
@@ -593,59 +526,38 @@ def run_k_user(cfg, progress=None):
             out_full = r_true < cfg.r_th
 
             qv = np.empty_like(block)
-            lens_r = np.empty_like(block)
             for i in range(k):
                 levels = rate_levels(block[:, i], d, t_r[i])
                 qv[:, i] = levels.astype(np.float64) * d
-                lens_r[:, i] = vle_lengths(levels)
+                yield "vle_r%d" % i, vle_lengths(levels)
             live = np.all(qv > 0.0, axis=1)
             r_q = np.zeros(block.shape[0])
             if live.any():
                 qd = np.sort(qv[live], axis=1)[:, ::-1]
                 r_q[live] = alloc.batch_max_min_rate(qd, p, cfg.eps)[0]
-            loss = r_true - r_q
 
             ov = np.empty_like(block)
-            lens_o = np.empty_like(block)
             for i in range(k):
                 levels = outage_levels(block[:, i], d, t_o[i])
                 ov[:, i] = levels.astype(np.float64) * d
-                lens_o[:, i] = vle_lengths(levels)
+                yield "vle_o%d" % i, vle_lengths(levels)
             perm = np.argsort(-ov, axis=1, kind="stable")
             ov_desc = np.take_along_axis(ov, perm, axis=1)
             r_qo = alloc.batch_max_min_rate(ov_desc, p, cfg.eps)[0]
-            alphas = alloc._alloc_from_rate_rows(r_qo, ov_desc, p)
+            alphas = alloc.alloc_from_rate(r_qo, ov_desc, p)
             true_perm = np.take_along_axis(block, perm, axis=1)
-            rates = alloc.sic_rates(alphas, true_perm, p)
-            out_q = rates.min(axis=1) < cfg.r_th
+            out_q = alloc.sic_rates(alphas, true_perm, p).min(axis=1) < cfg.r_th
 
-            cols = [loss.sum(), (loss * loss).sum(),
-                    float(np.count_nonzero(out_full)),
-                    float(np.count_nonzero(out_q)),
-                    float(np.count_nonzero(out_q & ~out_full))]
-            for arr in (lens_r, lens_o):
-                for i in range(k):
-                    cols += [arr[:, i].sum(), (arr[:, i] * arr[:, i]).sum()]
-            return cols
+            yield from (("rate_loss", r_true - r_q), ("out_full", out_full), ("out_qo", out_q),
+                        ("outage_loss", out_q & ~out_full))
 
-        sums = _scan_fixed(params, cfg.seed, cfg.trials, workers, kernel)
-        n = cfg.trials
-
-        def vle_min_point(metric, base):
-            per_rx = [_stat_point(d, metric, sums[base + 2 * i], sums[base + 2 * i + 1], n)
-                      for i in range(k)]
-            low = min(per_rx, key=lambda m: m.value)
-            return MetricPoint(d, metric, low.value, low.stderr, n)
-
-        pts = [
-            _stat_point(d, "rate_loss", sums[0], sums[1], n),
-            _flag_point(d, "out_full", sums[2], n),
-            _flag_point(d, "out_qo", sums[3], n),
-            _flag_point(d, "outage_loss", sums[4], n),
-            vle_min_point("vle_r_min", 5),
-            vle_min_point("vle_o_min", 5 + 2 * k),
-        ]
-        _add_points(stats, pts)
+        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
+        pts = _points(d, moments, n)
+        _add_points(stats, [
+            pts["rate_loss"], pts["out_full"], pts["out_qo"], pts["outage_loss"],
+            _min_point("vle_r_min", [pts["vle_r%d" % i] for i in range(k)]),
+            _min_point("vle_o_min", [pts["vle_o%d" % i] for i in range(k)]),
+        ])
         if progress:
             progress("kuser delta=%s: %d trials" % (_fmt(d), n))
     return stats

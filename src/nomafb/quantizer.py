@@ -8,34 +8,11 @@ plain fixed-length indices.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 RATE = "rate"
 OUTAGE = "outage"
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    delta: float
-    t: int
-    flavor: str = RATE
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if int(self.t) != self.t or self.t < 1:
-            raise ValueError("t must be a positive integer")
-        if self.flavor not in (RATE, OUTAGE):
-            raise ValueError("flavor must be %r or %r" % (RATE, OUTAGE))
-
-
-@dataclass(frozen=True)
-class FeedbackWord:
-    level: int
-    bit_length: int
-    reconstructed: float
 
 
 def rate_levels(x, delta, t):
@@ -65,20 +42,6 @@ def outage_levels(x, delta, t):
     return np.clip(m, 1.0, float(t + 1)).astype(np.int64)
 
 
-def quantize_rate(x, cfg):
-    if cfg.flavor != RATE:
-        raise ValueError("config flavor is not %r" % RATE)
-    n = int(rate_levels(x, cfg.delta, cfg.t))
-    return FeedbackWord(level=n, bit_length=vle_length(n), reconstructed=n * cfg.delta)
-
-
-def quantize_outage(x, cfg):
-    if cfg.flavor != OUTAGE:
-        raise ValueError("config flavor is not %r" % OUTAGE)
-    n = int(outage_levels(x, cfg.delta, cfg.t))
-    return FeedbackWord(level=n, bit_length=vle_length(n), reconstructed=n * cfg.delta)
-
-
 def _check_delta_for_default(delta):
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1) for the default bin-count rule")
@@ -102,13 +65,11 @@ def default_t_outage(delta, lambda1=1.0):
 
 def vle_length(level):
     """Codeword length for one level: floor(log2(level+2))."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return (int(level) + 2).bit_length() - 1
+    return int(vle_lengths(level))
 
 
 def vle_lengths(levels):
-    """Vectorized vle_length, exact for every int64 level up to 2^63 - 3.
+    """Codeword lengths floor(log2(level+2)), exact for every int64 level up to 2^63 - 3.
 
     The frexp exponent of level+2 is floor(log2(level+2)) + 1 while the
     float conversion is exact (below 2^53). Above that the conversion may

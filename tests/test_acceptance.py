@@ -11,7 +11,7 @@ import numpy as np
 
 from nomafb import alloc, harness, quantizer
 from nomafb.channel import CHUNK
-from nomafb.evaluator import achievable_check, actual_min_rate
+from nomafb.evaluator import achievable_check
 from nomafb.harness import ExperimentConfig
 
 from conftest import outage_prob_analytic, vle_mean_analytic
@@ -86,7 +86,7 @@ def test_criterion_02_bisection_solver():
     pk = 10.0
     r, iters = alloc.batch_max_min_rate(gd, pk, eps4)
     assert iters <= math.ceil(math.log2(float(np.log2(1.0 + pk * gd[:, -1]).max()) / eps4))
-    alphas = alloc._alloc_from_rate_rows(r, gd, pk)
+    alphas = alloc.alloc_from_rate(r, gd, pk)
     rates = alloc.sic_rates(alphas, gd, pk)
     spread = float((rates.max(axis=1) - rates.min(axis=1)).max())
 
@@ -318,9 +318,7 @@ def test_criterion_08_property_suites():
     to = quantizer.default_t_outage(0.2)
     o1 = quantizer.outage_levels(h1, 0.2, to) * 0.2
     o2 = quantizer.outage_levels(h2, 0.2, to) * 0.2
-    o_rx1_strong = o1 >= o2
-    a = alloc.optimal_alpha_two_user(np.maximum(o1, o2), np.minimum(o1, o2), p)
-    out_q = actual_min_rate(h1, h2, a, o_rx1_strong, p) < r_th
+    out_q = alloc.outage_conditions(h1, h2, o1, o2, p, 2.0**r_th - 1.0)[0]
     out_full = alloc.max_min_rate_two_user(h1, h2, p) < r_th
     violations_dom = int(np.count_nonzero(out_full & ~out_q))
 

@@ -245,10 +245,9 @@ class TestOutputFormats:
         assert code == 0
         assert "note:" in err and "trial cap" in err
 
-    def test_empty_stats_render_header_only(self, capsys):
-        cli.emit_csv(RunStats(experiment="minrate", sweep="p_db", seed=0))
-        out = capsys.readouterr().out
-        assert out == ",".join(cli.COLUMNS) + "\n"
+    def test_empty_stats_render_header_only(self):
+        text = cli.render_csv(RunStats(experiment="minrate", sweep="p_db", seed=0))
+        assert text == ",".join(cli.COLUMNS) + "\n"
 
     def test_float_cells_are_full_precision(self):
         stats = RunStats(experiment="minrate", sweep="p_db", seed=0)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import vle_mean_analytic
 from nomafb import alloc, harness
 from nomafb.channel import CHUNK, ChannelParams, sample_block
+from nomafb.quantizer import default_t_outage, outage_levels
 
 
 def metrics_by_sweep(stats):
@@ -38,6 +39,32 @@ class TestWorkerResolution:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
         assert harness.resolve_workers(0) >= 1
+
+    def test_clamped_to_a_few_per_cpu(self, monkeypatch):
+        cap = 3 * harness.MAX_WORKERS_PER_CPU
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+        assert harness.resolve_workers(100_000) == cap
+        assert harness.resolve_workers(cap) == cap
+        assert harness.resolve_workers(cap - 1) == cap - 1
+        assert harness.resolve_workers(0) == 3
+        monkeypatch.setenv(harness.WORKERS_ENV, "100000")
+        assert harness.resolve_workers(0) == cap
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert harness.resolve_workers(100_000) == harness.MAX_WORKERS_PER_CPU
+
+    def test_pool_is_no_wider_than_its_wave(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        assert harness._run_jobs(lambda ci: ci * ci, range(3), 8) == [0, 1, 4]
+        assert harness._run_jobs(lambda ci: ci, range(5), 2) == list(range(5))
+        assert sizes == [3, 2]
 
 
 class TestPolicyDelta:
@@ -152,13 +179,23 @@ class TestAdaptiveStopping:
             assert round(full.value * full.n) >= 1000
 
     def test_trial_cap_is_reported(self):
-        cfg = harness.ExperimentConfig(kind="outage", p_db=(40.0,), deltas=(0.2,),
-                                       min_outage_events=10_000_000, trial_cap=20_000,
-                                       seed=5)
-        stats = harness.run_outage(cfg)
-        assert len(stats.notes) == 1
-        assert "trial cap" in stats.notes[0]
-        assert stats.points[0].n == CHUNK
+        # the last chunk is trimmed, so the cap holds exactly, below CHUNK too
+        gains = np.concatenate([sample_block(ChannelParams((1.0, 0.5)), 5, b) for b in (0, 1)])
+        t = default_t_outage(0.2)
+        for cap in (20_000, 1_000):
+            cfg = harness.ExperimentConfig(kind="outage", p_db=(40.0,), deltas=(0.2,),
+                                           min_outage_events=10_000_000, trial_cap=cap,
+                                           seed=5)
+            stats = harness.run_outage(cfg)
+            assert len(stats.notes) == 1
+            assert "trial cap %d reached" % cap in stats.notes[0]
+            assert {m.n for m in stats.points} == {cap}
+            # and the points count the first cap trials, no more
+            h1, h2 = gains[:cap, 0], gains[:cap, 1]
+            out_q = alloc.outage_conditions(h1, h2, outage_levels(h1, 0.2, t) * 0.2,
+                                            outage_levels(h2, 0.2, t) * 0.2, 1e4, 1.0)[0]
+            point = metrics_by_sweep(stats)[40.0]["out_qo[delta=0.2]"]
+            assert round(point.value * cap) == np.count_nonzero(out_q) > 0
 
 
 class TestMetricLayout:

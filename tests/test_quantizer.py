@@ -160,7 +160,7 @@ class TestVle:
         levels = [(1 << k) - 2 + d for k in range(2, 64) for d in range(-3, 2)]
         levels = np.array([n for n in levels if 0 <= n <= top], dtype=np.int64)
         assert levels[-1] == top
-        want = np.array([quantizer.vle_length(int(n)) for n in levels])
+        want = np.array([(int(n) + 2).bit_length() - 1 for n in levels])
         assert_array_equal(quantizer.vle_lengths(levels), want)
 
     def test_decode_validation(self):
@@ -227,31 +227,14 @@ class TestVleBound:
 
 
 class TestConfigAndWords:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            quantizer.QuantizerConfig(delta=0.0, t=10)
-        with pytest.raises(ValueError):
-            quantizer.QuantizerConfig(delta=0.1, t=0)
-        with pytest.raises(ValueError):
-            quantizer.QuantizerConfig(delta=0.1, t=10, flavor="both")
-
-    def test_flavor_mismatch_raises(self):
-        rate_cfg = quantizer.QuantizerConfig(delta=0.1, t=10, flavor=quantizer.RATE)
-        outage_cfg = quantizer.QuantizerConfig(delta=0.1, t=10, flavor=quantizer.OUTAGE)
-        with pytest.raises(ValueError):
-            quantizer.quantize_rate(0.5, outage_cfg)
-        with pytest.raises(ValueError):
-            quantizer.quantize_outage(0.5, rate_cfg)
-
     def test_word_fields_are_consistent(self):
-        cfg = quantizer.QuantizerConfig(delta=0.1, t=10, flavor=quantizer.RATE)
-        w = quantizer.quantize_rate(0.37, cfg)
-        assert w.level == 3
-        assert w.bit_length == quantizer.vle_length(3)
-        assert w.reconstructed == pytest.approx(0.3)
+        # one fed-back word: level, codeword length and reconstructed gain
+        level = int(quantizer.rate_levels(0.37, 0.1, 10))
+        assert level == 3
+        assert quantizer.vle_length(level) == len(quantizer.vle_encode(level)) == 2
+        assert level * 0.1 == pytest.approx(0.3)
 
-        ocfg = quantizer.QuantizerConfig(delta=0.1, t=10, flavor=quantizer.OUTAGE)
-        v = quantizer.quantize_outage(0.37, ocfg)
-        assert v.level == 4
-        assert v.reconstructed == pytest.approx(0.4)
-        assert v.bit_length == len(quantizer.vle_encode(v.level))
+        level = int(quantizer.outage_levels(0.37, 0.1, 10))
+        assert level == 4
+        assert level * 0.1 == pytest.approx(0.4)
+        assert quantizer.vle_lengths([level])[0] == len(quantizer.vle_encode(level))
