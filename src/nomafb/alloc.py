@@ -39,6 +39,17 @@ def _check_power(p):
         raise ValueError("power must be positive")
 
 
+def _lowest(x):
+    """Smallest entry of x in one pass, NaN skipped; +inf if x is empty or all
+    NaN. So `_lowest(x) < c` is `np.any(x < c)`, which reads x twice."""
+    return np.fmin.reduce(x, axis=None, initial=np.inf)
+
+
+def _highest(x):
+    """Largest entry of x, as _lowest: `_highest(x) > c` is `np.any(x > c)`."""
+    return np.fmax.reduce(x, axis=None, initial=-np.inf)
+
+
 def _split_den(x, y, p):
     """Denominator of sic_snr and of the equal-rate split when x decodes last."""
     s = x + y
@@ -62,7 +73,7 @@ def equal_rate_split(g_strong, g_weak, p):
     gs = np.asarray(g_strong, dtype=np.float64)
     gw = np.asarray(g_weak, dtype=np.float64)
     _check_power(p)
-    if np.any(gw < 0) or np.any(gs < gw):
+    if _lowest(gw) < 0 or (gs < gw).any():
         raise ValueError("need g_strong >= g_weak >= 0; order the gains first")
     den = _split_den(gs, gw, p)
     return np.divide(2.0 * gw, den, out=np.zeros_like(den), where=gw > 0.0)
@@ -72,7 +83,7 @@ def two_user_rates(a, g_strong, g_weak, p):
     """(strong, weak) rates when the strong receiver gets power fraction a and
     decodes last; the weak one treats that share as interference."""
     a = np.asarray(a, dtype=np.float64)
-    if np.any(a < 0) or np.any(a > 1):
+    if _lowest(a) < 0 or _highest(a) > 1:
         raise ValueError("alpha must lie in [0, 1]")
     r_strong = np.log2(1.0 + p * a * g_strong)
     r_weak = np.log2(1.0 + p * g_weak * (1.0 - a) / (p * g_weak * a + 1.0))
@@ -111,7 +122,7 @@ def max_min_rate_two_user(h1, h2, p):
     h1 = np.asarray(h1, dtype=np.float64)
     h2 = np.asarray(h2, dtype=np.float64)
     _check_power(p)
-    if np.any(h1 <= 0) or np.any(h2 <= 0):
+    if _lowest(h1) <= 0 or _lowest(h2) <= 0:
         raise ValueError("gains must be positive")
     r = np.log2(1.0 + p * sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p))
     return float(r) if r.ndim == 0 else r

@@ -7,8 +7,11 @@ stdout stays machine-readable.
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
+import os
 import sys
 import time
 
@@ -22,6 +25,11 @@ from .harness import (
 COLUMNS = ("experiment", "sweep", "sweep_value", "metric", "value", "stderr", "n", "seed")
 
 _USAGE_SWEEP = "use start:stop:step (inclusive) or a comma list"
+
+# glibc's mallopt parameters, and the environment settings that already set them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_MALLOC_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold")
 
 
 def parse_sweep(text):
@@ -71,13 +79,17 @@ def parse_variances(text):
 
 
 def parse_count(text):
+    """A nonnegative integer, written out or as a float such as 1e6."""
     try:
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number, got %r" % text)
-    if f < 0 or f != int(f):
+    if not math.isfinite(f) or f < 0 or f != int(f):
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
-    return int(f)
+    try:
+        return int(text)  # exact past 2**53, where f is rounded
+    except ValueError:
+        return int(f)
 
 
 def parse_positive(text):
@@ -299,8 +311,37 @@ def _write_out(text, path):
         raise RuntimeError("cannot write %s: %s" % (path, e))
 
 
+@functools.cache
+def fix_malloc_thresholds():
+    """Stop glibc from mapping and trimming heap pages for every chunk temporary.
+
+    A chunk's float64 array is 128 KiB, right at glibc's default mmap
+    threshold, so each kernel temporary would map fresh pages (or trim freed
+    ones) and fault them in again. Raising the mmap threshold to 4 MiB and the
+    trim threshold to 64 MiB lets freed chunks be reused in place. Runs once per
+    process; a no-op off glibc or where the environment already sets either
+    threshold. True if the thresholds were set.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (not libc or any(k in os.environ for k in _MALLOC_ENV)
+            or any(t in tunables for t in _MALLOC_TUNABLES)):
+        return False
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 4 << 20)) and bool(mallopt(M_TRIM_THRESHOLD, 64 << 20))
+
+
 def main(argv=None):
     cfg, opts = parse_config(argv)
+    fix_malloc_thresholds()
     started = time.time()
 
     def progress(msg):

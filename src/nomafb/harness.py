@@ -8,6 +8,7 @@ but wall time; adaptive stopping picks the shortest chunk prefix meeting the
 event target, which is again a property of the ordered chunks alone.
 """
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -98,10 +99,17 @@ class RunStats:
     notes: list = field(default_factory=list)
 
 
+def usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_workers(requested):
     """Worker threads for a run: requested, else $NOMAFB_WORKERS, else one per
-    CPU; never more than MAX_WORKERS_PER_CPU per CPU."""
-    cpus = os.cpu_count() or 1
+    usable CPU; never more than MAX_WORKERS_PER_CPU per usable CPU."""
+    cpus = usable_cpus()
     n = requested
     env = os.environ.get(WORKERS_ENV, "").strip()
     if not n and env:
@@ -128,13 +136,6 @@ def policy_delta(policy, fixed_delta, p):
 # ---------------------------------------------------------------------------
 # chunk scanning
 
-def _run_jobs(job, indices, workers):
-    if workers <= 1 or len(indices) <= 1:
-        return [job(ci) for ci in indices]
-    with ThreadPoolExecutor(max_workers=min(workers, len(indices))) as ex:
-        return list(ex.map(job, indices))
-
-
 def _moments(x):
     """(sum, sum of squares) of one chunk of a metric; an event mask is 0/1 data,
     so both are its count."""
@@ -153,6 +154,8 @@ def _scan(params, seed, workers, kernel, trials, events=(), target=0):
     wave by wave (one chunk per worker) and keeps the shortest chunk prefix in
     which every named event count reaches target; that prefix follows from
     the per-chunk counts in index order, so the wave width cannot change it.
+    Every wave runs on one pool of min(workers, chunks) threads, opened once
+    per scan.
     Returns (moments, n, capped): moments maps each metric to its fsum-reduced
     (sum, sum of squares) over the n kept trials, and capped says the target
     was not reached within `trials`.
@@ -167,15 +170,18 @@ def _scan(params, seed, workers, kernel, trials, events=(), target=0):
     partials = []
     counts = dict.fromkeys(events, 0.0)
     keep = None
-    while keep is None and len(partials) < n_chunks:
-        lo = len(partials)
-        partials.extend(_run_jobs(job, range(lo, min(lo + wave, n_chunks)), workers))
-        for ci in range(lo, len(partials)):
-            for e in events:
-                counts[e] += partials[ci][e][0]
-            if events and all(c >= target for c in counts.values()):
-                keep = ci + 1
-                break
+    width = min(workers, n_chunks)
+    with ThreadPoolExecutor(width) if width > 1 else contextlib.nullcontext() as pool:
+        run = pool.map if pool else map
+        while keep is None and len(partials) < n_chunks:
+            lo = len(partials)
+            partials.extend(run(job, range(lo, min(lo + wave, n_chunks))))
+            for ci in range(lo, len(partials)):
+                for e in events:
+                    counts[e] += partials[ci][e][0]
+                if events and all(c >= target for c in counts.values()):
+                    keep = ci + 1
+                    break
     capped = keep is None and bool(events)
     kept = partials[:keep]
     moments = {metric: (math.fsum(part[metric][0] for part in kept),

@@ -23,7 +23,8 @@ def rate_levels(x, delta, t):
     n*delta <= x < (n+1)*delta holds exactly.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0):
+    # One pass that skips NaN, as np.any(x < 0) does; empty x reads as +inf.
+    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("gain must be nonnegative")
     n = np.floor(x / delta)
     n = np.where((n + 1.0) * delta <= x, n + 1.0, n)
@@ -34,7 +35,7 @@ def rate_levels(x, delta, t):
 def outage_levels(x, delta, t):
     """Bin indices under the upper-edge quantizer: 1..t+1, never zero."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
+    if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
     m = np.ceil(x / delta)
     m = np.where((m - 1.0) * delta >= x, m - 1.0, m)

@@ -82,6 +82,39 @@ class TestTwoUserClosedForm:
             assert abs(a - a_grid) <= 1e-4
 
 
+# Each per-chunk input check of the two-user kernel, as (call that feeds x to
+# the checked argument, a value the check accepts, one it rejects). A check
+# reads x once, yet must accept and reject exactly what np.any(x < c) did:
+# empty arrays and NaN pass, and a NaN beside a bad value does not hide it.
+KERNEL_CHECKS = {
+    "split_weak_gain": (lambda x: alloc.equal_rate_split(np.full_like(x, 2.0), x, 1.0), 0.5, -0.5),
+    "split_order": (lambda x: alloc.equal_rate_split(x, np.ones_like(x), 1.0), 2.0, 0.5),
+    "rates_alpha_low": (lambda x: alloc.two_user_rates(x, 1.0, 0.5, 1.0), 0.25, -0.1),
+    "rates_alpha_high": (lambda x: alloc.two_user_rates(x, 1.0, 0.5, 1.0), 0.25, 1.5),
+    "max_min_h1": (lambda x: alloc.max_min_rate_two_user(x, np.ones_like(x), 1.0), 0.25, 0.0),
+    "max_min_h2": (lambda x: alloc.max_min_rate_two_user(np.ones_like(x), x, 1.0), 0.25, -1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CHECKS))
+class TestKernelInputChecks:
+    def test_accepts_empty(self, name):
+        call, _, _ = KERNEL_CHECKS[name]
+        result = call(np.array([]))
+        assert all(np.size(r) == 0 for r in (result if isinstance(result, tuple) else (result,)))
+
+    def test_accepts_nan(self, name):
+        call, good, _ = KERNEL_CHECKS[name]
+        call(np.array([np.nan, good]))
+        call(np.array([np.nan]))
+
+    def test_rejects_a_bad_value_beside_nan(self, name):
+        call, good, bad = KERNEL_CHECKS[name]
+        for x in ([bad], [good, bad], [np.nan, bad], [bad, np.nan]):
+            with pytest.raises(ValueError):
+                call(np.array(x))
+
+
 class TestSicSnr:
     def test_rate_consistency(self):
         rng = np.random.default_rng(105)

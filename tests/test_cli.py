@@ -3,11 +3,23 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nomafb
 from nomafb import cli
-from nomafb.harness import ExperimentConfig, RunStats
+from nomafb.harness import KINDS, POLICIES, ExperimentConfig, RunStats
+
+# Derandomized, with no example database, so every run checks the same draws.
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestParseSweep:
@@ -49,6 +61,69 @@ class TestParseSweep:
             cli.parse_count("1.5")
         with pytest.raises(Exception):
             cli.parse_count("-3")
+
+    def test_count_keeps_integers_past_float_precision(self):
+        assert cli.parse_count(str(2**53 + 1)) == 2**53 + 1
+        assert cli.parse_count(str(2**64 + 3)) == 2**64 + 3
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "-1e400", "Infinity"])
+    def test_count_rejects_non_finite(self, text):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
+            cli.parse_count(text)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--trial-cap", "--min-outage-events", "--seed"])
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_count_is_a_usage_error(self, flag, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["outage", flag + "=" + text])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestParseSweepProperties:
+    @PROPERTY
+    @given(st.lists(finite, min_size=1, max_size=8))
+    def test_comma_list_round_trips(self, vals):
+        assert cli.parse_sweep(",".join(repr(v) for v in vals)) == tuple(vals)
+
+    @PROPERTY
+    @given(st.integers(-10**6, 10**6), st.integers(0, 50),
+           st.integers(-1000, 1000).filter(lambda s: s != 0))
+    def test_integer_grid_is_exact_and_inclusive(self, start, steps, step):
+        stop = start + steps * step
+        grid = cli.parse_sweep("%d:%d:%d" % (start, stop, step))
+        assert grid == tuple(float(start + i * step) for i in range(steps + 1))
+        assert cli.parse_sweep(",".join(repr(v) for v in grid)) == grid
+
+
+@st.composite
+def configs(draw):
+    kind = draw(st.sampled_from(KINDS))
+    variances = draw(st.lists(positive, min_size=2, max_size=5 if kind == "kuser" else 2))
+    return ExperimentConfig(
+        kind=kind,
+        variances=tuple(sorted(variances, reverse=True)),
+        p_db=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
+        deltas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                   min_size=1, max_size=4))),
+        delta_policy=draw(st.sampled_from(POLICIES)),
+        r_th=draw(positive),
+        eps=draw(positive),
+        trials=draw(st.integers(1, 2**70)),
+        min_outage_events=draw(st.integers(1, 2**70)),
+        trial_cap=draw(st.integers(1, 2**70)),
+        seed=draw(st.integers(0, 2**70)),
+        workers=draw(st.integers(0, 64)),
+    )
+
+
+class TestRenderArgsProperties:
+    @PROPERTY
+    @given(configs(), st.booleans())
+    def test_render_then_parse_is_identity(self, cfg, as_json):
+        back, opts = cli.parse_config(cli.render_args(cfg, as_json=as_json))
+        assert back == cfg
+        assert opts == {"out": None, "json": as_json}
 
 
 class TestParseConfig:
@@ -256,3 +331,111 @@ class TestOutputFormats:
         text = cli.render_csv(stats)
         assert "0.3333333333333333" in text
         assert "0.125" in text
+
+
+class FakeLibc:
+    """Stands in for ctypes.CDLL(None) and records the mallopt calls."""
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class TestMallocThresholds:
+    fix = staticmethod(cli.fix_malloc_thresholds.__wrapped__)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import ctypes
+
+        calls = []
+        for name in cli._MALLOC_ENV + ("GLIBC_TUNABLES",):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+        return calls
+
+    def test_sets_both_thresholds_on_glibc(self, calls):
+        assert self.fix() is True
+        assert calls == [(cli.M_MMAP_THRESHOLD, 4 << 20), (cli.M_TRIM_THRESHOLD, 64 << 20)]
+
+    @pytest.mark.parametrize("name", cli._MALLOC_ENV)
+    def test_leaves_a_threshold_set_in_the_environment(self, name, calls, monkeypatch):
+        monkeypatch.setenv(name, "131072")
+        assert self.fix() is False
+        assert calls == []
+
+    def test_leaves_thresholds_set_by_tunables(self, calls, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=65536")
+        assert self.fix() is False
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.malloc.arena_max=2")
+        assert self.fix() is True
+
+    def test_no_op_off_glibc(self, calls, monkeypatch):
+        def no_such_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        monkeypatch.setattr(cli.os, "confstr", no_such_name)
+        assert self.fix() is False
+        monkeypatch.setattr(cli.os, "confstr", lambda name: None)
+        assert self.fix() is False
+        monkeypatch.delattr(cli.os, "confstr")
+        assert self.fix() is False
+        assert calls == []
+
+    def test_no_op_without_mallopt(self, calls, monkeypatch):
+        import ctypes
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert self.fix() is False
+
+    def test_once_per_process(self, calls):
+        cli.fix_malloc_thresholds.cache_clear()
+        try:
+            assert cli.fix_malloc_thresholds() is cli.fix_malloc_thresholds() is True
+            assert len(calls) == 2
+        finally:
+            cli.fix_malloc_thresholds.cache_clear()
+
+    @pytest.mark.skipif(not glibc(), reason="mallopt is glibc's")
+    def test_real_calls_can_repeat(self, monkeypatch):
+        for name in cli._MALLOC_ENV + ("GLIBC_TUNABLES",):
+            monkeypatch.delenv(name, raising=False)
+        assert self.fix() is True
+        assert self.fix() is True
+
+
+# One fixed two-user scan, measured around cli.main in a fresh interpreter.
+FAULTS_SCRIPT = """
+import io, resource, sys
+from contextlib import redirect_stdout
+from nomafb import cli
+argv = ["minrate", "--p-db", "0:30:5", "--trials", "2e5", "--workers", "2"]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+with redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not glibc(), reason="the thresholds are set on glibc only")
+def test_a_scan_takes_few_page_faults():
+    # With glibc's default thresholds this scan takes 30 to 45 thousand minor
+    # faults; with the CLI's, little more than the heap's first touch.
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli._MALLOC_ENV + ("GLIBC_TUNABLES",)}
+    env["PYTHONPATH"] = str(Path(nomafb.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 5000

@@ -1,6 +1,7 @@
 """Experiment drivers: determinism, adaptive stopping, and sweep behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ class TestWorkerResolution:
 
     def test_clamped_to_a_few_per_cpu(self, monkeypatch):
         cap = 3 * harness.MAX_WORKERS_PER_CPU
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        usable_cpus = harness.usable_cpus
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
         monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
         assert harness.resolve_workers(100_000) == cap
         assert harness.resolve_workers(cap) == cap
@@ -50,21 +52,46 @@ class TestWorkerResolution:
         assert harness.resolve_workers(0) == 3
         monkeypatch.setenv(harness.WORKERS_ENV, "100000")
         assert harness.resolve_workers(0) == cap
+        monkeypatch.setattr(harness, "usable_cpus", usable_cpus)
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         assert harness.resolve_workers(100_000) == harness.MAX_WORKERS_PER_CPU
 
-    def test_pool_is_no_wider_than_its_wave(self, monkeypatch):
-        sizes = []
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert harness.usable_cpus() == 3
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        assert harness.usable_cpus() == 64
+
+    def test_adaptive_scan_keeps_one_pool_per_sweep_point(self, monkeypatch):
+        pools = []  # [width, waves] of each pool built
 
         class RecordingPool(harness.ThreadPoolExecutor):
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.record = [max_workers, 0]
+                pools.append(self.record)
                 super().__init__(max_workers)
 
+            def map(self, fn, *iterables):
+                self.record[1] += 1
+                return super().map(fn, *iterables)
+
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-        assert harness._run_jobs(lambda ci: ci * ci, range(3), 8) == [0, 1, 4]
-        assert harness._run_jobs(lambda ci: ci, range(5), 2) == list(range(5))
-        assert sizes == [3, 2]
+        # At 0 dB almost every trial is a full-CSI outage, so 60,000 events
+        # take 4 chunks, in two waves of three; at 10 dB about 38 % are, and
+        # the cap of 8 chunks stops the point after three waves.
+        cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 10.0), deltas=(0.2,),
+                                       min_outage_events=60_000, trial_cap=8 * CHUNK, workers=3)
+        stats = harness.run_outage(cfg)
+        assert pools == [[3, 2], [3, 3]]
+        assert [m.n for m in stats.points if m.metric == "out_full"] == [4 * CHUNK, 8 * CHUNK]
+        # A pool is no wider than the scan has chunks, and a one-chunk scan
+        # needs no pool at all.
+        pools.clear()
+        harness.run_outage(replace(cfg, trial_cap=2 * CHUNK))
+        harness.run_outage(replace(cfg, trial_cap=CHUNK))
+        assert pools == [[2, 1], [2, 1]]
 
 
 class TestPolicyDelta:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from conftest import enumerate_binary_strings, vle_mean_analytic
@@ -101,6 +103,29 @@ class TestOutageLevels:
         assert_array_equal(m, again)
 
 
+# (level function, a gain it rejects); see KERNEL_CHECKS in test_alloc.py.
+LEVEL_CHECKS = {"rate": (quantizer.rate_levels, -0.1), "outage": (quantizer.outage_levels, 0.0)}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_CHECKS))
+class TestLevelInputChecks:
+    def test_accepts_empty(self, name):
+        levels, _ = LEVEL_CHECKS[name]
+        assert levels(np.array([]), 0.1, 10).shape == (0,)
+
+    def test_accepts_nan(self, name):
+        levels, _ = LEVEL_CHECKS[name]
+        with np.errstate(invalid="ignore"):  # NaN has no int64 level
+            levels(np.array([np.nan, 0.25]), 0.1, 10)
+            levels(np.array([np.nan]), 0.1, 10)
+
+    def test_rejects_a_bad_gain_beside_nan(self, name):
+        levels, bad = LEVEL_CHECKS[name]
+        for x in ([bad], [0.25, bad], [np.nan, bad], [bad, np.nan]):
+            with pytest.raises(ValueError):
+                levels(np.array(x), 0.1, 10)
+
+
 class TestDefaultBinCounts:
     def test_reference_values(self):
         assert quantizer.default_t_rate(0.01) == 461
@@ -174,6 +199,23 @@ class TestVle:
             quantizer.vle_encode(-1)
         with pytest.raises(ValueError):
             quantizer.vle_lengths(np.array([-1, 3]))
+
+
+class TestVleProperties:
+    # Derandomized, with no example database, so every run checks the same draws.
+    PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+    @PROPERTY
+    @given(st.integers(0, np.iinfo(np.int64).max - 2))
+    def test_decode_inverts_encode(self, level):
+        bits = quantizer.vle_encode(level)
+        assert len(bits) == (level + 2).bit_length() - 1 == quantizer.vle_length(level)
+        assert quantizer.vle_decode(bits) == level
+
+    @PROPERTY
+    @given(st.text("01", min_size=1, max_size=62))
+    def test_encode_inverts_decode(self, bits):
+        assert quantizer.vle_encode(quantizer.vle_decode(bits)) == bits
 
 
 class TestFle:
