@@ -1,19 +1,13 @@
 """Max-min NOMA with quantized channel feedback: allocation, quantizers, Monte Carlo."""
 
-from .channel import CHUNK, ChannelParams, ChannelState, StreamSeed, sample_block, sample_channel
+from .channel import CHUNK, ChannelParams, sample_block
 from .alloc import (
-    PowerAllocation,
-    SolverResult,
     alloc_from_rate,
     equal_rate_split,
     max_min_rate_two_user,
-    optimal_alpha_two_user,
     outage_conditions,
     sic_rates,
-    solve_max_min_k,
-    tdma_min_rate,
     two_user_rates,
-    varpi,
 )
 from .quantizer import (
     OUTAGE,
@@ -23,10 +17,8 @@ from .quantizer import (
     fle_bits,
     vle_decode,
     vle_encode,
-    vle_length,
-    vle_rate_bound,
 )
-from .evaluator import achievable_check, rate_loss_bound
+from .evaluator import rate_loss_bound
 from .harness import (
     ExperimentConfig,
     MetricPoint,

@@ -7,31 +7,10 @@ Array inputs broadcast elementwise.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 ITERATION_CAP = 64
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Power fractions in decoding order plus the order itself.
-
-    alphas[k] belongs to the receiver with the (k+1)-th largest gain;
-    order[k] is that receiver's original index.
-    """
-
-    alphas: np.ndarray
-    order: np.ndarray
-
-
-@dataclass(frozen=True)
-class SolverResult:
-    r_max: float
-    allocation: PowerAllocation
-    iterations: int
-    residual: float
 
 
 def _check_power(p):
@@ -109,14 +88,6 @@ def outage_conditions(h1, h2, q1, q2, p, beta):
     return bad_strong | bad_weak, out_rx1, out_rx2
 
 
-def optimal_alpha_two_user(h_strong, h_weak, p):
-    """Power fraction of the stronger receiver that equalizes both rates."""
-    if np.any(np.asarray(h_weak) <= 0):
-        raise ValueError("gains must be positive")
-    a = equal_rate_split(h_strong, h_weak, p)
-    return float(a) if a.ndim == 0 else a
-
-
 def max_min_rate_two_user(h1, h2, p):
     """Largest achievable min rate over all power splits, either ordering."""
     h1 = np.asarray(h1, dtype=np.float64)
@@ -139,21 +110,6 @@ def sic_rates(alphas, gains, p):
     _check_power(p)
     interference = np.cumsum(a, axis=-1) - a
     return np.log2(1.0 + a / (interference + 1.0 / (p * g)))
-
-
-def varpi(r, gains_desc, p):
-    """Feasibility measure of equal rate r; its root at 1 is the max-min rate."""
-    g = np.asarray(gains_desc, dtype=np.float64)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError("gains must be a nonempty vector")
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    if np.any(np.diff(g) > 0):
-        raise ValueError("gains must be sorted in descending order")
-    _check_power(p)
-    if r < 0:
-        raise ValueError("rate must be nonnegative")
-    return float(_varpi_rows(r, list(p * g)))
 
 
 def alloc_from_rate(r, gains_desc, p):
@@ -244,35 +200,3 @@ def batch_max_min_rate(gains_desc, p, eps):
         lo = np.maximum(lo, mid * feasible)
         hi = np.maximum(mid, hi * feasible)
     return lo, n_iter
-
-
-def solve_max_min_k(gains, p, eps=1e-4):
-    """Max-min rate and allocation for any number of receivers.
-
-    Gains may arrive in any order; the result carries the descending
-    permutation so callers can map fractions back to receiver indices.
-    """
-    g = np.asarray(gains, dtype=np.float64)
-    if g.ndim != 1:
-        raise ValueError("gains must be a nonempty vector")
-    order = np.argsort(-g, kind="stable")
-    gd = g[order]
-    r, n_iter = batch_max_min_rate(gd[None, :], p, eps)
-    r_max = float(r[0])
-    alphas = alloc_from_rate(r_max, gd, p)
-    residual = abs(varpi(r_max, gd, p) - 1.0)
-    alloc = PowerAllocation(alphas=alphas, order=order)
-    return SolverResult(r_max=r_max, allocation=alloc, iterations=n_iter, residual=residual)
-
-
-def tdma_min_rate(gains, p):
-    """Worst per-receiver rate when K receivers each get a 1/K time share."""
-    g = np.asarray(gains, dtype=np.float64)
-    if g.size == 0:
-        raise ValueError("gains must be nonempty")
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    _check_power(p)
-    k = g.shape[-1]
-    r = np.log2(1.0 + p * np.min(g, axis=-1)) / k
-    return float(r) if np.ndim(r) == 0 else r

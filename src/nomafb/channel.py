@@ -28,23 +28,6 @@ class ChannelParams:
         if any(not v > 0 for v in self.variances):
             raise ValueError("every mean gain must be positive")
 
-    @property
-    def count(self):
-        return len(self.variances)
-
-
-@dataclass(frozen=True)
-class ChannelState:
-    """Instantaneous power gains for one trial."""
-
-    gains: np.ndarray
-
-
-@dataclass(frozen=True)
-class StreamSeed:
-    master: int
-    trial: int
-
 
 def block_rng(master, block_index):
     """Generator for one block of trials, keyed by (seed, block) alone."""
@@ -69,11 +52,3 @@ def sample_block(params, master, block_index, count=CHUNK):
         g[bad] = rng.exponential(1.0, size=int(bad.sum())) * np.broadcast_to(lam, g.shape)[bad]
         bad = ~(g > 0)
     return g[:count]
-
-
-def sample_channel(params, seed):
-    """Single-trial draw at seed.trial, consistent with sample_block."""
-    if seed.trial < 0 or seed.master < 0:
-        raise ValueError("seed fields must be nonnegative")
-    block = sample_block(params, seed.master, seed.trial // CHUNK)
-    return ChannelState(gains=block[seed.trial % CHUNK].copy())

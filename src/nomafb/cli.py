@@ -7,6 +7,7 @@ stdout stays machine-readable.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -33,33 +34,35 @@ _MALLOC_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold"
 
 
 def parse_sweep(text):
-    """Inclusive start:stop:step grid or comma list, as a tuple of floats."""
+    """Inclusive start:stop:step grid or comma list, as a tuple of finite floats."""
     s = str(text).strip()
     if not s:
         raise argparse.ArgumentTypeError("empty sweep; " + _USAGE_SWEEP)
-    if ":" in s:
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError("bad sweep %r; %s" % (s, _USAGE_SWEEP))
-        try:
-            a, b, step = (float(x) for x in parts)
-        except ValueError:
-            raise argparse.ArgumentTypeError("bad sweep %r; %s" % (s, _USAGE_SWEEP))
-        if step == 0 or (b - a) * step < 0:
-            raise argparse.ArgumentTypeError("sweep %r never reaches its stop value" % s)
-        vals = []
-        i = 0
-        while True:
-            v = a + i * step
-            if (step > 0 and v > b + 1e-9) or (step < 0 and v < b - 1e-9):
-                break
-            vals.append(round(v, 12))
-            i += 1
-        return tuple(vals)
+    colon = ":" in s
+    parts = s.split(":" if colon else ",")
+    bad = argparse.ArgumentTypeError("bad sweep %r; %s" % (s, _USAGE_SWEEP))
+    if colon and len(parts) != 3:
+        raise bad
     try:
-        return tuple(float(x) for x in s.split(","))
+        vals = tuple(float(x) for x in parts)
     except ValueError:
-        raise argparse.ArgumentTypeError("bad sweep %r; %s" % (s, _USAGE_SWEEP))
+        raise bad
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError("sweep %r holds a value that is not finite" % s)
+    if not colon:
+        return vals
+    a, b, step = vals
+    if step == 0 or (b - a) * step < 0:
+        raise argparse.ArgumentTypeError("sweep %r never reaches its stop value" % s)
+    out = []
+    i = 0
+    while True:
+        v = a + i * step
+        if (step > 0 and v > b + 1e-9) or (step < 0 and v < b - 1e-9):
+            break
+        out.append(round(v, 12))
+        i += 1
+    return tuple(out)
 
 
 def parse_deltas(text):
@@ -97,54 +100,57 @@ def parse_positive(text):
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number, got %r" % text)
-    if not f > 0:
-        raise argparse.ArgumentTypeError("expected a positive number, got %r" % text)
+    if not 0 < f < math.inf:
+        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
     return f
 
 
-# dest -> (default, converter); converter also applies to --config file values
-_OPTIONS = {
-    "p_db": ((10.0,), parse_sweep),
-    "deltas": ((0.01,), parse_deltas),
-    "delta_policy": ("fixed", str),
-    "variances": (None, parse_variances),
-    "r_th": (1.0, parse_positive),
-    "eps": (1e-4, parse_positive),
-    "trials": (100_000, parse_count),
-    "min_outage_events": (10_000, parse_count),
-    "trial_cap": (1_000_000_000, parse_count),
-    "seed": (0, parse_count),
-    "workers": (0, parse_count),
-    "k": (4, parse_count),
+def _joined(vals):
+    return ",".join(repr(v) for v in vals)
+
+
+# Every experiment option, once: dest -> (flag, converter, render_args form,
+# metavar, help). The converter also reads --config values, and
+# ExperimentConfig checks what it returns. The default is ExperimentConfig's
+# field of that name; --k, which render_args leaves out (it renders the
+# variances), defaults to K_DEFAULT.
+OPTIONS = {
+    "p_db": ("--p-db", parse_sweep, _joined, "SWEEP",
+             "power sweep in dB, start:stop:step or comma list; "
+             "use --p-db=-10:40:5 for negative starts"),
+    "deltas": ("--delta", parse_deltas, _joined, "LIST", "bin sizes in (0,1), comma list"),
+    "delta_policy": ("--delta-policy", str, str, "{%s}" % ",".join(POLICIES),
+                     "bin-size rule over the power sweep"),
+    "variances": ("--variances", parse_variances, _joined, "LIST",
+                  "mean gains per receiver, nonincreasing; kuser takes 1/k"),
+    "r_th": ("--r-th", parse_positive, repr, None,
+             "target rate in bits/s/Hz for outage counting"),
+    "eps": ("--eps", parse_positive, repr, None, "bisection accuracy"),
+    "trials": ("--trials", parse_count, str, None,
+               "trials per sweep point for fixed-size runs"),
+    "min_outage_events": ("--min-outage-events", parse_count, str, None,
+                          "event target for adaptive stopping"),
+    "trial_cap": ("--trial-cap", parse_count, str, None,
+                  "trial ceiling per point for adaptive stopping"),
+    "seed": ("--seed", parse_count, str, None,
+             "master seed; results are bit-identical given (config, seed)"),
+    "workers": ("--workers", parse_count, str, None,
+                "worker threads; 0 means $%s or all cores; never affects output bytes"
+                % WORKERS_ENV),
+    "k": ("--k", parse_count, None, None, "receiver count when --variances is not given"),
 }
+K_DEFAULT = 4
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)} | {"k": K_DEFAULT}
 
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p-db", dest="p_db", type=parse_sweep, default=None, metavar="SWEEP",
-                        help="power sweep in dB, start:stop:step or comma list; "
-                             "use --p-db=-10:40:5 for negative starts (default 10)")
-    common.add_argument("--delta", dest="deltas", type=parse_deltas, default=None, metavar="LIST",
-                        help="bin sizes in (0,1), comma list (default 0.01)")
-    common.add_argument("--delta-policy", dest="delta_policy", choices=POLICIES, default=None,
-                        help="bin-size rule over the power sweep (default fixed)")
-    common.add_argument("--variances", type=parse_variances, default=None, metavar="LIST",
-                        help="mean gains per receiver, nonincreasing (default 1,0.5; kuser 1/k)")
-    common.add_argument("--r-th", dest="r_th", type=parse_positive, default=None,
-                        help="target rate in bits/s/Hz for outage counting (default 1)")
-    common.add_argument("--eps", type=parse_positive, default=None,
-                        help="bisection accuracy (default 1e-4)")
-    common.add_argument("--trials", type=parse_count, default=None,
-                        help="trials per sweep point for fixed-size runs (default 1e5)")
-    common.add_argument("--min-outage-events", dest="min_outage_events", type=parse_count,
-                        default=None, help="event target for adaptive stopping (default 1e4)")
-    common.add_argument("--trial-cap", dest="trial_cap", type=parse_count, default=None,
-                        help="trial ceiling per point for adaptive stopping (default 1e9)")
-    common.add_argument("--seed", type=parse_count, default=None,
-                        help="master seed; results are bit-identical given (config, seed)")
-    common.add_argument("--workers", type=parse_count, default=None,
-                        help="worker threads; 0 means $%s or all cores; "
-                             "never affects output bytes" % WORKERS_ENV)
+    kuser = argparse.ArgumentParser(add_help=False)
+    for dest, (flag, conv, render, metavar, text) in OPTIONS.items():
+        shown = render(DEFAULTS[dest]) if render else str(DEFAULTS[dest])
+        (kuser if dest == "k" else common).add_argument(
+            flag, dest=dest, type=conv, default=None, metavar=metavar,
+            help="%s (default %s)" % (text, shown))
     common.add_argument("--out", default=None, help="write results to this file instead of stdout")
     common.add_argument("--json", action="store_true", help="emit a JSON record array instead of CSV")
     common.add_argument("--config", default=None,
@@ -164,10 +170,7 @@ def build_parser():
         "kuser": "rate and outage losses vs delta for K receivers",
     }
     for kind, text in helps.items():
-        sp = sub.add_parser(kind, parents=[common], help=text)
-        if kind == "kuser":
-            sp.add_argument("--k", type=parse_count, default=None,
-                            help="receiver count when --variances is not given (default 4)")
+        sub.add_parser(kind, parents=[common] + ([kuser] if kind == "kuser" else []), help=text)
     return parser
 
 
@@ -182,12 +185,12 @@ def _load_config_file(parser, path):
     out = {}
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest not in _OPTIONS:
+        if dest not in OPTIONS:
             parser.error("--config %s: unknown option %r" % (path, key))
-        _, conv = _OPTIONS[dest]
+        conv = OPTIONS[dest][1]
         try:
             if isinstance(value, (list, tuple)):
-                out[dest] = conv(",".join(repr(v) for v in value))
+                out[dest] = conv(_joined(value))
             else:
                 out[dest] = conv(value if isinstance(value, str) else repr(value))
         except argparse.ArgumentTypeError as e:
@@ -199,40 +202,15 @@ def parse_config(argv=None):
     """argv -> (ExperimentConfig, io options dict). Flags beat --config beats defaults."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    file_vals = _load_config_file(parser, ns.config) if ns.config else {}
-
-    def pick(dest):
-        v = getattr(ns, dest, None)
-        if v is not None:
-            return v
-        if dest in file_vals:
-            return file_vals[dest]
-        return _OPTIONS[dest][0]
-
-    variances = pick("variances")
-    if variances is None:
-        if ns.kind == "kuser":
-            k = pick("k")
-            if k < 2:
-                parser.error("--k must be at least 2")
-            variances = tuple(1.0 / (i + 1) for i in range(k))
-        else:
-            variances = (1.0, 0.5)
+    values = _load_config_file(parser, ns.config) if ns.config else {}
+    values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
+    k = values.pop("k", K_DEFAULT)
+    if ns.kind == "kuser" and "variances" not in values:
+        if k < 2:
+            parser.error("--k must be at least 2")
+        values["variances"] = tuple(1.0 / (i + 1) for i in range(k))
     try:
-        cfg = ExperimentConfig(
-            kind=ns.kind,
-            variances=tuple(variances),
-            p_db=tuple(pick("p_db")),
-            deltas=tuple(pick("deltas")),
-            delta_policy=pick("delta_policy"),
-            r_th=pick("r_th"),
-            eps=pick("eps"),
-            trials=pick("trials"),
-            min_outage_events=pick("min_outage_events"),
-            trial_cap=pick("trial_cap"),
-            seed=pick("seed"),
-            workers=pick("workers"),
-        )
+        cfg = ExperimentConfig(kind=ns.kind, **values)
     except ValueError as e:
         parser.error(str(e))
     return cfg, {"out": ns.out, "json": ns.json}
@@ -243,20 +221,8 @@ def render_args(cfg, out=None, as_json=False):
 
     Values are glued on with '=' so negative sweep entries survive argparse.
     """
-    argv = [
-        cfg.kind,
-        "--p-db=" + ",".join(repr(v) for v in cfg.p_db),
-        "--delta=" + ",".join(repr(v) for v in cfg.deltas),
-        "--delta-policy=" + cfg.delta_policy,
-        "--variances=" + ",".join(repr(v) for v in cfg.variances),
-        "--r-th=" + repr(cfg.r_th),
-        "--eps=" + repr(cfg.eps),
-        "--trials=" + str(cfg.trials),
-        "--min-outage-events=" + str(cfg.min_outage_events),
-        "--trial-cap=" + str(cfg.trial_cap),
-        "--seed=" + str(cfg.seed),
-        "--workers=" + str(cfg.workers),
-    ]
+    argv = [cfg.kind] + ["%s=%s" % (flag, render(getattr(cfg, dest)))
+                         for dest, (flag, _, render, _, _) in OPTIONS.items() if render]
     if out:
         argv += ["--out", out]
     if as_json:
@@ -353,7 +319,7 @@ def main(argv=None):
             print("note: %s" % note, file=sys.stderr)
         text = render_json(stats) if opts["json"] else render_csv(stats)
         _write_out(text, opts["out"])
-    except (ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError, ArithmeticError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     print("done in %.1fs" % (time.time() - started), file=sys.stderr)

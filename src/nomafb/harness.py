@@ -66,7 +66,8 @@ class ExperimentConfig:
         if len(self.deltas) == 0 or any(not 0 < d < 1 for d in self.deltas):
             raise ValueError("every delta must lie in (0, 1)")
         if self.delta_policy not in POLICIES:
-            raise ValueError("unknown delta policy %r" % (self.delta_policy,))
+            raise ValueError("unknown delta policy %r; choose from %s"
+                             % (self.delta_policy, ", ".join(POLICIES)))
         if not self.r_th > 0:
             raise ValueError("r_th must be positive")
         if not self.eps > 0:
@@ -191,7 +192,7 @@ def _scan(params, seed, workers, kernel, trials, events=(), target=0):
 
 
 # ---------------------------------------------------------------------------
-# statistics
+# the sweep loop
 
 def _points(sweep_value, moments, n):
     """{metric: MetricPoint} with each mean and its standard error."""
@@ -204,41 +205,74 @@ def _points(sweep_value, moments, n):
     return points
 
 
-def _const_point(sweep_value, metric, value, n):
-    return MetricPoint(sweep_value, metric, float(value), 0.0, n)
-
-
-def _min_point(metric, points):
-    """The lowest of points (the first on ties), renamed to metric."""
-    return replace(min(points, key=lambda m: m.value), metric=metric)
-
-
-def _add_points(stats, pts):
-    stats.points.extend(sorted(pts, key=lambda m: m.metric))
-
-
 def _fmt(x):
     return "%g" % x
+
+
+def _sweep(cfg, kind, sweep, scans, progress, events=(), mins=None, drop=()):
+    """The per-point loop of every driver: scan, reduce, report.
+
+    scans yields (kernel, views) pairs. Each kernel is scanned once and views
+    lists the (sweep value, constants) it reports at: a metric the kernel
+    keys (name, value) belongs to that sweep value alone, a plain name to
+    every one. constants maps metric names to exact values, mins maps a
+    metric to the metrics it is the lowest of (the first on ties), and drop
+    names metrics that are not reported. With events, each scan stops at
+    the first chunk where every named event count reaches
+    cfg.min_outage_events, or at cfg.trial_cap trials.
+    """
+    if cfg.kind != kind:
+        raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
+    if kind in FIXED_DELTA_KINDS and cfg.delta_policy != "fixed":
+        raise ValueError("%s does not take a delta policy; give --delta values" % kind)
+    if len(cfg.variances) < 2 or (len(cfg.variances) > 2 and kind != "kuser"):
+        raise ValueError("%s needs %s two receivers"
+                         % (kind, "at least" if kind == "kuser" else "exactly"))
+    params = ChannelParams(cfg.variances)
+    workers = resolve_workers(cfg.workers)
+    trials = cfg.trial_cap if events else cfg.trials
+    stats = RunStats(experiment=kind, sweep=sweep, seed=cfg.seed)
+    for kernel, views in scans:
+        moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials,
+                                   events, cfg.min_outage_events)
+        fewest = min((int(moments[e][0]) for e in events), default=None)
+        for value, constants in views:
+            own = {}
+            for key, m in moments.items():
+                name, at = key if isinstance(key, tuple) else (key, value)
+                if at == value:
+                    own[name] = m
+            pts = _points(value, own, n)
+            for name, c in constants.items():
+                pts[name] = MetricPoint(value, name, float(c), 0.0, n)
+            for name, of in (mins or {}).items():
+                pts[name] = replace(min((pts[s] for s in of), key=lambda m: m.value), metric=name)
+            stats.points.extend(sorted((m for m in pts.values() if m.metric not in drop),
+                                       key=lambda m: m.metric))
+            where = "%s=%s" % (sweep, _fmt(value))
+            if capped:
+                stats.notes.append("%s: trial cap %d reached with %d/%d events"
+                                   % (where, n, fewest, cfg.min_outage_events))
+            if progress:
+                progress("%s %s: %d trials" % (kind, where, n)
+                         + (", %d events" % fewest if events else ""))
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # two-user kernels
 
-def _two_user_params(cfg):
-    if len(cfg.variances) != 2:
-        raise ValueError("%s needs exactly two receivers" % cfg.kind)
-    return ChannelParams(cfg.variances)
-
-
-def _expect(cfg, kind):
-    if cfg.kind != kind:
-        raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
-    if kind in FIXED_DELTA_KINDS and cfg.delta_policy != "fixed":
-        raise ValueError("%s does not take a delta policy; give --delta values" % kind)
+VLE_MIN = {"vle_min": ("vle_rx1", "vle_rx2")}
 
 
 def _full_csi_snr(h1, h2, p):
     return alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p)
+
+
+def _quantized_outage(h1, h2, d, t, p, beta):
+    """outage_conditions when both receivers feed back upper-edge levels."""
+    return alloc.outage_conditions(h1, h2, outage_levels(h1, d, t) * d,
+                                   outage_levels(h2, d, t) * d, p, beta)
 
 
 def _quantized_min_rate(q1, q2, p):
@@ -252,178 +286,134 @@ def _quantized_min_rate(q1, q2, p):
 # drivers
 
 def run_min_rate(cfg, progress=None):
-    _expect(cfg, "minrate")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    dts = [(d, default_t_rate(d, cfg.variances[0])) for d in cfg.deltas]
-    stats = RunStats(experiment=cfg.kind, sweep="p_db", seed=cfg.seed)
-    for pdb in cfg.p_db:
-        p = 10.0 ** (pdb / 10.0)
+    def scans():
+        dts = [(d, default_t_rate(d, cfg.variances[0])) for d in cfg.deltas]
+        for pdb in cfg.p_db:
+            p = 10.0 ** (pdb / 10.0)
 
-        def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
-            yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            for d, t in dts:
-                yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
-                    rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
+            def kernel(block):
+                h1, h2 = block[:, 0], block[:, 1]
+                yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
+                yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
+                for d, t in dts:
+                    yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
+                        rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
 
-        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
-        _add_points(stats, _points(pdb, moments, n).values())
-        if progress:
-            progress("minrate p_db=%s: %d trials" % (_fmt(pdb), n))
-    return stats
+            yield kernel, [(pdb, {})]
+
+    return _sweep(cfg, "minrate", "p_db", scans(), progress)
 
 
 def run_rate_loss(cfg, progress=None):
-    _expect(cfg, "rateloss")
-    if len(cfg.p_db) != 1:
-        raise ValueError("rateloss sweeps delta; give exactly one p_db value")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    lam1, lam2 = cfg.variances
-    p = 10.0 ** (cfg.p_db[0] / 10.0)
-    dts = [(d, default_t_rate(d, lam1)) for d in cfg.deltas]
+    # One scan serves every delta: each block is sampled once.
+    def scans():
+        if len(cfg.p_db) != 1:
+            raise ValueError("rateloss sweeps delta; give exactly one p_db value")
+        lam1, lam2 = cfg.variances
+        p = 10.0 ** (cfg.p_db[0] / 10.0)
+        dts = [(d, default_t_rate(d, lam1)) for d in cfg.deltas]
 
-    # Every delta shares one scan; metrics are keyed (name, delta), with
-    # delta None for those that do not depend on it.
-    def kernel(block):
-        h1, h2 = block[:, 0], block[:, 1]
-        rf = alloc.max_min_rate_two_user(h1, h2, p)
-        yield ("r_tdma", None), 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-        for d, t in dts:
-            n1, n2 = rate_levels(h1, d, t), rate_levels(h2, d, t)
-            rq = _quantized_min_rate(n1 * d, n2 * d, p)
-            yield ("r_qr", d), rq
-            yield ("rate_loss", d), rf - rq
-            yield ("vle_rx1", d), vle_lengths(n1)
-            yield ("vle_rx2", d), vle_lengths(n2)
+        def kernel(block):
+            h1, h2 = block[:, 0], block[:, 1]
+            rf = alloc.max_min_rate_two_user(h1, h2, p)
+            yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
+            for d, t in dts:
+                n1, n2 = rate_levels(h1, d, t), rate_levels(h2, d, t)
+                rq = _quantized_min_rate(n1 * d, n2 * d, p)
+                yield ("r_qr", d), rq
+                yield ("rate_loss", d), rf - rq
+                yield ("vle_rx1", d), vle_lengths(n1)
+                yield ("vle_rx2", d), vle_lengths(n2)
 
-    moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
-    stats = RunStats(experiment=cfg.kind, sweep="delta", seed=cfg.seed)
-    for d, t in dts:
-        pts = _points(d, {name: m for (name, at), m in moments.items() if at in (d, None)}, n)
-        pts["rate_loss_bound"] = _const_point(d, "rate_loss_bound",
-                                              rate_loss_bound(p, d, t, lam1, lam2), n)
-        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
-        _add_points(stats, pts.values())
-        if progress:
-            progress("rateloss delta=%s: %d trials" % (_fmt(d), n))
-    return stats
+        yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t, lam1, lam2)})
+                       for d, t in dts]
+
+    return _sweep(cfg, "rateloss", "delta", scans(), progress, mins=VLE_MIN)
 
 
 def run_outage(cfg, progress=None):
-    _expect(cfg, "outage")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    lam1 = cfg.variances[0]
-    beta = 2.0**cfg.r_th - 1.0
-    beta_tdma = 2.0 ** (2.0 * cfg.r_th) - 1.0
-    policy = cfg.delta_policy
-    stats = RunStats(experiment=cfg.kind, sweep="p_db", seed=cfg.seed)
-    for pdb in cfg.p_db:
-        p = 10.0 ** (pdb / 10.0)
-        if policy == "fixed":
-            dts = [("out_qo[delta=%s]" % _fmt(d), d, default_t_outage(d, lam1))
-                   for d in cfg.deltas]
-        else:
-            d = policy_delta(policy, cfg.deltas[0], p)
-            dts = [("out_qo[policy=%s]" % policy, d, default_t_outage(d, lam1))]
+    def scans():
+        lam1 = cfg.variances[0]
+        beta = 2.0**cfg.r_th - 1.0
+        beta_tdma = 2.0 ** (2.0 * cfg.r_th) - 1.0
+        policy = cfg.delta_policy
+        for pdb in cfg.p_db:
+            p = 10.0 ** (pdb / 10.0)
+            if policy == "fixed":
+                dts = [("out_qo[delta=%s]" % _fmt(d), d, default_t_outage(d, lam1))
+                       for d in cfg.deltas]
+            else:
+                d = policy_delta(policy, cfg.deltas[0], p)
+                dts = [("out_qo[policy=%s]" % policy, d, default_t_outage(d, lam1))]
 
-        def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            yield "out_full", p * _full_csi_snr(h1, h2, p) < beta
-            yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
-            for label, d, t in dts:
-                yield label, alloc.outage_conditions(
-                    h1, h2, outage_levels(h1, d, t) * d, outage_levels(h2, d, t) * d, p, beta)[0]
+            def kernel(block):
+                h1, h2 = block[:, 0], block[:, 1]
+                yield "out_full", p * _full_csi_snr(h1, h2, p) < beta
+                yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
+                for label, d, t in dts:
+                    yield label, _quantized_outage(h1, h2, d, t, p, beta)[0]
 
-        moments, n, capped = _scan(params, cfg.seed, workers, kernel, cfg.trial_cap,
-                                   events=("out_full",), target=cfg.min_outage_events)
-        events = int(moments["out_full"][0])
-        if capped:
-            stats.notes.append("p_db=%s: trial cap %d reached with %d/%d events"
-                               % (_fmt(pdb), n, events, cfg.min_outage_events))
-        _add_points(stats, _points(pdb, moments, n).values())
-        if progress:
-            progress("outage p_db=%s: %d trials, %d events" % (_fmt(pdb), n, events))
-    return stats
+            yield kernel, [(pdb, {})]
+
+    return _sweep(cfg, "outage", "p_db", scans(), progress, events=("out_full",))
 
 
 def run_outage_loss(cfg, progress=None):
-    _expect(cfg, "outageloss")
-    if len(cfg.p_db) > 1 and len(cfg.deltas) > 1:
-        raise ValueError("outageloss sweeps either p_db or delta, not both")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    lam1 = cfg.variances[0]
-    beta = 2.0**cfg.r_th - 1.0
     by_p = len(cfg.p_db) > 1
-    sweep = "p_db" if by_p else "delta"
-    stats = RunStats(experiment=cfg.kind, sweep=sweep, seed=cfg.seed)
-    grid = cfg.p_db if by_p else cfg.deltas
-    for value in grid:
-        pdb = value if by_p else cfg.p_db[0]
-        d = cfg.deltas[0] if by_p else value
-        p = 10.0 ** (pdb / 10.0)
-        t = default_t_outage(d, lam1)
 
-        def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            out_full = p * _full_csi_snr(h1, h2, p) < beta
-            m1, m2 = outage_levels(h1, d, t), outage_levels(h2, d, t)
-            out_qo = alloc.outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)[0]
-            yield from (("out_full", out_full), ("out_qo", out_qo),
-                        ("outage_loss", out_qo & ~out_full))
-            yield "vle_rx1", vle_lengths(m1)
-            yield "vle_rx2", vle_lengths(m2)
+    def scans():
+        if by_p and len(cfg.deltas) > 1:
+            raise ValueError("outageloss sweeps either p_db or delta, not both")
+        beta = 2.0**cfg.r_th - 1.0
+        for value in cfg.p_db if by_p else cfg.deltas:
+            pdb = value if by_p else cfg.p_db[0]
+            d = cfg.deltas[0] if by_p else value
+            p = 10.0 ** (pdb / 10.0)
+            t = default_t_outage(d, cfg.variances[0])
 
-        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
-        pts = _points(value, moments, n)
-        pts["sqrt_delta"] = _const_point(value, "sqrt_delta", math.sqrt(d), n)
-        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
-        _add_points(stats, pts.values())
-        if progress:
-            progress("outageloss %s=%s: %d trials" % (sweep, _fmt(value), n))
-    return stats
+            def kernel(block):
+                h1, h2 = block[:, 0], block[:, 1]
+                out_full = p * _full_csi_snr(h1, h2, p) < beta
+                m1, m2 = outage_levels(h1, d, t), outage_levels(h2, d, t)
+                out_qo = alloc.outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)[0]
+                yield from (("out_full", out_full), ("out_qo", out_qo),
+                            ("outage_loss", out_qo & ~out_full))
+                yield "vle_rx1", vle_lengths(m1)
+                yield "vle_rx2", vle_lengths(m2)
+
+            yield kernel, [(value, {"sqrt_delta": math.sqrt(d)})]
+
+    return _sweep(cfg, "outageloss", "p_db" if by_p else "delta", scans(), progress,
+                  mins=VLE_MIN)
 
 
 def run_feedback_rate(cfg, progress=None):
-    _expect(cfg, "feedback")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    lam1 = cfg.variances[0]
     by_policy = cfg.delta_policy != "fixed"
-    sweep = "p_db" if by_policy else "delta"
-    stats = RunStats(experiment=cfg.kind, sweep=sweep, seed=cfg.seed)
-    grid = cfg.p_db if by_policy else cfg.deltas
-    for value in grid:
-        if by_policy:
-            # the adaptive-bin-size story is an outage design, so use q_o bins
-            p = 10.0 ** (value / 10.0)
-            d = policy_delta(cfg.delta_policy, cfg.deltas[0], p)
-            t = default_t_outage(d, lam1)
-            level_fn, flavor = outage_levels, OUTAGE
-        else:
-            d = value
-            t = default_t_rate(d, lam1)
-            level_fn, flavor = rate_levels, RATE
 
-        def kernel(block):
-            yield "vle_rx1", vle_lengths(level_fn(block[:, 0], d, t))
-            yield "vle_rx2", vle_lengths(level_fn(block[:, 1], d, t))
+    def scans():
+        lam1 = cfg.variances[0]
+        for value in cfg.p_db if by_policy else cfg.deltas:
+            if by_policy:
+                # the adaptive-bin-size story is an outage design, so use q_o bins
+                d = policy_delta(cfg.delta_policy, cfg.deltas[0], 10.0 ** (value / 10.0))
+                t = default_t_outage(d, lam1)
+                level_fn, flavor = outage_levels, OUTAGE
+            else:
+                d = value
+                t = default_t_rate(d, lam1)
+                level_fn, flavor = rate_levels, RATE
 
-        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
-        pts = _points(value, moments, n)
-        pts["vle_min"] = _min_point("vle_min", (pts["vle_rx1"], pts["vle_rx2"]))
-        pts["fle_bits"] = _const_point(value, "fle_bits", fle_bits(t, flavor), n)
-        pts["t_bins"] = _const_point(value, "t_bins", t, n)
-        if by_policy:
-            pts["delta_used"] = _const_point(value, "delta_used", d, n)
-        _add_points(stats, pts.values())
-        if progress:
-            progress("feedback %s=%s: %d trials" % (sweep, _fmt(value), n))
-    return stats
+            def kernel(block):
+                yield "vle_rx1", vle_lengths(level_fn(block[:, 0], d, t))
+                yield "vle_rx2", vle_lengths(level_fn(block[:, 1], d, t))
+
+            constants = {"fle_bits": fle_bits(t, flavor), "t_bins": t}
+            if by_policy:
+                constants["delta_used"] = d
+            yield kernel, [(value, constants)]
+
+    return _sweep(cfg, "feedback", "p_db" if by_policy else "delta", scans(), progress,
+                  mins=VLE_MIN)
 
 
 def estimate_diversity(curve, window=None):
@@ -450,15 +440,7 @@ def estimate_diversity(curve, window=None):
 
 
 def run_diversity(cfg, progress=None):
-    _expect(cfg, "diversity")
-    if len(cfg.deltas) != 1:
-        raise ValueError("diversity uses a single fixed delta plus the policy curve")
-    params = _two_user_params(cfg)
-    workers = resolve_workers(cfg.workers)
-    lam1 = cfg.variances[0]
-    beta = 2.0**cfg.r_th - 1.0
     d_fix = cfg.deltas[0]
-    t_fix = default_t_outage(d_fix, lam1)
     policy = cfg.delta_policy if cfg.delta_policy != "fixed" else "min02-pcube"
     names = (
         "out_full",
@@ -467,106 +449,91 @@ def run_diversity(cfg, progress=None):
         "out_rx1_fixed[delta=%s]" % _fmt(d_fix),
         "out_rx2_fixed[delta=%s]" % _fmt(d_fix),
     )
-    curves = {name: [] for name in names}
-    stats = RunStats(experiment=cfg.kind, sweep="p_db", seed=cfg.seed)
-    for pdb in cfg.p_db:
-        p = 10.0 ** (pdb / 10.0)
-        d_pol = policy_delta(policy, d_fix, p)
-        t_pol = default_t_outage(d_pol, lam1)
 
-        def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            fixed = alloc.outage_conditions(
-                h1, h2, outage_levels(h1, d_fix, t_fix) * d_fix,
-                outage_levels(h2, d_fix, t_fix) * d_fix, p, beta)
-            sys_pol = alloc.outage_conditions(
-                h1, h2, outage_levels(h1, d_pol, t_pol) * d_pol,
-                outage_levels(h2, d_pol, t_pol) * d_pol, p, beta)[0]
-            yield from zip(names, (p * _full_csi_snr(h1, h2, p) < beta, fixed[0], sys_pol,
-                                   fixed[1], fixed[2]))
+    def scans():
+        if len(cfg.deltas) != 1:
+            raise ValueError("diversity uses a single fixed delta plus the policy curve")
+        lam1 = cfg.variances[0]
+        beta = 2.0**cfg.r_th - 1.0
+        t_fix = default_t_outage(d_fix, lam1)
+        for pdb in cfg.p_db:
+            p = 10.0 ** (pdb / 10.0)
+            d_pol = policy_delta(policy, d_fix, p)
+            t_pol = default_t_outage(d_pol, lam1)
 
-        moments, n, capped = _scan(params, cfg.seed, workers, kernel, cfg.trial_cap,
-                                   events=names, target=cfg.min_outage_events)
-        if capped:
-            stats.notes.append("p_db=%s: trial cap %d reached before %d events on every curve"
-                               % (_fmt(pdb), n, cfg.min_outage_events))
-        pts = _points(pdb, moments, n)
-        for name in names:
-            curves[name].append((pdb, pts[name].value))
-        _add_points(stats, pts.values())
-        if progress:
-            progress("diversity p_db=%s: %d trials" % (_fmt(pdb), n))
+            def kernel(block):
+                h1, h2 = block[:, 0], block[:, 1]
+                fixed = _quantized_outage(h1, h2, d_fix, t_fix, p, beta)
+                sys_pol = _quantized_outage(h1, h2, d_pol, t_pol, p, beta)[0]
+                yield from zip(names, (p * _full_csi_snr(h1, h2, p) < beta, fixed[0], sys_pol,
+                                       fixed[1], fixed[2]))
 
+            yield kernel, [(pdb, {})]
+
+    stats = _sweep(cfg, "diversity", "p_db", scans(), progress, events=names)
     last = float(max(cfg.p_db))
     n_window = sum(1 for a in cfg.p_db if a >= last - 10.0 - 1e-9)
     slope_pts = []
     for name in names:
         try:
-            slope = estimate_diversity(curves[name])
+            slope = estimate_diversity([(m.sweep_value, m.value)
+                                        for m in stats.points if m.metric == name])
         except ValueError as e:
             stats.notes.append("slope[%s]: %s" % (name, e))
             continue
-        slope_pts.append(_const_point(last, "slope[%s]" % name, slope, n_window))
-    _add_points(stats, slope_pts)
+        slope_pts.append(MetricPoint(last, "slope[%s]" % name, slope, 0.0, n_window))
+    stats.points.extend(sorted(slope_pts, key=lambda m: m.metric))
     return stats
 
 
 def run_k_user(cfg, progress=None):
-    _expect(cfg, "kuser")
-    if len(cfg.p_db) != 1:
-        raise ValueError("kuser sweeps delta; give exactly one p_db value")
-    if len(cfg.variances) < 2:
-        raise ValueError("kuser needs at least two receivers")
-    params = ChannelParams(cfg.variances)
-    workers = resolve_workers(cfg.workers)
     k = len(cfg.variances)
-    p = 10.0 ** (cfg.p_db[0] / 10.0)
-    stats = RunStats(experiment=cfg.kind, sweep="delta", seed=cfg.seed)
-    for d in cfg.deltas:
-        t_r = [default_t_rate(d, lam) for lam in cfg.variances]
-        t_o = [default_t_outage(d, lam) for lam in cfg.variances]
 
-        def kernel(block):
-            gains_desc = np.sort(block, axis=1)[:, ::-1]
-            r_true, _ = alloc.batch_max_min_rate(gains_desc, p, cfg.eps)
-            out_full = r_true < cfg.r_th
+    def scans():
+        if len(cfg.p_db) != 1:
+            raise ValueError("kuser sweeps delta; give exactly one p_db value")
+        p = 10.0 ** (cfg.p_db[0] / 10.0)
+        for d in cfg.deltas:
+            t_r = [default_t_rate(d, lam) for lam in cfg.variances]
+            t_o = [default_t_outage(d, lam) for lam in cfg.variances]
 
-            qv = np.empty_like(block)
-            for i in range(k):
-                levels = rate_levels(block[:, i], d, t_r[i])
-                qv[:, i] = levels.astype(np.float64) * d
-                yield "vle_r%d" % i, vle_lengths(levels)
-            live = np.all(qv > 0.0, axis=1)
-            r_q = np.zeros(block.shape[0])
-            if live.any():
-                qd = np.sort(qv[live], axis=1)[:, ::-1]
-                r_q[live] = alloc.batch_max_min_rate(qd, p, cfg.eps)[0]
+            def kernel(block):
+                gains_desc = np.sort(block, axis=1)[:, ::-1]
+                r_true, _ = alloc.batch_max_min_rate(gains_desc, p, cfg.eps)
+                out_full = r_true < cfg.r_th
 
-            ov = np.empty_like(block)
-            for i in range(k):
-                levels = outage_levels(block[:, i], d, t_o[i])
-                ov[:, i] = levels.astype(np.float64) * d
-                yield "vle_o%d" % i, vle_lengths(levels)
-            perm = np.argsort(-ov, axis=1, kind="stable")
-            ov_desc = np.take_along_axis(ov, perm, axis=1)
-            r_qo = alloc.batch_max_min_rate(ov_desc, p, cfg.eps)[0]
-            alphas = alloc.alloc_from_rate(r_qo, ov_desc, p)
-            true_perm = np.take_along_axis(block, perm, axis=1)
-            out_q = alloc.sic_rates(alphas, true_perm, p).min(axis=1) < cfg.r_th
+                qv = np.empty_like(block)
+                for i in range(k):
+                    levels = rate_levels(block[:, i], d, t_r[i])
+                    qv[:, i] = levels.astype(np.float64) * d
+                    yield "vle_r%d" % i, vle_lengths(levels)
+                live = np.all(qv > 0.0, axis=1)
+                r_q = np.zeros(block.shape[0])
+                if live.any():
+                    qd = np.sort(qv[live], axis=1)[:, ::-1]
+                    r_q[live] = alloc.batch_max_min_rate(qd, p, cfg.eps)[0]
 
-            yield from (("rate_loss", r_true - r_q), ("out_full", out_full), ("out_qo", out_q),
-                        ("outage_loss", out_q & ~out_full))
+                ov = np.empty_like(block)
+                for i in range(k):
+                    levels = outage_levels(block[:, i], d, t_o[i])
+                    ov[:, i] = levels.astype(np.float64) * d
+                    yield "vle_o%d" % i, vle_lengths(levels)
+                perm = np.argsort(-ov, axis=1, kind="stable")
+                ov_desc = np.take_along_axis(ov, perm, axis=1)
+                r_qo = alloc.batch_max_min_rate(ov_desc, p, cfg.eps)[0]
+                alphas = alloc.alloc_from_rate(r_qo, ov_desc, p)
+                true_perm = np.take_along_axis(block, perm, axis=1)
+                out_q = alloc.sic_rates(alphas, true_perm, p).min(axis=1) < cfg.r_th
 
-        moments, n, _ = _scan(params, cfg.seed, workers, kernel, cfg.trials)
-        pts = _points(d, moments, n)
-        _add_points(stats, [
-            pts["rate_loss"], pts["out_full"], pts["out_qo"], pts["outage_loss"],
-            _min_point("vle_r_min", [pts["vle_r%d" % i] for i in range(k)]),
-            _min_point("vle_o_min", [pts["vle_o%d" % i] for i in range(k)]),
-        ])
-        if progress:
-            progress("kuser delta=%s: %d trials" % (_fmt(d), n))
-    return stats
+                yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
+                            ("out_qo", out_q), ("outage_loss", out_q & ~out_full))
+
+            yield kernel, [(d, {})]
+
+    # Only the lowest receiver's feedback cost of each quantizer is reported.
+    per_rx = {"vle_%s_min" % q: tuple("vle_%s%d" % (q, i) for i in range(k)) for q in "ro"}
+    return _sweep(cfg, "kuser", "delta", scans(), progress, mins=per_rx,
+                  drop=sum(per_rx.values(), ()))
 
 
 RUNNERS = {

@@ -43,30 +43,23 @@ def outage_levels(x, delta, t):
     return np.clip(m, 1.0, float(t + 1)).astype(np.int64)
 
 
-def _check_delta_for_default(delta):
+def _check_default_args(delta, lambda1):
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1) for the default bin-count rule")
+    if not lambda1 > 0:
+        raise ValueError("lambda1 must be positive")
 
 
 def default_t_rate(delta, lambda1=1.0):
     """Bin count making the saturation tail as small as one bin: T*delta = lambda1*ln(1/delta)."""
-    _check_delta_for_default(delta)
-    if not lambda1 > 0:
-        raise ValueError("lambda1 must be positive")
+    _check_default_args(delta, lambda1)
     return math.ceil(lambda1 / delta * math.log(1.0 / delta))
 
 
 def default_t_outage(delta, lambda1=1.0):
     """Half the rate rule: saturation tail sqrt(delta) instead of delta."""
-    _check_delta_for_default(delta)
-    if not lambda1 > 0:
-        raise ValueError("lambda1 must be positive")
+    _check_default_args(delta, lambda1)
     return math.ceil(lambda1 / (2.0 * delta) * math.log(1.0 / delta))
-
-
-def vle_length(level):
-    """Codeword length for one level: floor(log2(level+2))."""
-    return int(vle_lengths(level))
 
 
 def vle_lengths(levels):
@@ -94,7 +87,7 @@ def vle_encode(level):
     n = int(level)
     if n < 0:
         raise ValueError("level must be nonnegative")
-    length = vle_length(n)
+    length = int(vle_lengths(n))
     value = n + 2 - (1 << length)
     return format(value, "0%db" % length)
 
@@ -115,10 +108,3 @@ def fle_bits(t, flavor):
     if flavor == OUTAGE:
         return (int(t) + 1).bit_length()
     raise ValueError("flavor must be %r or %r" % (RATE, OUTAGE))
-
-
-def vle_rate_bound(delta, lam):
-    """Analytic cap on expected VLE bits per channel state for mean gain lam."""
-    if not delta > 0 or not lam > 0:
-        raise ValueError("delta and lam must be positive")
-    return 2.0 / math.log(2.0) + 1.0 + math.log2(1.0 + lam / delta)

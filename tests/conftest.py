@@ -100,3 +100,47 @@ def enumerate_binary_strings(count):
                 break
         length += 1
     return out
+
+
+def varpi(r, gains_desc, p):
+    """Total power fraction that gives every receiver rate r under SIC.
+
+    Receivers are taken in descending gain order; receiver k decodes after
+    the ones before it, whose shares it sees as interference, so it needs
+    (2^r - 1) * (those shares + 1/(p * g_k)). The max-min rate is the root
+    of varpi(r) = 1.
+    """
+    b = 2.0**r - 1.0
+    used = 0.0
+    for g in gains_desc:
+        used += b * (used + 1.0 / (p * g))
+    return used
+
+
+def achievable_check(h1, h2, q1, q2, p, tol=1e-12):
+    """Can the rates adapted to fed-back gains q1 >= q2 be decoded on the
+    true gains h1, h2 of the same receivers?
+
+    The split a of receiver 1 is the equal-rate root of
+    p*q1*q2*a^2 + (q1+q2)*a - q2 = 0 (0 when q2 is 0, so nothing is sent).
+    Three capacities must clear: receiver 2 decoding its own message under
+    receiver 1's share, receiver 1 decoding that message before SIC, and
+    receiver 1 decoding its own message after SIC.
+    """
+    h1, h2, q1, q2 = (np.asarray(x, dtype=np.float64) for x in (h1, h2, q1, q2))
+    s = q1 + q2
+    den = s + np.sqrt(s * s + 4.0 * p * q1 * q2 * q2)
+    a = np.divide(2.0 * q2, den, out=np.zeros_like(den), where=q2 > 0)
+
+    def weak_rate(g):
+        return np.log2(1.0 + p * g * (1.0 - a) / (p * g * a + 1.0))
+
+    r_weak = weak_rate(q2)
+    return ((weak_rate(h2) >= r_weak - tol) & (weak_rate(h1) >= r_weak - tol)
+            & (np.log2(1.0 + p * a * h1) >= np.log2(1.0 + p * a * q1) - tol))
+
+
+def vle_rate_bound(delta, lam):
+    """Analytic cap on the expected VLE bits per channel state for an
+    exponential gain of mean lam under bins of width delta."""
+    return 2.0 / math.log(2.0) + 1.0 + math.log2(1.0 + lam / delta)

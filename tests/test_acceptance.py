@@ -11,10 +11,9 @@ import numpy as np
 
 from nomafb import alloc, harness, quantizer
 from nomafb.channel import CHUNK
-from nomafb.evaluator import achievable_check
 from nomafb.harness import ExperimentConfig
 
-from conftest import outage_prob_analytic, vle_mean_analytic
+from conftest import achievable_check, outage_prob_analytic, vle_mean_analytic, vle_rate_bound
 
 
 def metrics_by_sweep(stats):
@@ -33,7 +32,7 @@ def test_criterion_01_closed_form_matches_grid_search():
     hs, hw = np.maximum(h1, h2), np.minimum(h1, h2)
 
     started = time.perf_counter()
-    alpha = alloc.optimal_alpha_two_user(hs, hw, p)
+    alpha = alloc.equal_rate_split(hs, hw, p)
     r_closed = alloc.max_min_rate_two_user(h1, h2, p)
 
     step = 1e-5
@@ -75,10 +74,11 @@ def test_criterion_02_bisection_solver():
     eps2 = 1e-9
     worst = -1.0
     for i in range(n):
-        res = alloc.solve_max_min_k(np.array([h1[i], h2[i]]), p[i], eps=eps2)
+        r, iterations = alloc.batch_max_min_rate(
+            np.array([[max(h1[i], h2[i]), min(h1[i], h2[i])]]), p[i], eps2)
         r_ub = math.log2(1.0 + p[i] * min(h1[i], h2[i]))
-        assert res.iterations <= math.ceil(math.log2(r_ub / eps2))
-        worst = max(worst, abs(res.r_max - alloc.max_min_rate_two_user(h1[i], h2[i], p[i])))
+        assert iterations <= math.ceil(math.log2(r_ub / eps2))
+        worst = max(worst, abs(r[0] - alloc.max_min_rate_two_user(h1[i], h2[i], p[i])))
 
     eps4 = 1e-4
     gains = rng.exponential(1.0, (n, 4)) / np.array([1.0, 2.0, 3.0, 4.0])
@@ -155,7 +155,7 @@ def test_criterion_04_bound_compliance():
                 % (loss, bound, pdb, d)
             for lam, name in ((lam1, "vle_rx1"), (lam2, "vle_rx2")):
                 mean_bits = by[d][name].value
-                cap = quantizer.vle_rate_bound(d, lam)
+                cap = vle_rate_bound(d, lam)
                 assert mean_bits <= cap, \
                     "criterion 4: %s %.4f exceeds analytic cap %.4f at delta=%g" \
                     % (name, mean_bits, cap, d)

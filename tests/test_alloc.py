@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import special
 
-from conftest import grid_min_rate, random_triples
-from nomafb import alloc, evaluator, quantizer
+from conftest import achievable_check, grid_min_rate, random_triples, varpi
+from nomafb import alloc, channel, harness, quantizer
 
 
 def two_user_rates(hs, hw, a, p):
@@ -21,7 +22,7 @@ def two_user_rates(hs, hw, a, p):
 class TestTwoUserClosedForm:
     def test_symmetric_unit_case(self):
         # equal gains at p=3 split exactly 1/3 each way and hit rate 1
-        a = alloc.optimal_alpha_two_user(1.0, 1.0, 3.0)
+        a = alloc.equal_rate_split(1.0, 1.0, 3.0)
         assert_allclose(a, 1.0 / 3.0, rtol=1e-12)
         assert_allclose(alloc.max_min_rate_two_user(1.0, 1.0, 3.0), 1.0, rtol=1e-12)
 
@@ -29,31 +30,31 @@ class TestTwoUserClosedForm:
         rng = np.random.default_rng(101)
         h1, h2, p = random_triples(2000, rng)
         hs, hw = np.maximum(h1, h2), np.minimum(h1, h2)
-        a = alloc.optimal_alpha_two_user(hs, hw, p)
+        a = alloc.equal_rate_split(hs, hw, p)
         r_strong, r_weak = two_user_rates(hs, hw, a, p)
         assert_allclose(r_strong, r_weak, rtol=1e-9, atol=1e-12)
 
     def test_strong_user_never_gets_majority(self):
         rng = np.random.default_rng(102)
         h1, h2, p = random_triples(2000, rng)
-        a = alloc.optimal_alpha_two_user(np.maximum(h1, h2), np.minimum(h1, h2), p)
+        a = alloc.equal_rate_split(np.maximum(h1, h2), np.minimum(h1, h2), p)
         assert np.all(a <= 0.5 + 1e-12)
         assert np.all(a > 0.0)
 
     def test_low_power_limit(self):
         # as p -> 0 the split tends to hw / (hs + hw)
-        assert_allclose(alloc.optimal_alpha_two_user(3.0, 1.0, 1e-9), 0.25, atol=1e-6)
+        assert_allclose(alloc.equal_rate_split(3.0, 1.0, 1e-9), 0.25, atol=1e-6)
 
     def test_high_power_limit(self):
-        assert alloc.optimal_alpha_two_user(2.0, 1.0, 1e12) < 1e-5
+        assert alloc.equal_rate_split(2.0, 1.0, 1e12) < 1e-5
 
     def test_rejects_misordered_gains(self):
         with pytest.raises(ValueError):
-            alloc.optimal_alpha_two_user(0.5, 1.0, 10.0)
+            alloc.equal_rate_split(0.5, 1.0, 10.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            alloc.optimal_alpha_two_user(1.0, 0.0, 10.0)
+            alloc.equal_rate_split(1.0, -1.0, 10.0)
         with pytest.raises(ValueError):
             alloc.max_min_rate_two_user(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ class TestTwoUserClosedForm:
         for i in range(300):
             hs, hw = max(h1[i], h2[i]), min(h1[i], h2[i])
             a_grid, r_grid = grid_min_rate(h1[i], h2[i], p[i])
-            a = alloc.optimal_alpha_two_user(hs, hw, p[i])
+            a = alloc.equal_rate_split(hs, hw, p[i])
             r = alloc.max_min_rate_two_user(h1[i], h2[i], p[i])
             assert r >= r_grid - 1e-6
             assert abs(a - a_grid) <= 1e-4
@@ -144,14 +145,19 @@ class TestSicSnr:
             )
 
 
+def varpi_rows(r, gains_desc, p):
+    """The bisection's feasibility function at one rate and one gain vector."""
+    return float(alloc._varpi_rows(r, list(p * np.asarray(gains_desc, dtype=np.float64))))
+
+
 class TestVarpi:
     def test_zero_rate(self):
-        assert alloc.varpi(0.0, np.array([2.0, 1.0, 0.5]), 10.0) == 0.0
+        assert varpi_rows(0.0, np.array([2.0, 1.0, 0.5]), 10.0) == 0.0
 
     def test_single_receiver_root(self):
         h, p = 0.7, 12.0
         r = math.log2(1.0 + p * h)
-        assert_allclose(alloc.varpi(r, np.array([h]), p), 1.0, rtol=1e-12)
+        assert_allclose(varpi_rows(r, np.array([h]), p), 1.0, rtol=1e-12)
 
     def test_two_receiver_root_is_closed_form(self):
         rng = np.random.default_rng(108)
@@ -159,16 +165,15 @@ class TestVarpi:
         for i in range(500):
             gd = np.sort([h1[i], h2[i]])[::-1]
             r = alloc.max_min_rate_two_user(h1[i], h2[i], p[i])
-            assert abs(alloc.varpi(r, gd, p[i]) - 1.0) < 1e-9
+            assert abs(varpi_rows(r, gd, p[i]) - 1.0) < 1e-9
 
     def test_strictly_increasing(self):
         gd = np.array([1.5, 0.8, 0.2])
-        vals = [alloc.varpi(r, gd, 5.0) for r in np.linspace(0.0, 2.0, 40)]
+        vals = [varpi_rows(r, gd, 5.0) for r in np.linspace(0.0, 2.0, 40)]
         assert np.all(np.diff(vals) > 0)
-
-    def test_rejects_unsorted_gains(self):
-        with pytest.raises(ValueError):
-            alloc.varpi(1.0, np.array([0.5, 1.0]), 5.0)
+        # the summed closed form agrees with the receiver-by-receiver definition
+        assert_allclose(vals, [varpi(r, gd, 5.0) for r in np.linspace(0.0, 2.0, 40)],
+                        rtol=1e-12)
 
 
 class TestAllocFromRate:
@@ -194,7 +199,7 @@ class TestAllocFromRate:
             gd = np.sort([h1[i], h2[i]])[::-1]
             r = alloc.max_min_rate_two_user(h1[i], h2[i], p[i])
             a = alloc.alloc_from_rate(r, gd, p[i])
-            a_star = alloc.optimal_alpha_two_user(gd[0], gd[1], p[i])
+            a_star = alloc.equal_rate_split(gd[0], gd[1], p[i])
             assert abs(a[0] - a_star) < 1e-8
             assert abs(a.sum() - 1.0) < 1e-8
 
@@ -204,34 +209,41 @@ class TestAllocFromRate:
         assert np.all(np.diff(a) > 0)
 
 
+def solve_one(gains, p, eps):
+    """(max-min rate, iterations) of the bisection on one gain vector."""
+    r, iterations = alloc.batch_max_min_rate(np.sort(gains)[None, ::-1], p, eps)
+    return float(r[0]), iterations
+
+
 class TestSolver:
     def test_two_user_matches_closed_form(self):
         rng = np.random.default_rng(111)
         h1, h2, p = random_triples(300, rng)
         for i in range(300):
-            res = alloc.solve_max_min_k(np.array([h1[i], h2[i]]), p[i], eps=1e-9)
+            r, _ = solve_one(np.array([h1[i], h2[i]]), p[i], eps=1e-9)
             r_ref = alloc.max_min_rate_two_user(h1[i], h2[i], p[i])
-            assert abs(res.r_max - r_ref) <= 1e-8
+            assert abs(r - r_ref) <= 1e-8
 
     def test_iteration_count_formula(self):
         gains = np.array([1.3, 0.6, 0.25, 0.11])
         for p, eps in [(10.0, 1e-4), (100.0, 1e-6), (0.5, 1e-3)]:
-            res = alloc.solve_max_min_k(gains, p, eps=eps)
+            _, iterations = solve_one(gains, p, eps=eps)
             r_ub = math.log2(1.0 + p * gains.min())
-            assert res.iterations == math.ceil(math.log2(r_ub / eps))
-            assert res.iterations <= alloc.ITERATION_CAP
+            assert iterations == math.ceil(math.log2(r_ub / eps))
+            assert iterations <= alloc.ITERATION_CAP
 
     def test_equal_rates_at_solution(self):
         rng = np.random.default_rng(112)
         for _ in range(200):
             gains = rng.exponential(1.0, 4) / np.arange(1.0, 5.0)
             p = 10.0 ** rng.uniform(-1, 3)
-            res = alloc.solve_max_min_k(gains, p, eps=1e-4)
-            gd = gains[res.allocation.order]
-            rates = alloc.sic_rates(res.allocation.alphas, gd, p)
+            r, _ = solve_one(gains, p, eps=1e-4)
+            gd = np.sort(gains)[::-1]
+            alphas = alloc.alloc_from_rate(r, gd, p)
+            rates = alloc.sic_rates(alphas, gd, p)
             assert rates.max() - rates.min() <= 1e-9
-            assert_allclose(rates, res.r_max, rtol=1e-9, atol=1e-12)
-            assert res.allocation.alphas.sum() <= 1.0 + 1e-12
+            assert_allclose(rates, r, rtol=1e-9, atol=1e-12)
+            assert alphas.sum() <= 1.0 + 1e-12
 
     def test_solution_is_on_the_feasible_side(self):
         # the root sits within eps above the returned rate
@@ -240,32 +252,18 @@ class TestSolver:
             gains = rng.exponential(1.0, 3)
             p = 10.0 ** rng.uniform(0, 2)
             eps = 1e-6
-            res = alloc.solve_max_min_k(gains, p, eps=eps)
+            r, _ = solve_one(gains, p, eps=eps)
             gd = np.sort(gains)[::-1]
-            assert alloc.varpi(res.r_max, gd, p) <= 1.0
-            assert alloc.varpi(res.r_max + eps, gd, p) >= 1.0 - 1e-7
-
-    def test_order_sorts_gains_descending(self):
-        gains = np.array([0.4, 2.0, 1.1])
-        res = alloc.solve_max_min_k(gains, 10.0, eps=1e-6)
-        assert np.all(np.diff(gains[res.allocation.order]) <= 0)
-        assert sorted(res.allocation.order.tolist()) == [0, 1, 2]
-
-    def test_residual_definition(self):
-        gains = np.array([1.0, 0.5])
-        res = alloc.solve_max_min_k(gains, 10.0, eps=1e-6)
-        gd = np.sort(gains)[::-1]
-        assert_allclose(res.residual, abs(alloc.varpi(res.r_max, gd, 10.0) - 1.0))
+            assert varpi(r, gd, p) <= 1.0
+            assert varpi(r + eps, gd, p) >= 1.0 - 1e-7
 
     def test_monotone_in_power(self):
         gains = np.array([1.0, 0.3, 0.1])
-        r = [alloc.solve_max_min_k(gains, p, eps=1e-8).r_max for p in (1.0, 5.0, 25.0)]
+        r = [solve_one(gains, p, eps=1e-8)[0] for p in (1.0, 5.0, 25.0)]
         assert r[0] < r[1] < r[2]
 
     def test_degenerate_low_power_returns_zero(self):
-        res = alloc.solve_max_min_k(np.array([1e-12, 1e-13]), 1.0, eps=1e-4)
-        assert res.r_max == 0.0
-        assert res.iterations == 0
+        assert solve_one(np.array([1e-12, 1e-13]), 1.0, eps=1e-4) == (0.0, 0)
 
     def test_iteration_cap_enforced(self):
         with pytest.raises(RuntimeError):
@@ -312,7 +310,7 @@ class TestBatchBitExact:
         gains = 10.0 ** rng.uniform(-6.0, 3.0, (400, k))
         gains[:20] = gains[:20, :1]  # rows of equal gains
         desc = np.sort(gains, axis=1)[:, ::-1]
-        # The drivers pass negative-stride views; solve_max_min_k passes one row.
+        # The drivers pass negative-stride views of many rows, or of one.
         for g in (desc, np.ascontiguousarray(desc), desc[:1]):
             for p_db in (-10.0, 0.0, 17.0, 40.0):
                 p = 10.0 ** (p_db / 10.0)
@@ -350,23 +348,34 @@ class TestRateHelpers:
             assert_allclose(rate_k(a, gd, 12.0, k), rates[k - 1], rtol=1e-12)
 
 
-class TestTdma:
-    def test_symmetric_case(self):
-        assert_allclose(alloc.tdma_min_rate(np.array([1.0, 1.0]), 3.0), 1.0, rtol=1e-12)
+def minrate_points(variances, p_db, trials, seed=4):
+    """{metric: MetricPoint} of one minrate sweep point."""
+    cfg = harness.ExperimentConfig(kind="minrate", variances=variances, p_db=(p_db,),
+                                   trials=trials, seed=seed)
+    return {m.metric: m for m in harness.run_min_rate(cfg).points}
 
-    def test_single_receiver(self):
-        assert_allclose(alloc.tdma_min_rate(np.array([0.5]), 2.0), 1.0, rtol=1e-12)
+
+class TestTdma:
+    # r_tdma is the drivers' TDMA column: each receiver gets half the time,
+    # so the worst rate is log2(1 + p * min(h1, h2)) / 2.
+    def test_symmetric_case(self):
+        # min(h1, h2) is exponential with mean m = 1/2, and for X of mean m
+        # E[ln(1 + p X)] = e^(1/(p m)) E1(1/(p m)).
+        p, m = 3.0, 0.5
+        point = minrate_points((1.0, 1.0), 10.0 * math.log10(p), 200_000)["r_tdma"]
+        exact = 0.5 * math.exp(1.0 / (p * m)) * special.exp1(1.0 / (p * m)) / math.log(2.0)
+        assert abs(point.value - exact) <= 4.0 * point.stderr
 
     def test_rows(self):
-        g = np.array([[1.0, 0.5], [2.0, 2.0]])
-        out = alloc.tdma_min_rate(g, 10.0)
-        assert_allclose(out[0], math.log2(6.0) / 2.0, rtol=1e-12)
-        assert_allclose(out[1], math.log2(21.0) / 2.0, rtol=1e-12)
+        pts = minrate_points((1.0, 0.5), 10.0, 2)
+        g = channel.sample_block(channel.ChannelParams((1.0, 0.5)), 4, 0, 2)
+        rows = [math.log2(1.0 + 10.0 * min(h1, h2)) / 2.0 for h1, h2 in g]
+        assert_allclose(pts["r_tdma"].value, sum(rows) / 2.0, rtol=1e-12)
+        assert pts["r_tdma"].n == 2
 
     def test_noma_beats_tdma_with_disparate_gains(self):
-        r_noma = alloc.max_min_rate_two_user(2.0, 0.5, 10.0)
-        r_tdma = alloc.tdma_min_rate(np.array([2.0, 0.5]), 10.0)
-        assert r_noma > r_tdma
+        pts = minrate_points((1.0, 0.1), 10.0, 20_000)
+        assert pts["r_full"].value > pts["r_tdma"].value
 
 
 # Hypothesis drives the two-user kernel that the experiment drivers call.
@@ -410,9 +419,9 @@ class TestTwoUserKernelProperties:
         q1 = quantizer.rate_levels(h1, delta, t) * delta
         q2 = quantizer.rate_levels(h2, delta, t) * delta
         if q1 >= q2:
-            assert evaluator.achievable_check(h1, h2, q1, q2, p)
+            assert achievable_check(h1, h2, q1, q2, p)
         else:
-            assert evaluator.achievable_check(h2, h1, q2, q1, p)
+            assert achievable_check(h2, h1, q2, q1, p)
 
     @PROPERTY
     @given(gain, gain, power, bin_size, st.floats(0.01, 8.0))

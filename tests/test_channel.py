@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy import stats
 
-from nomafb import channel
+from nomafb import channel, harness
 
 PARAMS = channel.ChannelParams(variances=(1.0, 0.5))
 
@@ -64,11 +64,19 @@ class TestDeterminism:
         assert_array_equal(part, full[:100])
 
     def test_single_trial_matches_block(self):
+        # a scan of `trial + 1` trials ends on trial t = 3 * CHUNK + 57, which
+        # is row 57 of block 3, whatever the worker count
         trial = 3 * channel.CHUNK + 57
-        seed = channel.StreamSeed(master=13, trial=trial)
-        state = channel.sample_channel(PARAMS, seed)
-        block = channel.sample_block(PARAMS, 13, 3)
-        assert_array_equal(np.asarray(state.gains), block[57])
+        last = {}
+
+        def kernel(block):
+            last[block.shape[0]] = block[-1].copy()
+            yield "h1", block[:, 0]
+
+        for workers in (1, 3):
+            last.clear()
+            harness._scan(PARAMS, 13, workers, kernel, trial + 1)
+            assert_array_equal(last[58], channel.sample_block(PARAMS, 13, 3)[57])
 
     def test_rng_is_stable_per_block(self):
         r1 = channel.block_rng(21, 4)
@@ -95,8 +103,11 @@ class TestValidation:
 
     def test_rejects_negative_trial(self):
         with pytest.raises(ValueError):
-            channel.sample_channel(PARAMS, channel.StreamSeed(master=0, trial=-1))
+            channel.sample_block(PARAMS, 0, -1)
+        with pytest.raises(ValueError):
+            channel.sample_block(PARAMS, -1, 0)
 
     def test_param_count(self):
-        assert PARAMS.count == 2
-        assert channel.ChannelParams(variances=(1.0, 0.5, 0.25)).count == 3
+        # one column per receiver
+        assert channel.sample_block(PARAMS, 0, 0, 5).shape == (5, 2)
+        assert channel.sample_block(channel.ChannelParams((1.0, 0.5, 0.25)), 0, 0, 5).shape == (5, 3)

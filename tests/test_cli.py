@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,63 @@ class TestParseSweep:
             cli.parse_config(["outage", flag + "=" + text])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    # A non-finite range bound used to loop without end, and a non-finite
+    # value used to run and print NaN rows; both are usage errors now.
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "1,inf", "nan,2",
+                                      "0:inf:5", "-inf:0:5", "0:10:inf", "0:10:nan", "nan:1:1"])
+    def test_sweep_rejects_non_finite(self, text):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
+            cli.parse_sweep(text)
+
+    @pytest.mark.parametrize("text", ["inf", "Infinity", "nan", "1e400"])
+    def test_positive_rejects_non_finite(self, text):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
+            cli.parse_positive(text)
+
+    @pytest.mark.parametrize("argv", [
+        ["minrate", "--p-db", "inf", "--trials", "100"],
+        ["minrate", "--p-db", "0:inf:5"],
+        ["rateloss", "--delta", "nan"],
+        ["minrate", "--variances", "inf,1"],
+        ["outage", "--r-th", "inf"],
+        ["kuser", "--eps", "inf"],
+    ])
+    def test_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("p-db", [math.inf]), ("p-db", "0:inf:5"), ("deltas", [math.nan]),
+        ("variances", [math.inf, 1.0]), ("r-th", math.inf), ("eps", math.nan),
+    ])
+    def test_config_value_is_a_usage_error(self, key, value, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))  # JSON's Infinity and NaN
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["kuser", "--config", str(path)])
+        assert exc.value.code == 2
+        assert repr(key) in capsys.readouterr().err
+
+
+class TestInputHoles:
+    def test_minrate_infinite_variance_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["minrate", "--variances", "inf,1", "--trials", "100"])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_outage_overflowing_threshold_is_a_run_error(self, capsys):
+        code = cli.main(["outage", "--r-th", "600", "--p-db", "10", "--min-outage-events", "10"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
 
 
 class TestParseSweepProperties:
@@ -182,6 +240,10 @@ class TestParseConfig:
             cli.parse_config(["minrate", "--variances", "0.5,1.0"])
         assert exc.value.code == 2
         assert "nonincreasing" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(["outage", "--delta-policy", "cube"])
+        assert exc.value.code == 2
+        assert "choose from fixed, pcube, min02-pcube" in capsys.readouterr().err
 
 
 class TestConfigFile:

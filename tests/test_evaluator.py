@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import achievable_check
 from nomafb import alloc, evaluator, harness, quantizer
 
 
@@ -46,18 +47,19 @@ class TestAlphaFromQuantized:
     def test_matches_closed_form_when_live(self):
         a = alloc.equal_rate_split(1.0, 1.0, 3.0)
         assert_allclose(a, 1.0 / 3.0, rtol=1e-12)
-        assert_allclose(
-            alloc.equal_rate_split(0.8, 0.3, 7.0),
-            alloc.optimal_alpha_two_user(0.8, 0.3, 7.0),
-            rtol=1e-12,
-        )
+        # the other form of the root of p*qs*qw*a^2 + (qs+qw)*a - qw = 0
+        qs, qw, p = 0.8, 0.3, 7.0
+        s = qs + qw
+        root = (math.sqrt(s * s + 4.0 * p * qs * qw * qw) - s) / (2.0 * p * qs * qw)
+        assert_allclose(alloc.equal_rate_split(qs, qw, p), root, rtol=1e-12)
 
     def test_no_floating_point_warnings_on_zeros(self):
         q1 = np.array([0.0, 0.5, 0.2, 0.0])
         q2 = np.array([0.0, 0.0, 0.2, 0.0])
         with np.errstate(invalid="raise", divide="raise"):
             a = alloc.equal_rate_split(q1, q2, 10.0)
-        assert_allclose(a, [0.0, 0.0, alloc.optimal_alpha_two_user(0.2, 0.2, 10.0), 0.0])
+        # equal gains x split 1 / (1 + sqrt(1 + p x))
+        assert_allclose(a, [0.0, 0.0, 1.0 / (1.0 + math.sqrt(3.0)), 0.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,12 +96,12 @@ class TestAchievability:
             t = quantizer.default_t_rate(delta)
             ha, hb, qs, qw, _ = quantized_order(h1, h2, delta, t)
             with np.errstate(invalid="raise", divide="raise"):
-                ok = evaluator.achievable_check(ha, hb, qs, qw, 10.0)
+                ok = achievable_check(ha, hb, qs, qw, 10.0)
             assert ok.all()
 
     def test_overstated_gain_fails(self):
         # a quantizer that rounds up the strong gain would promise too much
-        assert not evaluator.achievable_check(1.0, 0.5, 2.0, 0.5, 10.0)
+        assert not achievable_check(1.0, 0.5, 2.0, 0.5, 10.0)
 
     def test_adapted_min_bounded_by_full_csi(self):
         rng = np.random.default_rng(303)
@@ -119,7 +121,7 @@ class TestActualMinRate:
             h1 = rng.exponential(1.0)
             h2 = rng.exponential(0.5)
             hs, hw = max(h1, h2), min(h1, h2)
-            a = alloc.optimal_alpha_two_user(hs, hw, 10.0)
+            a = alloc.equal_rate_split(hs, hw, 10.0)
             r = achieved_min_rate(h1, h2, a, h1 >= h2, 10.0)
             assert_allclose(r, alloc.max_min_rate_two_user(h1, h2, 10.0), rtol=1e-12)
 

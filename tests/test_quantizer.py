@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from conftest import enumerate_binary_strings, vle_mean_analytic
+from conftest import enumerate_binary_strings, vle_mean_analytic, vle_rate_bound
 from nomafb import quantizer
 
 
@@ -167,8 +167,8 @@ class TestVle:
         ]
 
     def test_lengths_match_codewords(self):
-        for n in range(2000):
-            assert quantizer.vle_length(n) == len(quantizer.vle_encode(n))
+        want = [len(quantizer.vle_encode(n)) for n in range(2000)]
+        assert_array_equal(quantizer.vle_lengths(np.arange(2000)), want)
 
     def test_round_trip(self):
         for n in range(10_001):
@@ -209,13 +209,45 @@ class TestVleProperties:
     @given(st.integers(0, np.iinfo(np.int64).max - 2))
     def test_decode_inverts_encode(self, level):
         bits = quantizer.vle_encode(level)
-        assert len(bits) == (level + 2).bit_length() - 1 == quantizer.vle_length(level)
+        assert len(bits) == (level + 2).bit_length() - 1 == quantizer.vle_lengths(level)
         assert quantizer.vle_decode(bits) == level
 
     @PROPERTY
     @given(st.text("01", min_size=1, max_size=62))
     def test_encode_inverts_decode(self, bits):
         assert quantizer.vle_encode(quantizer.vle_decode(bits)) == bits
+
+
+def around(x):
+    """x and its two float neighbours."""
+    return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
+
+
+class TestLevelBoundaryProperties:
+    # Every bin edge n*delta and its float neighbours, below saturation: the
+    # level must bracket x by the same float products the reconstruction uses.
+    # Derandomized, with no example database, so every run checks the same draws.
+    PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+    @PROPERTY
+    @given(st.integers(0, 10**7), st.floats(1e-4, 0.99))
+    def test_rate_levels_at_bin_edges(self, n, delta):
+        t = n + 2
+        for x in around(n * delta):
+            if x < 0:
+                continue
+            k = int(quantizer.rate_levels(x, delta, t))
+            assert k < t
+            assert k * delta <= x < (k + 1) * delta, (x, k)
+
+    @PROPERTY
+    @given(st.integers(1, 10**7), st.floats(1e-4, 0.99))
+    def test_outage_levels_at_bin_edges(self, n, delta):
+        t = n + 1
+        for x in around(n * delta):
+            m = int(quantizer.outage_levels(x, delta, t))
+            assert m <= t
+            assert (m - 1) * delta < x <= m * delta, (x, m)
 
 
 class TestFle:
@@ -244,10 +276,10 @@ class TestFle:
 
 class TestVleBound:
     def test_reference_value(self):
-        assert abs(quantizer.vle_rate_bound(0.01, 1.0) - 10.5436) < 1e-3
+        assert abs(vle_rate_bound(0.01, 1.0) - 10.5436) < 1e-3
 
     def test_decreasing_in_delta(self):
-        vals = [quantizer.vle_rate_bound(d, 1.0) for d in (0.005, 0.02, 0.1, 0.5)]
+        vals = [vle_rate_bound(d, 1.0) for d in (0.005, 0.02, 0.1, 0.5)]
         assert np.all(np.diff(vals) < 0)
 
     def test_mean_vle_cost_stays_below_bound(self):
@@ -258,7 +290,7 @@ class TestVleBound:
             for delta in (0.01, 0.05, 0.2):
                 t = quantizer.default_t_rate(delta, lam)
                 mean_bits = quantizer.vle_lengths(quantizer.rate_levels(x, delta, t)).mean()
-                assert mean_bits <= quantizer.vle_rate_bound(delta, lam)
+                assert mean_bits <= vle_rate_bound(delta, lam)
 
     def test_analytic_mean_agrees_with_sampling(self):
         rng = np.random.default_rng(209)
@@ -273,7 +305,7 @@ class TestConfigAndWords:
         # one fed-back word: level, codeword length and reconstructed gain
         level = int(quantizer.rate_levels(0.37, 0.1, 10))
         assert level == 3
-        assert quantizer.vle_length(level) == len(quantizer.vle_encode(level)) == 2
+        assert quantizer.vle_lengths(level) == len(quantizer.vle_encode(level)) == 2
         assert level * 0.1 == pytest.approx(0.3)
 
         level = int(quantizer.outage_levels(0.37, 0.1, 10))

@@ -1,0 +1,39 @@
+"""The package keeps no code without a caller.
+
+Every top-level function and class in src/nomafb must be used by some other
+code in src/nomafb; tests alone do not count. The entry points below are the
+only exceptions.
+"""
+
+import ast
+from pathlib import Path
+
+import nomafb
+
+# Called from outside the package only.
+ENTRY_POINTS = {
+    ("cli", "main"),  # the nomafb console script
+    ("cli", "render_args"),  # canonical argv, recorded by bench/run.py
+    ("harness", "run_experiment"),  # the library entry point
+    ("quantizer", "vle_encode"),  # the VLE codec defines the code vle_lengths counts
+    ("quantizer", "vle_decode"),
+}
+
+
+def test_every_top_level_definition_has_a_caller():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(nomafb.__file__).parent.glob("*.py")}
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            used = any(
+                (isinstance(n, ast.Name) and n.id == node.name
+                 or isinstance(n, ast.Attribute) and n.attr == node.name)
+                and id(n) not in own
+                for t in trees.values() for n in ast.walk(t))
+            if not used and (module, node.name) not in ENTRY_POINTS:
+                uncalled.append("%s.%s" % (module, node.name))
+    assert uncalled == []
