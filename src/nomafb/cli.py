@@ -17,6 +17,7 @@ import sys
 import time
 
 from .harness import (
+    EXPERIMENTS,
     POLICIES,
     WORKERS_ENV,
     ExperimentConfig,
@@ -26,6 +27,8 @@ from .harness import (
 COLUMNS = ("experiment", "sweep", "sweep_value", "metric", "value", "stderr", "n", "seed")
 
 _USAGE_SWEEP = "use start:stop:step (inclusive) or a comma list"
+# Most points a start:stop:step range may hold; it is counted before it is built.
+MAX_SWEEP_POINTS = 10_000
 
 # glibc's mallopt parameters, and the environment settings that already set them
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
@@ -54,6 +57,9 @@ def parse_sweep(text):
     a, b, step = vals
     if step == 0 or (b - a) * step < 0:
         raise argparse.ArgumentTypeError("sweep %r never reaches its stop value" % s)
+    if (abs(b - a) + 1e-9) / abs(step) >= MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError("sweep %r has more than %d points"
+                                         % (s, MAX_SWEEP_POINTS))
     out = []
     i = 0
     while True:
@@ -63,22 +69,6 @@ def parse_sweep(text):
         out.append(round(v, 12))
         i += 1
     return tuple(out)
-
-
-def parse_deltas(text):
-    vals = parse_sweep(text)
-    for d in vals:
-        if not 0 < d < 1:
-            raise argparse.ArgumentTypeError(
-                "delta %g is outside (0, 1); the default bin-count rule needs 0 < delta < 1" % d)
-    return vals
-
-
-def parse_variances(text):
-    vals = parse_sweep(text)
-    if any(v <= 0 for v in vals):
-        raise argparse.ArgumentTypeError("variances must be positive")
-    return vals
 
 
 def parse_count(text):
@@ -95,13 +85,13 @@ def parse_count(text):
         return int(f)
 
 
-def parse_positive(text):
+def parse_finite(text):
     try:
         f = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a number, got %r" % text)
-    if not 0 < f < math.inf:
-        raise argparse.ArgumentTypeError("expected a positive finite number, got %r" % text)
+    if not math.isfinite(f):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
     return f
 
 
@@ -118,14 +108,14 @@ OPTIONS = {
     "p_db": ("--p-db", parse_sweep, _joined, "SWEEP",
              "power sweep in dB, start:stop:step or comma list; "
              "use --p-db=-10:40:5 for negative starts"),
-    "deltas": ("--delta", parse_deltas, _joined, "LIST", "bin sizes in (0,1), comma list"),
+    "deltas": ("--delta", parse_sweep, _joined, "LIST", "bin sizes in (0,1), comma list"),
     "delta_policy": ("--delta-policy", str, str, "{%s}" % ",".join(POLICIES),
                      "bin-size rule over the power sweep"),
-    "variances": ("--variances", parse_variances, _joined, "LIST",
+    "variances": ("--variances", parse_sweep, _joined, "LIST",
                   "mean gains per receiver, nonincreasing; kuser takes 1/k"),
-    "r_th": ("--r-th", parse_positive, repr, None,
+    "r_th": ("--r-th", parse_finite, repr, None,
              "target rate in bits/s/Hz for outage counting"),
-    "eps": ("--eps", parse_positive, repr, None, "bisection accuracy"),
+    "eps": ("--eps", parse_finite, repr, None, "bisection accuracy"),
     "trials": ("--trials", parse_count, str, None,
                "trials per sweep point for fixed-size runs"),
     "min_outage_events": ("--min-outage-events", parse_count, str, None,
@@ -160,17 +150,8 @@ def build_parser():
         prog="nomafb",
         description="Monte Carlo experiments for max-min NOMA with quantized channel feedback.")
     sub = parser.add_subparsers(dest="kind", required=True, metavar="EXPERIMENT")
-    helps = {
-        "minrate": "mean min rate vs P: full CSI, quantized feedback, TDMA",
-        "rateloss": "mean rate loss and feedback bits vs delta at fixed P",
-        "outage": "outage probability vs P with adaptive stopping",
-        "outageloss": "quantization-added outage probability vs delta or P",
-        "feedback": "measured VLE/FLE feedback bits vs delta (or vs P under a policy)",
-        "diversity": "outage curves vs P plus fitted high-P slopes",
-        "kuser": "rate and outage losses vs delta for K receivers",
-    }
-    for kind, text in helps.items():
-        sub.add_parser(kind, parents=[common] + ([kuser] if kind == "kuser" else []), help=text)
+    for kind, exp in EXPERIMENTS.items():
+        sub.add_parser(kind, parents=[common] + ([kuser] if exp.k_user else []), help=exp.help)
     return parser
 
 
@@ -205,9 +186,7 @@ def parse_config(argv=None):
     values = _load_config_file(parser, ns.config) if ns.config else {}
     values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
     k = values.pop("k", K_DEFAULT)
-    if ns.kind == "kuser" and "variances" not in values:
-        if k < 2:
-            parser.error("--k must be at least 2")
+    if EXPERIMENTS[ns.kind].k_user and "variances" not in values:
         values["variances"] = tuple(1.0 / (i + 1) for i in range(k))
     try:
         cfg = ExperimentConfig(kind=ns.kind, **values)

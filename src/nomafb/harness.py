@@ -9,8 +9,10 @@ event target, which is again a property of the ordered chunks alone.
 """
 
 import contextlib
+import itertools
 import math
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -30,9 +32,7 @@ from .quantizer import (
     vle_lengths,
 )
 
-KINDS = ("minrate", "rateloss", "outage", "outageloss", "feedback", "diversity", "kuser")
 POLICIES = ("fixed", "pcube", "min02-pcube")
-FIXED_DELTA_KINDS = ("minrate", "rateloss", "outageloss", "kuser")
 WORKERS_ENV = "NOMAFB_WORKERS"
 # More threads cannot run at once; in an adaptive scan they only widen the
 # waves that run past the stopping point.
@@ -55,10 +55,18 @@ class ExperimentConfig:
     workers: int = 0  # 0 = env var, else all cores
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in EXPERIMENTS:
             raise ValueError("unknown experiment kind %r" % (self.kind,))
-        if len(self.variances) == 0 or any(not v > 0 for v in self.variances):
-            raise ValueError("variances must be positive")
+        exp = EXPERIMENTS[self.kind]
+        if not all(map(math.isfinite, self.p_db)):
+            raise ValueError("p_db must be finite")
+        for name in ("variances", "r_th", "eps"):
+            if not all(0 < v < math.inf for v in np.atleast_1d(getattr(self, name))):
+                raise ValueError("%s must be positive and finite" % name)
+        rx = len(self.variances)
+        if rx < 2 or (rx > 2 and not exp.k_user):
+            raise ValueError("%s needs %s two receivers, got %d"
+                             % (self.kind, "at least" if exp.k_user else "exactly", rx))
         if any(a < b for a, b in zip(self.variances, self.variances[1:])):
             raise ValueError("variances must be nonincreasing (receiver 1 strongest)")
         if len(self.p_db) == 0:
@@ -68,18 +76,29 @@ class ExperimentConfig:
         if self.delta_policy not in POLICIES:
             raise ValueError("unknown delta policy %r; choose from %s"
                              % (self.delta_policy, ", ".join(POLICIES)))
-        if not self.r_th > 0:
-            raise ValueError("r_th must be positive")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.min_outage_events < 1:
-            raise ValueError("min_outage_events must be at least 1")
-        if self.trial_cap < 1:
-            raise ValueError("trial_cap must be at least 1")
+        if self.delta_policy != "fixed" and not exp.policy:
+            raise ValueError("%s takes fixed deltas, not a delta policy" % self.kind)
+        if self.sweep == "delta" and len(self.p_db) != 1:
+            raise ValueError("%s sweeps delta; give exactly one p_db value" % self.kind)
+        if self.sweep == "p_db" and exp.one_delta and len(self.deltas) != 1:
+            raise ValueError("%s sweeps p_db at one delta; give exactly one delta value"
+                             % self.kind)
+        if self.r_th >= exp.r_th_max:
+            raise ValueError("%s needs r_th below %g, where its outage threshold overflows"
+                             % (self.kind, exp.r_th_max))
+        for name in ("trials", "min_outage_events", "trial_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1" % name)
         if self.seed < 0 or self.workers < 0:
             raise ValueError("seed and workers must be nonnegative")
+
+    @property
+    def sweep(self):
+        """The swept variable, "p_db" or "delta": any policy but "fixed" sweeps p_db."""
+        axis = EXPERIMENTS[self.kind].axis
+        if axis == "either":
+            axis = "p_db" if len(self.p_db) > 1 else "delta"
+        return "p_db" if self.delta_policy != "fixed" else axis
 
 
 @dataclass(frozen=True)
@@ -123,15 +142,10 @@ def resolve_workers(requested):
     return min(n or cpus, MAX_WORKERS_PER_CPU * cpus)
 
 
-def policy_delta(policy, fixed_delta, p):
-    """Bin size for one sweep point under the configured policy."""
-    if policy == "fixed":
-        return fixed_delta
-    if policy == "pcube":
-        return p ** (-1.0 / 3.0)
-    if policy == "min02-pcube":
-        return min(0.2, p ** (-1.0 / 3.0))
-    raise ValueError("unknown delta policy %r" % (policy,))
+def policy_delta(policy, p):
+    """Bin size at linear power p under policy "pcube" or "min02-pcube"."""
+    d = p ** (-1.0 / 3.0)
+    return min(0.2, d) if policy == "min02-pcube" else d
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +223,7 @@ def _fmt(x):
     return "%g" % x
 
 
-def _sweep(cfg, kind, sweep, scans, progress, events=(), mins=None, drop=()):
+def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     """The per-point loop of every driver: scan, reduce, report.
 
     scans yields (kernel, views) pairs. Each kernel is scanned once and views
@@ -223,15 +237,10 @@ def _sweep(cfg, kind, sweep, scans, progress, events=(), mins=None, drop=()):
     """
     if cfg.kind != kind:
         raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
-    if kind in FIXED_DELTA_KINDS and cfg.delta_policy != "fixed":
-        raise ValueError("%s does not take a delta policy; give --delta values" % kind)
-    if len(cfg.variances) < 2 or (len(cfg.variances) > 2 and kind != "kuser"):
-        raise ValueError("%s needs %s two receivers"
-                         % (kind, "at least" if kind == "kuser" else "exactly"))
     params = ChannelParams(cfg.variances)
     workers = resolve_workers(cfg.workers)
     trials = cfg.trial_cap if events else cfg.trials
-    stats = RunStats(experiment=kind, sweep=sweep, seed=cfg.seed)
+    stats = RunStats(experiment=kind, sweep=cfg.sweep, seed=cfg.seed)
     for kernel, views in scans:
         moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials,
                                    events, cfg.min_outage_events)
@@ -249,7 +258,7 @@ def _sweep(cfg, kind, sweep, scans, progress, events=(), mins=None, drop=()):
                 pts[name] = replace(min((pts[s] for s in of), key=lambda m: m.value), metric=name)
             stats.points.extend(sorted((m for m in pts.values() if m.metric not in drop),
                                        key=lambda m: m.metric))
-            where = "%s=%s" % (sweep, _fmt(value))
+            where = "%s=%s" % (stats.sweep, _fmt(value))
             if capped:
                 stats.notes.append("%s: trial cap %d reached with %d/%d events"
                                    % (where, n, fewest, cfg.min_outage_events))
@@ -301,14 +310,12 @@ def run_min_rate(cfg, progress=None):
 
             yield kernel, [(pdb, {})]
 
-    return _sweep(cfg, "minrate", "p_db", scans(), progress)
+    return _sweep(cfg, "minrate", scans(), progress)
 
 
 def run_rate_loss(cfg, progress=None):
     # One scan serves every delta: each block is sampled once.
     def scans():
-        if len(cfg.p_db) != 1:
-            raise ValueError("rateloss sweeps delta; give exactly one p_db value")
         lam1, lam2 = cfg.variances
         p = 10.0 ** (cfg.p_db[0] / 10.0)
         dts = [(d, default_t_rate(d, lam1)) for d in cfg.deltas]
@@ -328,7 +335,7 @@ def run_rate_loss(cfg, progress=None):
         yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t, lam1, lam2)})
                        for d, t in dts]
 
-    return _sweep(cfg, "rateloss", "delta", scans(), progress, mins=VLE_MIN)
+    return _sweep(cfg, "rateloss", scans(), progress, mins=VLE_MIN)
 
 
 def run_outage(cfg, progress=None):
@@ -343,7 +350,7 @@ def run_outage(cfg, progress=None):
                 dts = [("out_qo[delta=%s]" % _fmt(d), d, default_t_outage(d, lam1))
                        for d in cfg.deltas]
             else:
-                d = policy_delta(policy, cfg.deltas[0], p)
+                d = policy_delta(policy, p)
                 dts = [("out_qo[policy=%s]" % policy, d, default_t_outage(d, lam1))]
 
             def kernel(block):
@@ -355,19 +362,15 @@ def run_outage(cfg, progress=None):
 
             yield kernel, [(pdb, {})]
 
-    return _sweep(cfg, "outage", "p_db", scans(), progress, events=("out_full",))
+    return _sweep(cfg, "outage", scans(), progress, events=("out_full",))
 
 
 def run_outage_loss(cfg, progress=None):
-    by_p = len(cfg.p_db) > 1
+    by_p = cfg.sweep == "p_db"
 
     def scans():
-        if by_p and len(cfg.deltas) > 1:
-            raise ValueError("outageloss sweeps either p_db or delta, not both")
         beta = 2.0**cfg.r_th - 1.0
-        for value in cfg.p_db if by_p else cfg.deltas:
-            pdb = value if by_p else cfg.p_db[0]
-            d = cfg.deltas[0] if by_p else value
+        for pdb, d in itertools.product(cfg.p_db, cfg.deltas):  # one of them is one value
             p = 10.0 ** (pdb / 10.0)
             t = default_t_outage(d, cfg.variances[0])
 
@@ -381,21 +384,20 @@ def run_outage_loss(cfg, progress=None):
                 yield "vle_rx1", vle_lengths(m1)
                 yield "vle_rx2", vle_lengths(m2)
 
-            yield kernel, [(value, {"sqrt_delta": math.sqrt(d)})]
+            yield kernel, [(pdb if by_p else d, {"sqrt_delta": math.sqrt(d)})]
 
-    return _sweep(cfg, "outageloss", "p_db" if by_p else "delta", scans(), progress,
-                  mins=VLE_MIN)
+    return _sweep(cfg, "outageloss", scans(), progress, mins=VLE_MIN)
 
 
 def run_feedback_rate(cfg, progress=None):
-    by_policy = cfg.delta_policy != "fixed"
+    by_policy = cfg.sweep == "p_db"
 
     def scans():
         lam1 = cfg.variances[0]
         for value in cfg.p_db if by_policy else cfg.deltas:
             if by_policy:
                 # the adaptive-bin-size story is an outage design, so use q_o bins
-                d = policy_delta(cfg.delta_policy, cfg.deltas[0], 10.0 ** (value / 10.0))
+                d = policy_delta(cfg.delta_policy, 10.0 ** (value / 10.0))
                 t = default_t_outage(d, lam1)
                 level_fn, flavor = outage_levels, OUTAGE
             else:
@@ -412,8 +414,7 @@ def run_feedback_rate(cfg, progress=None):
                 constants["delta_used"] = d
             yield kernel, [(value, constants)]
 
-    return _sweep(cfg, "feedback", "p_db" if by_policy else "delta", scans(), progress,
-                  mins=VLE_MIN)
+    return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN)
 
 
 def estimate_diversity(curve, window=None):
@@ -451,14 +452,12 @@ def run_diversity(cfg, progress=None):
     )
 
     def scans():
-        if len(cfg.deltas) != 1:
-            raise ValueError("diversity uses a single fixed delta plus the policy curve")
         lam1 = cfg.variances[0]
         beta = 2.0**cfg.r_th - 1.0
         t_fix = default_t_outage(d_fix, lam1)
         for pdb in cfg.p_db:
             p = 10.0 ** (pdb / 10.0)
-            d_pol = policy_delta(policy, d_fix, p)
+            d_pol = policy_delta(policy, p)
             t_pol = default_t_outage(d_pol, lam1)
 
             def kernel(block):
@@ -470,7 +469,7 @@ def run_diversity(cfg, progress=None):
 
             yield kernel, [(pdb, {})]
 
-    stats = _sweep(cfg, "diversity", "p_db", scans(), progress, events=names)
+    stats = _sweep(cfg, "diversity", scans(), progress, events=names)
     last = float(max(cfg.p_db))
     n_window = sum(1 for a in cfg.p_db if a >= last - 10.0 - 1e-9)
     slope_pts = []
@@ -490,8 +489,6 @@ def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
     def scans():
-        if len(cfg.p_db) != 1:
-            raise ValueError("kuser sweeps delta; give exactly one p_db value")
         p = 10.0 ** (cfg.p_db[0] / 10.0)
         for d in cfg.deltas:
             t_r = [default_t_rate(d, lam) for lam in cfg.variances]
@@ -532,20 +529,38 @@ def run_k_user(cfg, progress=None):
 
     # Only the lowest receiver's feedback cost of each quantizer is reported.
     per_rx = {"vle_%s_min" % q: tuple("vle_%s%d" % (q, i) for i in range(k)) for q in "ro"}
-    return _sweep(cfg, "kuser", "delta", scans(), progress, mins=per_rx,
+    return _sweep(cfg, "kuser", scans(), progress, mins=per_rx,
                   drop=sum(per_rx.values(), ()))
 
 
-RUNNERS = {
-    "minrate": run_min_rate,
-    "rateloss": run_rate_loss,
-    "outage": run_outage,
-    "outageloss": run_outage_loss,
-    "feedback": run_feedback_rate,
-    "diversity": run_diversity,
-    "kuser": run_k_user,
+# One experiment kind. axis is what it sweeps under the fixed policy ("either":
+# p_db when several are given, else delta); a delta sweep takes one p_db.
+# policy: takes a delta policy, under which it sweeps p_db. one_delta: a p_db
+# sweep takes one delta. k_user: two or more receivers, not exactly two.
+# r_th_max: where its outage threshold 2^r_th or 2^(2 r_th) overflows.
+Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max",
+                        defaults=(False, False, False, math.inf))
+
+EXPERIMENTS = {
+    "minrate": Experiment(run_min_rate, "p_db",
+                          "mean min rate vs P: full CSI, quantized feedback, TDMA"),
+    "rateloss": Experiment(run_rate_loss, "delta",
+                           "mean rate loss and feedback bits vs delta at fixed P"),
+    "outage": Experiment(run_outage, "p_db", "outage probability vs P with adaptive stopping",
+                         policy=True, r_th_max=512.0),
+    "outageloss": Experiment(run_outage_loss, "either",
+                             "quantization-added outage probability vs delta or P",
+                             one_delta=True, r_th_max=1024.0),
+    "feedback": Experiment(run_feedback_rate, "delta",
+                           "measured VLE/FLE feedback bits vs delta (or vs P under a policy)",
+                           policy=True),
+    "diversity": Experiment(run_diversity, "p_db", "outage curves vs P plus fitted high-P slopes",
+                            policy=True, one_delta=True, r_th_max=1024.0),
+    "kuser": Experiment(run_k_user, "delta", "rate and outage losses vs delta for K receivers",
+                        k_user=True),
 }
+KINDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg, progress=None):
-    return RUNNERS[cfg.kind](cfg, progress=progress)
+    return EXPERIMENTS[cfg.kind].run(cfg, progress=progress)

@@ -5,12 +5,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nomafb
@@ -47,21 +49,43 @@ class TestParseSweep:
 
     def test_bad_sweeps(self):
         for text in ("", "1:2", "1:2:3:4", "a:b:c", "0:10:0", "0:10:-1", "1,two"):
-            with pytest.raises(Exception):
+            with pytest.raises(cli.argparse.ArgumentTypeError):
                 cli.parse_sweep(text)
 
-    def test_delta_range_check(self):
-        with pytest.raises(Exception):
-            cli.parse_deltas("0.1,1.5")
-        with pytest.raises(Exception):
-            cli.parse_deltas("0")
+    def test_delta_range_check(self, capsys):
+        for text in ("0.1,1.5", "0"):
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_config(["minrate", "--delta", text])
+            assert exc.value.code == 2
+            assert "every delta must lie in (0, 1)" in capsys.readouterr().err
 
     def test_count_accepts_scientific(self):
         assert cli.parse_count("1e6") == 1_000_000
-        with pytest.raises(Exception):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
             cli.parse_count("1.5")
-        with pytest.raises(Exception):
+        with pytest.raises(cli.argparse.ArgumentTypeError):
             cli.parse_count("-3")
+
+    def test_range_limit_is_inclusive(self):
+        limit = cli.MAX_SWEEP_POINTS
+        assert len(cli.parse_sweep("1:%d:1" % limit)) == limit
+        with pytest.raises(cli.argparse.ArgumentTypeError, match="more than %d points" % limit):
+            cli.parse_sweep("0:%d:1" % limit)
+        with pytest.raises(cli.argparse.ArgumentTypeError):
+            cli.parse_sweep("0:0:1e-13")  # the 1e-9 stop tolerance alone spans 10,000 steps
+
+    def test_huge_range_is_rejected_before_it_is_built(self, capsys):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["minrate", "--p-db", "0:1e8:1", "--trials", "100"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "more than 10000 points" in err
+        assert peak < 10 << 20  # the 10^8 points would take gigabytes
 
     def test_count_keeps_integers_past_float_precision(self):
         assert cli.parse_count(str(2**53 + 1)) == 2**53 + 1
@@ -92,8 +116,9 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("text", ["inf", "Infinity", "nan", "1e400"])
     def test_positive_rejects_non_finite(self, text):
+        # --r-th and --eps: ExperimentConfig checks the sign, the parser finiteness
         with pytest.raises(cli.argparse.ArgumentTypeError):
-            cli.parse_positive(text)
+            cli.parse_finite(text)
 
     @pytest.mark.parametrize("argv", [
         ["minrate", "--p-db", "inf", "--trials", "100"],
@@ -130,12 +155,75 @@ class TestInputHoles:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_outage_overflowing_threshold_is_a_run_error(self, capsys):
-        code = cli.main(["outage", "--r-th", "600", "--p-db", "10", "--min-outage-events", "10"])
+
+# Every rule on the shape and range of a config, as a command line and as the
+# ExperimentConfig fields it gives, with a fragment of both error messages. Each
+# must fail before any work starts: a ValueError from the library, exit 2 from
+# the CLI (flags or --config) with no progress line.
+KIND_RULES = [
+    (["rateloss", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
+    (["kuser", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
+    (["feedback", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
+    (["outageloss", "--p-db", "0,10", "--delta", "0.01,0.2"],
+     {"p_db": (0.0, 10.0), "deltas": (0.01, 0.2)}, "exactly one delta"),
+    (["diversity", "--delta", "0.1,0.2"], {"deltas": (0.1, 0.2)}, "exactly one delta"),
+    (["minrate", "--variances", "1,0.5,0.2"], {"variances": (1.0, 0.5, 0.2)},
+     "exactly two receivers"),
+    (["outage", "--variances", "1"], {"variances": (1.0,)}, "exactly two receivers"),
+    (["kuser", "--variances", "1"], {"variances": (1.0,)}, "at least two receivers"),
+    (["minrate", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
+    (["rateloss", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
+    (["outageloss", "--delta-policy", "min02-pcube"], {"delta_policy": "min02-pcube"},
+     "delta policy"),
+    (["kuser", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
+    (["outage", "--r-th", "600"], {"r_th": 600.0}, "r_th below 512"),
+    (["outage", "--r-th", "512"], {"r_th": 512.0}, "r_th below 512"),
+    (["outageloss", "--r-th", "1100"], {"r_th": 1100.0}, "r_th below 1024"),
+    (["diversity", "--r-th", "1024"], {"r_th": 1024.0}, "r_th below 1024"),
+    (["minrate", "--p-db", "inf"], {"p_db": (math.inf,)}, "finite"),
+    (["minrate", "--p-db", "0,nan"], {"p_db": (0.0, math.nan)}, "finite"),
+    (["minrate", "--variances", "inf,1"], {"variances": (math.inf, 1.0)}, "finite"),
+    (["outage", "--r-th", "inf"], {"r_th": math.inf}, "finite"),
+    (["kuser", "--eps", "nan"], {"eps": math.nan}, "finite"),
+]
+RULE_IDS = [" ".join(argv) for argv, _, _ in KIND_RULES]
+PROGRESS = re.compile(r"^\w+ (p_db|delta)=", re.M)
+
+
+class TestKindRules:
+    @pytest.mark.parametrize("argv, fields, message", KIND_RULES, ids=RULE_IDS)
+    def test_config_raises(self, argv, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind=argv[0], **fields)
+
+    def assert_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+        assert "usage:" in captured.err and message in captured.err
+        assert "Traceback" not in captured.err and not PROGRESS.search(captured.err)
+
+    @pytest.mark.parametrize("argv, fields, message", KIND_RULES, ids=RULE_IDS)
+    def test_flags_are_a_usage_error(self, argv, fields, message, capsys):
+        self.assert_usage_error(argv, message, capsys)
+
+    @pytest.mark.parametrize("argv, fields, message", KIND_RULES, ids=RULE_IDS)
+    def test_config_file_is_a_usage_error(self, argv, fields, message, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(fields))  # JSON's Infinity and NaN
+        self.assert_usage_error([argv[0], "--config", str(path)], message, capsys)
+
+    def test_every_valid_kind_still_runs(self, capsys):
+        # the shape each rule allows: one p_db for a delta sweep, one delta
+        # for a single-curve p_db sweep, a policy where a kind takes one
+        for argv in (["rateloss", "--delta", "0.1,0.2"], ["outageloss", "--p-db", "0,10"],
+                     ["feedback", "--delta-policy", "pcube", "--p-db", "10,20"],
+                     ["diversity", "--delta-policy", "pcube", "--p-db", "10,20"],
+                     ["outage", "--r-th", "511"]):
+            assert cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"]) == 0
+        assert PROGRESS.search(capsys.readouterr().err)
 
 
 class TestParseSweepProperties:
@@ -156,9 +244,10 @@ class TestParseSweepProperties:
 
 @st.composite
 def configs(draw):
+    """Any config ExperimentConfig accepts; the shapes a kind rejects are dropped."""
     kind = draw(st.sampled_from(KINDS))
     variances = draw(st.lists(positive, min_size=2, max_size=5 if kind == "kuser" else 2))
-    return ExperimentConfig(
+    fields = dict(
         kind=kind,
         variances=tuple(sorted(variances, reverse=True)),
         p_db=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
@@ -173,6 +262,10 @@ def configs(draw):
         seed=draw(st.integers(0, 2**70)),
         workers=draw(st.integers(0, 64)),
     )
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError:
+        assume(False)
 
 
 class TestRenderArgsProperties:
@@ -369,11 +462,14 @@ class TestOutputFormats:
         assert "error:" in err
 
     def test_driver_error_exits_1(self, capsys):
-        argv = ["outageloss", "--p-db", "0,10", "--delta", "0.01,0.2", "--trials", "2000"]
+        # a run error depends on the sampled data: here the largest gain sets
+        # how many bisection steps eps would take
+        argv = ["kuser", "--eps", "1e-30", "--trials", "2000"]
         code, out, err = self.run_main(argv, capsys)
         assert code == 1
         assert out == ""
-        assert "error:" in err
+        assert err.startswith("error: bisection would need ") and "(cap 64)" in err
+        assert "usage:" not in err
 
     def test_cap_note_on_stderr(self, capsys):
         argv = ["outage", "--p-db", "40", "--delta", "0.2", "--min-outage-events", "1e6",

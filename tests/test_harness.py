@@ -95,21 +95,14 @@ class TestWorkerResolution:
 
 
 class TestPolicyDelta:
-    def test_fixed(self):
-        assert harness.policy_delta("fixed", 0.07, 1000.0) == 0.07
-
     def test_power_law(self):
-        assert_allclose(harness.policy_delta("pcube", 0.2, 1000.0), 0.1, rtol=1e-12)
-        assert_allclose(harness.policy_delta("pcube", 0.2, 8.0), 0.5, rtol=1e-12)
+        assert_allclose(harness.policy_delta("pcube", 1000.0), 0.1, rtol=1e-12)
+        assert_allclose(harness.policy_delta("pcube", 8.0), 0.5, rtol=1e-12)
 
     def test_capped_power_law(self):
-        assert harness.policy_delta("min02-pcube", 0.2, 1.0) == 0.2
-        assert harness.policy_delta("min02-pcube", 0.2, 125.0) == pytest.approx(0.2)
-        assert_allclose(harness.policy_delta("min02-pcube", 0.2, 1000.0), 0.1, rtol=1e-12)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            harness.policy_delta("square", 0.2, 10.0)
+        assert harness.policy_delta("min02-pcube", 1.0) == 0.2
+        assert harness.policy_delta("min02-pcube", 125.0) == pytest.approx(0.2)
+        assert_allclose(harness.policy_delta("min02-pcube", 1000.0), 0.1, rtol=1e-12)
 
 
 class TestConfigValidation:
@@ -303,9 +296,8 @@ class TestMinRateExamples:
             assert coarse > tdma
 
     def test_minrate_rejects_policy(self):
-        cfg = harness.ExperimentConfig(kind="minrate", delta_policy="pcube", trials=1000)
         with pytest.raises(ValueError):
-            harness.run_min_rate(cfg)
+            harness.ExperimentConfig(kind="minrate", delta_policy="pcube", trials=1000)
 
 
 class TestRateLossExamples:
@@ -329,9 +321,8 @@ class TestRateLossExamples:
         assert by[0.18]["r_qr"].value < by[0.18]["r_tdma"].value
 
     def test_rejects_power_sweep(self):
-        cfg = harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
         with pytest.raises(ValueError):
-            harness.run_rate_loss(cfg)
+            harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
 
 
 class TestOutageExamples:
@@ -385,10 +376,9 @@ class TestOutageLossExamples:
                             by[d]["out_qo"].value - by[d]["out_full"].value, rtol=1e-9)
 
     def test_rejects_double_sweep(self):
-        cfg = harness.ExperimentConfig(kind="outageloss", p_db=(0.0, 10.0),
-                                       deltas=(0.01, 0.2), trials=1000)
         with pytest.raises(ValueError):
-            harness.run_outage_loss(cfg)
+            harness.ExperimentConfig(kind="outageloss", p_db=(0.0, 10.0),
+                                     deltas=(0.01, 0.2), trials=1000)
 
 
 class TestFeedbackExamples:
@@ -465,14 +455,11 @@ class TestKUser:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            harness.run_k_user(harness.ExperimentConfig(
-                kind="kuser", p_db=(0.0, 10.0), trials=1000))
+            harness.ExperimentConfig(kind="kuser", p_db=(0.0, 10.0), trials=1000)
         with pytest.raises(ValueError):
-            harness.run_k_user(harness.ExperimentConfig(
-                kind="kuser", variances=(1.0,), trials=1000))
+            harness.ExperimentConfig(kind="kuser", variances=(1.0,), trials=1000)
         with pytest.raises(ValueError):
-            harness.run_k_user(harness.ExperimentConfig(
-                kind="kuser", delta_policy="pcube", trials=1000))
+            harness.ExperimentConfig(kind="kuser", delta_policy="pcube", trials=1000)
 
 
 class TestDriverGuards:
@@ -484,12 +471,9 @@ class TestDriverGuards:
             harness.run_rate_loss(cfg)
 
     def test_two_user_drivers_need_two_receivers(self):
-        cfg = harness.ExperimentConfig(kind="minrate", variances=(1.0, 0.5, 0.25),
-                                       trials=1000)
         with pytest.raises(ValueError):
-            harness.run_min_rate(cfg)
+            harness.ExperimentConfig(kind="minrate", variances=(1.0, 0.5, 0.25), trials=1000)
 
     def test_diversity_needs_single_delta(self):
-        cfg = harness.ExperimentConfig(kind="diversity", deltas=(0.1, 0.2), trials=1000)
         with pytest.raises(ValueError):
-            harness.run_diversity(cfg)
+            harness.ExperimentConfig(kind="diversity", deltas=(0.1, 0.2), trials=1000)

@@ -37,3 +37,20 @@ def test_every_top_level_definition_has_a_caller():
             if not used and (module, node.name) not in ENTRY_POINTS:
                 uncalled.append("%s.%s" % (module, node.name))
     assert uncalled == []
+
+
+def test_drivers_leave_config_rules_to_the_config():
+    # ExperimentConfig holds every rule a config must keep, so a bad config
+    # fails before any work starts. A driver raises nothing itself, and the
+    # sweep loop raises only when handed a config of another kind.
+    tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    drivers = [name for name in funcs if name.startswith("run_")]
+    assert "run_min_rate" in drivers and "run_k_user" in drivers
+    for name in drivers:
+        raises = [n for n in ast.walk(funcs[name]) if isinstance(n, ast.Raise)]
+        assert raises == [], "%s raises at line %d" % (name, raises[0].lineno)
+    guards = [ast.unparse(n.test) for n in ast.walk(funcs["_sweep"])
+              if isinstance(n, ast.If) and any(isinstance(b, ast.Raise) for b in n.body)]
+    raises = [n for n in ast.walk(funcs["_sweep"]) if isinstance(n, ast.Raise)]
+    assert guards == ["cfg.kind != kind"] and len(raises) == 1
