@@ -10,8 +10,6 @@ from .alloc import (
     two_user_rates,
 )
 from .quantizer import (
-    OUTAGE,
-    RATE,
     default_t_outage,
     default_t_rate,
     fle_bits,

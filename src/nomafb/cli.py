@@ -18,6 +18,7 @@ import time
 
 from .harness import (
     EXPERIMENTS,
+    MAX_RECEIVERS,
     POLICIES,
     WORKERS_ENV,
     ExperimentConfig,
@@ -187,6 +188,8 @@ def parse_config(argv=None):
     values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
     k = values.pop("k", K_DEFAULT)
     if EXPERIMENTS[ns.kind].k_user and "variances" not in values:
+        if k > MAX_RECEIVERS:
+            parser.error("--k %d: kuser needs 2 to %d receivers" % (k, MAX_RECEIVERS))
         values["variances"] = tuple(1.0 / (i + 1) for i in range(k))
     try:
         cfg = ExperimentConfig(kind=ns.kind, **values)

@@ -9,7 +9,6 @@ event target, which is again a property of the ordered chunks alone.
 """
 
 import contextlib
-import itertools
 import math
 import os
 from collections import namedtuple
@@ -22,8 +21,6 @@ from . import alloc
 from .channel import CHUNK, ChannelParams, sample_block
 from .evaluator import rate_loss_bound
 from .quantizer import (
-    OUTAGE,
-    RATE,
     default_t_outage,
     default_t_rate,
     fle_bits,
@@ -37,6 +34,10 @@ WORKERS_ENV = "NOMAFB_WORKERS"
 # More threads cannot run at once; in an adaptive scan they only widen the
 # waves that run past the stopping point.
 MAX_WORKERS_PER_CPU = 4
+# Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
+P_DB_MAX = 1000.0
+# Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 128 MB RSS.
+MAX_RECEIVERS = 64
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,15 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENTS:
             raise ValueError("unknown experiment kind %r" % (self.kind,))
         exp = EXPERIMENTS[self.kind]
-        if not all(map(math.isfinite, self.p_db)):
-            raise ValueError("p_db must be finite")
+        rx = len(self.variances)
+        if not 2 <= rx <= (MAX_RECEIVERS if exp.k_user else 2):
+            raise ValueError("%s needs %s receivers, got %d" % (
+                self.kind, "2 to %d" % MAX_RECEIVERS if exp.k_user else "exactly two", rx))
+        if not all(abs(v) <= P_DB_MAX for v in self.p_db):  # NaN fails too
+            raise ValueError("every p_db must be finite and within +-%g dB" % P_DB_MAX)
         for name in ("variances", "r_th", "eps"):
             if not all(0 < v < math.inf for v in np.atleast_1d(getattr(self, name))):
                 raise ValueError("%s must be positive and finite" % name)
-        rx = len(self.variances)
-        if rx < 2 or (rx > 2 and not exp.k_user):
-            raise ValueError("%s needs %s two receivers, got %d"
-                             % (self.kind, "at least" if exp.k_user else "exactly", rx))
         if any(a < b for a, b in zip(self.variances, self.variances[1:])):
             raise ValueError("variances must be nonincreasing (receiver 1 strongest)")
         if len(self.p_db) == 0:
@@ -91,6 +92,16 @@ class ExperimentConfig:
                 raise ValueError("%s must be at least 1" % name)
         if self.seed < 0 or self.workers < 0:
             raise ValueError("seed and workers must be nonnegative")
+        lam1 = self.variances[0]
+        for value, _, deltas in self.points:
+            for d in deltas:
+                # T = lambda1*ln(1/delta)/delta; levels from 2^53 on are not exact
+                if 0 < d < 1 and lam1 / d * -math.log(d) < 2.0**53:
+                    continue
+                what = ("delta=%g" % d if d in self.deltas
+                        else "%s gives delta=%g at p_db=%g" % (self.policy, d, value))
+                raise ValueError(what + (", which needs 2^53 or more bins at lambda1=%g" % lam1
+                                         if 0 < d < 1 else ", outside (0, 1)"))
 
     @property
     def sweep(self):
@@ -98,7 +109,33 @@ class ExperimentConfig:
         axis = EXPERIMENTS[self.kind].axis
         if axis == "either":
             axis = "p_db" if len(self.p_db) > 1 else "delta"
-        return "p_db" if self.delta_policy != "fixed" else axis
+        return "p_db" if self.policy != "fixed" else axis
+
+    @property
+    def policy(self):
+        """The bin-size rule of a p_db sweep; diversity, which always adds a
+        policy curve, defaults to min02-pcube."""
+        if self.kind == "diversity" and self.delta_policy == "fixed":
+            return "min02-pcube"
+        return self.delta_policy
+
+    @property
+    def points(self):
+        """(sweep value, linear power p, bin sizes) of each sweep point. A
+        delta sweep runs each delta at the one p_db; a p_db sweep runs the
+        fixed deltas, or the bin the policy gives at that power (diversity
+        runs its fixed delta and that bin)."""
+        points = []
+        for pdb in self.p_db:
+            p = 10.0 ** (pdb / 10.0)
+            if self.sweep == "delta":
+                points += [(d, p, (d,)) for d in self.deltas]
+            elif self.policy == "fixed":
+                points.append((pdb, p, self.deltas))
+            else:
+                fixed = self.deltas if self.kind == "diversity" else ()
+                points.append((pdb, p, fixed + (policy_delta(self.policy, p),)))
+        return points
 
 
 @dataclass(frozen=True)
@@ -274,8 +311,9 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
 VLE_MIN = {"vle_min": ("vle_rx1", "vle_rx2")}
 
 
-def _full_csi_snr(h1, h2, p):
-    return alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p)
+def _full_csi_outage(h1, h2, p, beta):
+    """Outage event of full-CSI max-min NOMA: its SIC SNR falls below beta."""
+    return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
 
 
 def _quantized_outage(h1, h2, d, t, p, beta):
@@ -296,9 +334,8 @@ def _quantized_min_rate(q1, q2, p):
 
 def run_min_rate(cfg, progress=None):
     def scans():
-        dts = [(d, default_t_rate(d, cfg.variances[0])) for d in cfg.deltas]
-        for pdb in cfg.p_db:
-            p = 10.0 ** (pdb / 10.0)
+        for value, p, deltas in cfg.points:
+            dts = [(d, default_t_rate(d, cfg.variances[0])) for d in deltas]
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
@@ -308,7 +345,7 @@ def run_min_rate(cfg, progress=None):
                     yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
                         rate_levels(h1, d, t) * d, rate_levels(h2, d, t) * d, p)
 
-            yield kernel, [(pdb, {})]
+            yield kernel, [(value, {})]
 
     return _sweep(cfg, "minrate", scans(), progress)
 
@@ -317,8 +354,9 @@ def run_rate_loss(cfg, progress=None):
     # One scan serves every delta: each block is sampled once.
     def scans():
         lam1, lam2 = cfg.variances
-        p = 10.0 ** (cfg.p_db[0] / 10.0)
-        dts = [(d, default_t_rate(d, lam1)) for d in cfg.deltas]
+        points = cfg.points
+        _, p, _ = points[0]
+        dts = [(d, default_t_rate(d, lam1)) for _, _, (d,) in points]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -343,40 +381,32 @@ def run_outage(cfg, progress=None):
         lam1 = cfg.variances[0]
         beta = 2.0**cfg.r_th - 1.0
         beta_tdma = 2.0 ** (2.0 * cfg.r_th) - 1.0
-        policy = cfg.delta_policy
-        for pdb in cfg.p_db:
-            p = 10.0 ** (pdb / 10.0)
-            if policy == "fixed":
-                dts = [("out_qo[delta=%s]" % _fmt(d), d, default_t_outage(d, lam1))
-                       for d in cfg.deltas]
-            else:
-                d = policy_delta(policy, p)
-                dts = [("out_qo[policy=%s]" % policy, d, default_t_outage(d, lam1))]
+        for value, p, deltas in cfg.points:
+            dts = [("out_qo[delta=%s]" % _fmt(d) if cfg.policy == "fixed"
+                    else "out_qo[policy=%s]" % cfg.policy, d, default_t_outage(d, lam1))
+                   for d in deltas]
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
-                yield "out_full", p * _full_csi_snr(h1, h2, p) < beta
+                yield "out_full", _full_csi_outage(h1, h2, p, beta)
                 yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
                 for label, d, t in dts:
                     yield label, _quantized_outage(h1, h2, d, t, p, beta)[0]
 
-            yield kernel, [(pdb, {})]
+            yield kernel, [(value, {})]
 
     return _sweep(cfg, "outage", scans(), progress, events=("out_full",))
 
 
 def run_outage_loss(cfg, progress=None):
-    by_p = cfg.sweep == "p_db"
-
     def scans():
         beta = 2.0**cfg.r_th - 1.0
-        for pdb, d in itertools.product(cfg.p_db, cfg.deltas):  # one of them is one value
-            p = 10.0 ** (pdb / 10.0)
+        for value, p, (d,) in cfg.points:
             t = default_t_outage(d, cfg.variances[0])
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
-                out_full = p * _full_csi_snr(h1, h2, p) < beta
+                out_full = _full_csi_outage(h1, h2, p, beta)
                 m1, m2 = outage_levels(h1, d, t), outage_levels(h2, d, t)
                 out_qo = alloc.outage_conditions(h1, h2, m1 * d, m2 * d, p, beta)[0]
                 yield from (("out_full", out_full), ("out_qo", out_qo),
@@ -384,53 +414,41 @@ def run_outage_loss(cfg, progress=None):
                 yield "vle_rx1", vle_lengths(m1)
                 yield "vle_rx2", vle_lengths(m2)
 
-            yield kernel, [(pdb if by_p else d, {"sqrt_delta": math.sqrt(d)})]
+            yield kernel, [(value, {"sqrt_delta": math.sqrt(d)})]
 
     return _sweep(cfg, "outageloss", scans(), progress, mins=VLE_MIN)
 
 
 def run_feedback_rate(cfg, progress=None):
-    by_policy = cfg.sweep == "p_db"
-
     def scans():
         lam1 = cfg.variances[0]
-        for value in cfg.p_db if by_policy else cfg.deltas:
-            if by_policy:
-                # the adaptive-bin-size story is an outage design, so use q_o bins
-                d = policy_delta(cfg.delta_policy, 10.0 ** (value / 10.0))
-                t = default_t_outage(d, lam1)
-                level_fn, flavor = outage_levels, OUTAGE
-            else:
-                d = value
-                t = default_t_rate(d, lam1)
-                level_fn, flavor = rate_levels, RATE
+        fixed = cfg.policy == "fixed"
+        # the adaptive-bin-size story is an outage design, so use q_o bins (1..t+1)
+        level_fn, default_t, top = ((rate_levels, default_t_rate, 0) if fixed
+                                    else (outage_levels, default_t_outage, 1))
+        for value, _, (d,) in cfg.points:
+            t = default_t(d, lam1)
 
             def kernel(block):
                 yield "vle_rx1", vle_lengths(level_fn(block[:, 0], d, t))
                 yield "vle_rx2", vle_lengths(level_fn(block[:, 1], d, t))
 
-            constants = {"fle_bits": fle_bits(t, flavor), "t_bins": t}
-            if by_policy:
+            constants = {"fle_bits": fle_bits(t + top), "t_bins": t}
+            if not fixed:
                 constants["delta_used"] = d
             yield kernel, [(value, constants)]
 
     return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN)
 
 
-def estimate_diversity(curve, window=None):
-    """Least-squares slope of -log10(prob) against log10(P) over a dB window.
+def estimate_diversity(curve):
+    """Least-squares slope of -log10(prob) against log10(P) over the top 10 dB.
 
-    curve is a sequence of (p_db, probability) pairs; window a (lo, hi) pair
-    in dB, defaulting to the top 10 dB of the sweep.
+    curve is a sequence of (p_db, probability) pairs.
     """
     pts = [(float(a), float(b)) for a, b in curve]
-    if not pts:
-        raise ValueError("curve is empty")
-    if window is None:
-        hi = max(a for a, _ in pts)
-        window = (hi - 10.0, hi)
-    lo, hi = window
-    sel = [(a, b) for a, b in pts if lo - 1e-9 <= a <= hi + 1e-9]
+    hi = max((a for a, _ in pts), default=math.inf)
+    sel = [(a, b) for a, b in pts if a >= hi - 10.0 - 1e-9]
     if len(sel) < 3:
         raise ValueError("need at least 3 points in the window, got %d" % len(sel))
     if any(b <= 0 for _, b in sel):
@@ -442,11 +460,10 @@ def estimate_diversity(curve, window=None):
 
 def run_diversity(cfg, progress=None):
     d_fix = cfg.deltas[0]
-    policy = cfg.delta_policy if cfg.delta_policy != "fixed" else "min02-pcube"
     names = (
         "out_full",
         "out_qo_fixed[delta=%s]" % _fmt(d_fix),
-        "out_qo_policy[%s]" % policy,
+        "out_qo_policy[%s]" % cfg.policy,
         "out_rx1_fixed[delta=%s]" % _fmt(d_fix),
         "out_rx2_fixed[delta=%s]" % _fmt(d_fix),
     )
@@ -454,20 +471,17 @@ def run_diversity(cfg, progress=None):
     def scans():
         lam1 = cfg.variances[0]
         beta = 2.0**cfg.r_th - 1.0
-        t_fix = default_t_outage(d_fix, lam1)
-        for pdb in cfg.p_db:
-            p = 10.0 ** (pdb / 10.0)
-            d_pol = policy_delta(policy, p)
-            t_pol = default_t_outage(d_pol, lam1)
+        for value, p, (d_fix, d_pol) in cfg.points:
+            t_fix, t_pol = default_t_outage(d_fix, lam1), default_t_outage(d_pol, lam1)
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
                 fixed = _quantized_outage(h1, h2, d_fix, t_fix, p, beta)
                 sys_pol = _quantized_outage(h1, h2, d_pol, t_pol, p, beta)[0]
-                yield from zip(names, (p * _full_csi_snr(h1, h2, p) < beta, fixed[0], sys_pol,
+                yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], sys_pol,
                                        fixed[1], fixed[2]))
 
-            yield kernel, [(pdb, {})]
+            yield kernel, [(value, {})]
 
     stats = _sweep(cfg, "diversity", scans(), progress, events=names)
     last = float(max(cfg.p_db))
@@ -489,8 +503,7 @@ def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
     def scans():
-        p = 10.0 ** (cfg.p_db[0] / 10.0)
-        for d in cfg.deltas:
+        for value, p, (d,) in cfg.points:
             t_r = [default_t_rate(d, lam) for lam in cfg.variances]
             t_o = [default_t_outage(d, lam) for lam in cfg.variances]
 
@@ -525,7 +538,7 @@ def run_k_user(cfg, progress=None):
                 yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
                             ("out_qo", out_q), ("outage_loss", out_q & ~out_full))
 
-            yield kernel, [(d, {})]
+            yield kernel, [(value, {})]
 
     # Only the lowest receiver's feedback cost of each quantizer is reported.
     per_rx = {"vle_%s_min" % q: tuple("vle_%s%d" % (q, i) for i in range(k)) for q in "ro"}

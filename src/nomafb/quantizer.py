@@ -11,10 +11,6 @@ import math
 
 import numpy as np
 
-RATE = "rate"
-OUTAGE = "outage"
-
-
 def rate_levels(x, delta, t):
     """Bin indices under the lower-edge quantizer, saturating at t.
 
@@ -99,12 +95,8 @@ def vle_decode(bits):
     return int(bits, 2) + (1 << len(bits)) - 2
 
 
-def fle_bits(t, flavor):
-    """Fixed-length cost: ceil(log2(#levels)) for t+1 rate or t+2 outage levels."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if flavor == RATE:
-        return int(t).bit_length()
-    if flavor == OUTAGE:
-        return (int(t) + 1).bit_length()
-    raise ValueError("flavor must be %r or %r" % (RATE, OUTAGE))
+def fle_bits(top):
+    """Fixed-length cost: the bits that index levels 0..top, ceil(log2(top + 1))."""
+    if top < 1:
+        raise ValueError("top must be at least 1")
+    return int(top).bit_length()

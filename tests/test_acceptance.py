@@ -236,8 +236,8 @@ def test_criterion_07_diversity_orders():
     events = {pdb: round(m.value * m.n) for pdb, m in curves["out_full"].items()}
 
     def slope_20_30(name):
-        curve = [(pdb, m.value) for pdb, m in sorted(curves[name].items())]
-        return harness.estimate_diversity(curve, window=(20.0, 30.0))
+        curve = [(pdb, m.value) for pdb, m in sorted(curves[name].items()) if pdb <= 30.0]
+        return harness.estimate_diversity(curve)
 
     full_low = slope_20_30("out_full")
     policy_low = slope_20_30("out_qo_policy[min02-pcube]")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import nomafb
 from nomafb import cli
-from nomafb.harness import KINDS, POLICIES, ExperimentConfig, RunStats
+from nomafb.harness import EXPERIMENTS, KINDS, P_DB_MAX, POLICIES, ExperimentConfig, RunStats
 
 # Derandomized, with no example database, so every run checks the same draws.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -170,7 +170,7 @@ KIND_RULES = [
     (["minrate", "--variances", "1,0.5,0.2"], {"variances": (1.0, 0.5, 0.2)},
      "exactly two receivers"),
     (["outage", "--variances", "1"], {"variances": (1.0,)}, "exactly two receivers"),
-    (["kuser", "--variances", "1"], {"variances": (1.0,)}, "at least two receivers"),
+    (["kuser", "--variances", "1"], {"variances": (1.0,)}, "2 to 64 receivers"),
     (["minrate", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
     (["rateloss", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
     (["outageloss", "--delta-policy", "min02-pcube"], {"delta_policy": "min02-pcube"},
@@ -185,6 +185,24 @@ KIND_RULES = [
     (["minrate", "--variances", "inf,1"], {"variances": (math.inf, 1.0)}, "finite"),
     (["outage", "--r-th", "inf"], {"r_th": math.inf}, "finite"),
     (["kuser", "--eps", "nan"], {"eps": math.nan}, "finite"),
+    (["minrate", "--p-db", "4000"], {"p_db": (4000.0,)}, "within +-1000 dB"),
+    (["minrate", "--p-db=-4000"], {"p_db": (-4000.0,)}, "within +-1000 dB"),
+    (["kuser", "--k", "1e9"], {"variances": (1.0,) * 65}, "2 to 64 receivers"),
+    # a policy bin must lie in (0, 1): pcube gives 1 or more at P <= 1
+    (["outage", "--delta-policy", "pcube", "--p-db", "0,10"],
+     {"delta_policy": "pcube", "p_db": (0.0, 10.0)}, "pcube gives delta=1 at p_db=0"),
+    (["feedback", "--delta-policy", "pcube", "--p-db", "10,0"],
+     {"delta_policy": "pcube", "p_db": (10.0, 0.0)}, "pcube gives delta=1 at p_db=0"),
+    (["diversity", "--delta-policy", "pcube", "--p-db=-10:10:2"],
+     {"delta_policy": "pcube", "p_db": tuple(float(v) for v in range(-10, 11, 2))},
+     "outside (0, 1)"),
+    (["outage", "--delta-policy", "pcube", "--p-db", "1e-300"],
+     {"delta_policy": "pcube", "p_db": (1e-300,)}, "pcube gives delta=1 "),
+    # fewer than 2^53 bins, through a small delta, a large mean gain or a policy
+    (["rateloss", "--delta", "1e-16"], {"deltas": (1e-16,)}, "2^53"),
+    (["minrate", "--variances", "1e308,1"], {"variances": (1e308, 1.0)}, "2^53"),
+    (["feedback", "--delta-policy", "pcube", "--p-db", "1000"],
+     {"delta_policy": "pcube", "p_db": (1000.0,)}, "2^53"),
 ]
 RULE_IDS = [" ".join(argv) for argv, _, _ in KIND_RULES]
 PROGRESS = re.compile(r"^\w+ (p_db|delta)=", re.M)
@@ -193,7 +211,7 @@ PROGRESS = re.compile(r"^\w+ (p_db|delta)=", re.M)
 class TestKindRules:
     @pytest.mark.parametrize("argv, fields, message", KIND_RULES, ids=RULE_IDS)
     def test_config_raises(self, argv, fields, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(kind=argv[0], **fields)
 
     def assert_usage_error(self, argv, message, capsys):
@@ -221,9 +239,34 @@ class TestKindRules:
         for argv in (["rateloss", "--delta", "0.1,0.2"], ["outageloss", "--p-db", "0,10"],
                      ["feedback", "--delta-policy", "pcube", "--p-db", "10,20"],
                      ["diversity", "--delta-policy", "pcube", "--p-db", "10,20"],
-                     ["outage", "--r-th", "511"]):
+                     ["outage", "--r-th", "511"], ["rateloss", "--delta", "1e-14"],
+                     ["feedback", "--delta-policy", "pcube", "--p-db", "300"]):
             assert cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"]) == 0
         assert PROGRESS.search(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_runs_at_the_power_limits(self, kind, capsys):
+        # with fixed bins, and with RuntimeWarnings as errors; diversity's
+        # min02-pcube bin reaches 2^53 bins near 433 dB, so it stops at 400
+        top = 400.0 if kind == "diversity" else P_DB_MAX
+        for p_db in (-P_DB_MAX, top):
+            argv = [kind, "--p-db=%r" % p_db, "--trials", "1000", "--trial-cap", "1000"]
+            assert cli.main(argv + (["--delta", "0.2"] if kind == "diversity" else [])) == 0
+        capsys.readouterr()
+
+    def test_huge_k_is_rejected_before_variances_are_built(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"k": 10**9}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["kuser", "--config", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2
+        assert "2 to 64 receivers" in capsys.readouterr().err
+        assert peak < 10 << 20  # 10^9 variances would take gigabytes
 
 
 class TestParseSweepProperties:
@@ -244,16 +287,23 @@ class TestParseSweepProperties:
 
 @st.composite
 def configs(draw):
-    """Any config ExperimentConfig accepts; the shapes a kind rejects are dropped."""
+    """Any config ExperimentConfig accepts; the shapes a kind rejects are dropped.
+
+    Only kinds that take a delta policy draw one. Mean gains and deltas lean
+    on typical values, since most of their float range needs 2^53 bins or
+    more; one_of keeps the whole range.
+    """
     kind = draw(st.sampled_from(KINDS))
-    variances = draw(st.lists(positive, min_size=2, max_size=5 if kind == "kuser" else 2))
+    variances = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), positive),
+                              min_size=2, max_size=5 if kind == "kuser" else 2))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
     fields = dict(
         kind=kind,
         variances=tuple(sorted(variances, reverse=True)),
-        p_db=tuple(draw(st.lists(finite, min_size=1, max_size=4))),
-        deltas=tuple(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        p_db=tuple(draw(st.lists(st.floats(-P_DB_MAX, P_DB_MAX), min_size=1, max_size=4))),
+        deltas=tuple(draw(st.lists(st.one_of(st.floats(1e-3, 0.999), unit),
                                    min_size=1, max_size=4))),
-        delta_policy=draw(st.sampled_from(POLICIES)),
+        delta_policy=draw(st.sampled_from(POLICIES if EXPERIMENTS[kind].policy else ("fixed",))),
         r_th=draw(positive),
         eps=draw(positive),
         trials=draw(st.integers(1, 2**70)),
@@ -374,7 +424,7 @@ class TestRoundTrip:
     def test_render_then_parse_is_identity(self):
         configs = [
             ExperimentConfig(kind="minrate", p_db=(0.0, 10.0), deltas=(0.05,), trials=123),
-            ExperimentConfig(kind="outage", p_db=(-10.0, 40.0), delta_policy="pcube",
+            ExperimentConfig(kind="outage", p_db=(10.0, 40.0), delta_policy="pcube",
                              min_outage_events=77, trial_cap=10**6),
             ExperimentConfig(kind="kuser", variances=(1.0, 0.5, 1.0 / 3.0), p_db=(10.0,),
                              deltas=(0.05, 0.2), eps=1e-6, seed=11, workers=2),

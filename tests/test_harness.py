@@ -255,7 +255,7 @@ class TestEstimateDiversity:
         # steep tail above 20 dB, shallow start: the window must isolate the tail
         curve = [(0.0, 0.5), (10.0, 0.2), (20.0, 0.1), (25.0, 0.01),
                  (30.0, 0.001), (35.0, 0.0001)]
-        slope = harness.estimate_diversity(curve, window=(20.0, 35.0))
+        slope = harness.estimate_diversity([pt for pt in curve if pt[0] >= 20.0])
         assert abs(slope - 2.0) < 1e-9
 
     def test_default_window_is_top_ten_db(self):
@@ -275,7 +275,7 @@ class TestEstimateDiversity:
 
     def test_ignores_dead_points_outside_window(self):
         curve = [(0.0, 0.0)] + [(pdb, 10.0 ** (-pdb / 10.0)) for pdb in (20, 25, 30)]
-        assert abs(harness.estimate_diversity(curve, window=(20.0, 30.0)) - 1.0) < 1e-9
+        assert abs(harness.estimate_diversity(curve) - 1.0) < 1e-9
 
 
 class TestMinRateExamples:

@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 
 from conftest import enumerate_binary_strings, vle_mean_analytic, vle_rate_bound
 from nomafb import quantizer
+from nomafb.harness import ExperimentConfig
 
 
 class TestRateLevels:
@@ -146,6 +147,19 @@ class TestDefaultBinCounts:
         for delta in rng.uniform(0.002, 0.9, 50):
             assert quantizer.default_t_outage(delta) <= quantizer.default_t_rate(delta)
 
+    def test_levels_keep_their_side_at_the_finest_accepted_bins(self):
+        # ExperimentConfig refuses bins whose count reaches 2^53, where levels
+        # stop being exact floats: 1e-15 at lambda1 = 1, but not 1e-14.
+        delta = 1e-14
+        ExperimentConfig(kind="rateloss", deltas=(delta,))
+        with pytest.raises(ValueError, match="2\\^53"):
+            ExperimentConfig(kind="rateloss", deltas=(1e-15,))
+        x = np.random.default_rng(211).exponential(1.0, 200_000)
+        n = quantizer.rate_levels(x, delta, quantizer.default_t_rate(delta))
+        m = quantizer.outage_levels(x, delta, quantizer.default_t_outage(delta))
+        assert np.all(n * delta <= x)
+        assert np.all(m * delta >= x)
+
     def test_rejects_delta_outside_unit_interval(self):
         for bad in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
@@ -252,26 +266,25 @@ class TestLevelBoundaryProperties:
 
 class TestFle:
     def test_reference_values(self):
-        assert quantizer.fle_bits(461, quantizer.RATE) == 9
-        assert quantizer.fle_bits(60, quantizer.RATE) == 6
-        assert quantizer.fle_bits(231, quantizer.OUTAGE) == 8
-        assert quantizer.fle_bits(30, quantizer.OUTAGE) == 5
+        # rate levels run 0..t; outage levels 1..t+1, so their top is t+1
+        assert quantizer.fle_bits(461) == 9
+        assert quantizer.fle_bits(60) == 6
+        assert quantizer.fle_bits(231 + 1) == 8
+        assert quantizer.fle_bits(30 + 1) == 5
 
     def test_minimal_outage_code(self):
         # levels {1, 2} still need 2 bits because 0 is reserved
-        assert quantizer.fle_bits(1, quantizer.OUTAGE) == 2
-        assert quantizer.fle_bits(1, quantizer.RATE) == 1
+        assert quantizer.fle_bits(1 + 1) == 2
+        assert quantizer.fle_bits(1) == 1
 
     def test_matches_ceil_log(self):
         for t in range(1, 1000):
-            assert quantizer.fle_bits(t, quantizer.RATE) == math.ceil(math.log2(t + 1))
-            assert quantizer.fle_bits(t, quantizer.OUTAGE) == math.ceil(math.log2(t + 2))
+            assert quantizer.fle_bits(t) == math.ceil(math.log2(t + 1))
+            assert quantizer.fle_bits(t + 1) == math.ceil(math.log2(t + 2))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            quantizer.fle_bits(0, quantizer.RATE)
-        with pytest.raises(ValueError):
-            quantizer.fle_bits(10, "other")
+            quantizer.fle_bits(0)
 
 
 class TestVleBound:

@@ -54,3 +54,24 @@ def test_drivers_leave_config_rules_to_the_config():
               if isinstance(n, ast.If) and any(isinstance(b, ast.Raise) for b in n.body)]
     raises = [n for n in ast.walk(funcs["_sweep"]) if isinstance(n, ast.Raise)]
     assert guards == ["cfg.kind != kind"] and len(raises) == 1
+
+
+def test_only_the_config_resolves_sweep_points():
+    # ExperimentConfig.points turns each p_db into a linear power and picks
+    # each point's bins, and __post_init__ checks them all before any work. A
+    # driver that did either itself could run a point the config never saw.
+    trees = [ast.parse(path.read_text()) for path in Path(nomafb.__file__).parent.glob("*.py")]
+    config = next(node for tree in trees for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    inside = {id(n) for n in ast.walk(config)}
+
+    def resolves(n):
+        # a policy_delta call, or 10 ** x: the dB conversion
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "policy_delta"
+                or isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                and isinstance(n.left, ast.Constant) and n.left.value == 10)
+
+    found = [n for tree in trees for n in ast.walk(tree) if resolves(n)]
+    assert len([n for n in found if id(n) in inside]) == 2
+    assert [ast.unparse(n) for n in found if id(n) not in inside] == []
