@@ -168,35 +168,104 @@ def _varpi_rows(r, pg_cols):
     return (x - 1.0) * _row_sum(terms)
 
 
+def _varpi_horner(y, inv_pg):
+    """varpi of rows at y = 2^r by Horner's rule, one power for all terms:
+    (y - 1) * (((c_0 y + c_1) y + ...) y + c_(K-1)), c_j = inv_pg[j] = 1/(p g_j).
+
+    Its last bits differ from _varpi_rows, which defines them; _horner_band
+    bounds by how much.
+    """
+    s = inv_pg[0]
+    for c in inv_pg[1:]:
+        s = s * y
+        s += c
+    return (y - 1.0) * s
+
+
+def _horner_band(k, top, pg_max):
+    """Half-width of the band around 1 outside which _varpi_horner and
+    _varpi_rows decide `varpi < 1` alike, for K receivers, rates r <= top and
+    every p g_j <= pg_max.
+
+    Let eps = 2^-52, u = eps/2, y = 2.0**r and d = y - 1 as both forms compute
+    them, and V = d * sum_j y^(K-1-j) / (p g_j) exactly. Each form is V times
+    (1 + e), |e| small:
+      - Horner: 1/(p g_j), then K-1 multiplications and K-1 additions of
+        positive numbers, then the product with d: 2K roundings, so
+        |e| <= 2K u = K eps to first order.
+      - _varpi_rows: for m = K-1-j >= 2, term j is 2.0**(r*m) / (p g_j).
+        Rounding r*m moves the exponent by at most r m u, a factor of
+        1 + ln2 top K u. pow errs by up to 4 ulp: numpy's float64 accuracy
+        tests allow its transcendental ufuncs up to 2 ulp
+        (_core/tests/data/umath-validation-set-*.csv) and list no pow, and
+        numpy may run its own SIMD pow, not libm's. So the power costs 4 eps,
+        and 2^(r m) differs from y^m by y's own error to the m-th power,
+        4 K eps. The division, the K-term sum of positive terms and the
+        product with d add (K + 1) u. In all, |e| <= (4.5 K + 0.35 K top + 4.5) eps.
+    The two together stay below (10 K + 0.35 K top) eps; the band,
+    16 K (1 + top) eps, is at least 1.6 times that, which leaves room for the
+    second-order terms. If Horner's value exceeds 1 + band, then
+    V > (1 + band)/(1 + e_h) and _varpi_rows gives V (1 + e_r) > 1; below
+    1 - band, likewise < 1.
+
+    This needs every p g_j <= 2^960: then every 1/(p g_j), term and partial
+    sum is a normal float, so the relative bounds hold, and a form that
+    overflows to +inf has V >= eps * 2^1024 / 2^960 > 1, so both call the row
+    infeasible. Past 2^960 the band is infinite and every row takes the
+    reference. The CLI's p <= 10^100 keeps p g far below that.
+    """
+    return 16.0 * k * (1.0 + top) * 2.0**-52 if pg_max <= 2.0**960 else math.inf
+
+
 def batch_max_min_rate(gains_desc, p, eps):
     """Bisection over rows: gains_desc is (n, K), descending along axis 1.
 
     Returns (r, iterations) with each r on the feasible (low) side of its
     bracket, within eps of the root.
+
+    Each step decides `varpi < 1` by _varpi_horner, and re-evaluates by
+    _varpi_rows every row whose Horner value lies within _horner_band of 1,
+    or is NaN. Outside the band both forms decide alike, and the brackets
+    depend on nothing but those decisions, so every rate is bit-identical to
+    a bisection that runs _varpi_rows on every row.
     """
     g = np.asarray(gains_desc, dtype=np.float64)
     if g.ndim != 2 or g.size == 0:
         raise ValueError("gains_desc must be a nonempty (n, K) array")
-    if np.any(g <= 0):
-        raise ValueError("gains must be positive")
-    _check_power(p)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    r_ub = np.log2(1.0 + p * g[:, -1])
+    if not (g.min() > 0 and g.max() < math.inf):  # np.min and np.max keep NaN
+        raise ValueError("gains must be positive and finite")
+    if not 0 < p < math.inf:
+        raise ValueError("p must be positive and finite")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    pg = np.ascontiguousarray((p * g).T)
+    r_ub = np.log2(1.0 + pg[-1])
     top = float(r_ub.max())
+    if top == math.inf:
+        raise ValueError("p * gains overflows float64")
     if top <= eps:
         return np.zeros(g.shape[0]), 0
     n_iter = math.ceil(math.log2(top / eps))
     if n_iter > ITERATION_CAP:
         raise RuntimeError("bisection would need %d iterations (cap %d)" % (n_iter, ITERATION_CAP))
-    pg_cols = list(np.ascontiguousarray((p * g).T))
+    band = _horner_band(g.shape[1], top, pg.max())
     lo = np.zeros(g.shape[0])
     hi = r_ub
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        feasible = (_varpi_rows(mid, pg_cols) < 1.0).astype(np.float64)
-        # 0 <= lo <= mid <= hi, so these maxima pick exactly what
-        # np.where(feasible, ...) would, at a fraction of its cost.
-        lo = np.maximum(lo, mid * feasible)
-        hi = np.maximum(mid, hi * feasible)
+    # A power or sum past the float64 range is +inf, varpi's correct
+    # "infeasible" verdict on a valid row, so it is no cause for a warning.
+    with np.errstate(over="ignore"):
+        inv_pg = 1.0 / pg
+        for _ in range(n_iter):
+            mid = 0.5 * (lo + hi)
+            v = _varpi_horner(2.0**mid, inv_pg)
+            dist = np.abs(v - 1.0)
+            # np.min keeps NaN, and `NaN > band` is False, so NaN rows fall back too
+            if not dist.min() > band:
+                near = ~(dist > band)
+                v[near] = _varpi_rows(mid[near], pg[:, near])
+            feasible = (v < 1.0).astype(np.float64)
+            # 0 <= lo <= mid <= hi, so these maxima pick exactly what
+            # np.where(feasible, ...) would, at a fraction of its cost.
+            lo = np.maximum(lo, mid * feasible)
+            hi = np.maximum(mid, hi * feasible)
     return lo, n_iter

@@ -276,6 +276,20 @@ class TestSolver:
             alloc.batch_max_min_rate(np.array([[1.0, -0.5]]), 10.0, eps=1e-4)
         with pytest.raises(ValueError):
             alloc.batch_max_min_rate(np.array([[1.0, 0.5]]), 10.0, eps=0.0)
+        # non-finite input fails with a ValueError that names it
+        ok = np.array([[1.0, 0.5]])
+        for gains in ([[1.0, 0.5], [np.nan, np.nan]], [[1.0, np.nan]], [[1.0, np.inf]],
+                      [[np.inf, 0.5]]):
+            with pytest.raises(ValueError, match="gains must be positive and finite"):
+                alloc.batch_max_min_rate(np.array(gains), 10.0, eps=1e-4)
+        for p in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                alloc.batch_max_min_rate(ok, p, eps=1e-4)
+        for eps in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                alloc.batch_max_min_rate(ok, 10.0, eps=eps)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            alloc.batch_max_min_rate(ok * 1e300, 1e300, eps=1e-4)
 
 
 def _parent_varpi_rows(r, gains_desc, p):
@@ -304,7 +318,7 @@ def _parent_batch_max_min_rate(g, p, eps):
 
 
 class TestBatchBitExact:
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", [*range(1, 11), 64])
     def test_matches_reference_bisection(self, k):
         rng = np.random.default_rng(600 + k)
         gains = 10.0 ** rng.uniform(-6.0, 3.0, (400, k))
@@ -312,14 +326,17 @@ class TestBatchBitExact:
         desc = np.sort(gains, axis=1)[:, ::-1]
         # The drivers pass negative-stride views of many rows, or of one.
         for g in (desc, np.ascontiguousarray(desc), desc[:1]):
-            for p_db in (-10.0, 0.0, 17.0, 40.0):
+            for p_db in (-1000.0, -10.0, 0.0, 17.0, 40.0, 1000.0):
                 p = 10.0 ** (p_db / 10.0)
                 rates = rng.uniform(0.0, 1.2, g.shape[0]) * np.log2(1.0 + p * g[:, -1])
                 pg_cols = list(np.ascontiguousarray((p * g).T))
-                assert np.array_equal(alloc._varpi_rows(rates, pg_cols),
-                                      _parent_varpi_rows(rates, g, p))
+                # the references overflow to +inf, silently, as the solver does
+                with np.errstate(over="ignore"):
+                    assert np.array_equal(alloc._varpi_rows(rates, pg_cols),
+                                          _parent_varpi_rows(rates, g, p))
                 for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-                    want_r, want_iter = _parent_batch_max_min_rate(g, p, eps)
+                    with np.errstate(over="ignore"):
+                        want_r, want_iter = _parent_batch_max_min_rate(g, p, eps)
                     r, iters = alloc.batch_max_min_rate(g, p, eps)
                     assert iters == want_iter
                     assert np.array_equal(r, want_r), (k, p_db, eps)
@@ -433,3 +450,57 @@ class TestTwoUserKernelProperties:
         out_q = alloc.outage_conditions(h1, h2, q1, q2, p, beta)[0]
         out_full = p * alloc.sic_snr(max(h1, h2), min(h1, h2), p) < beta
         assert out_q or not out_full
+
+
+class TestHornerGuard:
+    # The guard's premise over the whole range the CLI allows (2 to 64
+    # receivers, |p_db| <= 1000) and past it: K from 1, gains over up to 16
+    # decades.
+    @PROPERTY
+    @given(st.integers(1, 64), st.floats(-1000.0, 1000.0), st.floats(0.0, 16.0),
+           st.integers(0, 2**32 - 1))
+    def test_horner_decides_as_the_reference_outside_the_band(self, k, p_db, decades, seed):
+        rng = np.random.default_rng(seed)
+        p = 10.0 ** (p_db / 10.0)
+        desc = np.sort(10.0 ** rng.uniform(-decades / 2, decades / 2, (300, k)), axis=1)[:, ::-1]
+        pg = np.ascontiguousarray((p * desc).T)
+        r_ub = np.log2(1.0 + pg[-1])
+        # rates anywhere in [0, 1.2 r_ub], and rates 2^-60 to 2^-20 from each root
+        root = alloc.batch_max_min_rate(desc, p, 1e-15)[0]
+        offset = rng.choice([-1.0, 1.0], 300) * 2.0 ** -rng.uniform(20.0, 60.0, 300)
+        rates = np.concatenate([rng.uniform(0.0, 1.2, 300) * r_ub, root * (1.0 + offset)])
+        pg = np.concatenate([pg, pg], axis=1)
+        with np.errstate(over="ignore"):
+            v = alloc._varpi_horner(2.0**rates, 1.0 / pg)
+            want = alloc._varpi_rows(rates, pg)
+        outside = np.abs(v - 1.0) > alloc._horner_band(k, rates.max(), pg.max())
+        assert np.array_equal((v < 1.0)[outside], (want < 1.0)[outside])
+
+    def test_rows_near_the_root_take_the_reference(self, monkeypatch):
+        # With eps far below the band's width the last brackets straddle the
+        # root within the band, so those rows must take _varpi_rows.
+        rows = []
+        reference = alloc._varpi_rows
+
+        def counted(r, pg_cols):
+            rows.append(len(r))
+            return reference(r, pg_cols)
+
+        monkeypatch.setattr(alloc, "_varpi_rows", counted)
+        rng = np.random.default_rng(604)
+        for k in (1, 2, 4, 9, 64):
+            g = np.sort(rng.exponential(1.0, (500, k)) / np.arange(1.0, k + 1), axis=1)[:, ::-1]
+            for p, eps in ((10.0, 1e-15), (1e3, 1e-15), (1e100, 1e-13)):
+                del rows[:]
+                r, iters = alloc.batch_max_min_rate(g, p, eps)
+                with np.errstate(over="ignore"):
+                    want_r, want_iter = _parent_batch_max_min_rate(g, p, eps)
+                assert iters == want_iter
+                assert np.array_equal(r, want_r), (k, p, eps)
+                assert 0 < sum(rows) < iters * len(g), (k, p, eps)
+        # Past p g = 2^960 the band is infinite: every row, every step.
+        del rows[:]
+        g = np.array([[1e300, 1e299], [1e290, 1e280]])
+        r, iters = alloc.batch_max_min_rate(g, 1.0, 1e-6)
+        assert rows == [2] * iters
+        assert np.array_equal(r, _parent_batch_max_min_rate(g, 1.0, 1e-6)[0])

@@ -244,13 +244,13 @@ class TestKindRules:
             assert cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"]) == 0
         assert PROGRESS.search(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("kind", [*KINDS, "kuser --k 64"])
     def test_every_kind_runs_at_the_power_limits(self, kind, capsys):
         # with fixed bins, and with RuntimeWarnings as errors; diversity's
         # min02-pcube bin reaches 2^53 bins near 433 dB, so it stops at 400
         top = 400.0 if kind == "diversity" else P_DB_MAX
         for p_db in (-P_DB_MAX, top):
-            argv = [kind, "--p-db=%r" % p_db, "--trials", "1000", "--trial-cap", "1000"]
+            argv = [*kind.split(), "--p-db=%r" % p_db, "--trials", "1000", "--trial-cap", "1000"]
             assert cli.main(argv + (["--delta", "0.2"] if kind == "diversity" else [])) == 0
         capsys.readouterr()
 
