@@ -109,7 +109,11 @@ def sic_rates(alphas, gains, p):
     g = np.asarray(gains, dtype=np.float64)
     _check_power(p)
     interference = np.cumsum(a, axis=-1) - a
-    return np.log2(1.0 + a / (interference + 1.0 / (p * g)))
+    # p * g underflows to 0 for a tiny gain at low power; noise 1/0 = +inf is
+    # then the right term, and it gives that receiver rate 0.
+    with np.errstate(divide="ignore"):
+        noise = 1.0 / (p * g)
+    return np.log2(1.0 + a / (interference + noise))
 
 
 def alloc_from_rate(r, gains_desc, p):

@@ -9,6 +9,7 @@ event target, which is again a property of the ordered chunks alone.
 """
 
 import contextlib
+import functools
 import math
 import os
 from collections import namedtuple
@@ -23,6 +24,7 @@ from .evaluator import rate_loss_bound
 from .quantizer import (
     default_t_outage,
     default_t_rate,
+    distinct_words,
     fle_bits,
     outage_levels,
     rate_levels,
@@ -36,7 +38,7 @@ WORKERS_ENV = "NOMAFB_WORKERS"
 MAX_WORKERS_PER_CPU = 4
 # Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
 P_DB_MAX = 1000.0
-# Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 128 MB RSS.
+# Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 119 MB RSS.
 MAX_RECEIVERS = 64
 
 
@@ -499,6 +501,31 @@ def run_diversity(cfg, progress=None):
     return stats
 
 
+def _row_min(x):
+    """np.min(x, axis=1), one column at a time: on a block of a few columns
+    numpy's own reduction loops over every short row and costs over ten times as much."""
+    return functools.reduce(np.minimum, x.T)
+
+
+def _quantized_max_min(levels_desc, d, p, eps, split=False):
+    """Max-min rate of each row of fed-back gains levels_desc * d and, with
+    split, its power fractions; levels_desc is (n, K) int64, descending.
+
+    Each distinct level word is bisected once and its result scattered back
+    to every row that fed it back. This gives every row the bits of a
+    bisection over all rows: a row's bisection reads the block only through
+    the largest r_ub, which sets the step count, and the largest p g, which
+    sets the Horner band, and the row that sets each is among the words.
+    """
+    found = distinct_words(levels_desc)
+    words, inverse = found if found is not None else (levels_desc, slice(None))
+    g = words.astype(np.float64) * d
+    r = alloc.batch_max_min_rate(g, p, eps)[0]
+    if not split:
+        return r[inverse]
+    return r[inverse], alloc.alloc_from_rate(r, g, p)[inverse]
+
+
 def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
@@ -512,28 +539,24 @@ def run_k_user(cfg, progress=None):
                 r_true, _ = alloc.batch_max_min_rate(gains_desc, p, cfg.eps)
                 out_full = r_true < cfg.r_th
 
-                qv = np.empty_like(block)
+                lv = np.empty(block.shape, dtype=np.int64)
                 for i in range(k):
-                    levels = rate_levels(block[:, i], d, t_r[i])
-                    qv[:, i] = levels.astype(np.float64) * d
-                    yield "vle_r%d" % i, vle_lengths(levels)
-                live = np.all(qv > 0.0, axis=1)
+                    lv[:, i] = rate_levels(block[:, i], d, t_r[i])
+                    yield "vle_r%d" % i, vle_lengths(lv[:, i])
+                live = _row_min(lv) > 0
                 r_q = np.zeros(block.shape[0])
                 if live.any():
-                    qd = np.sort(qv[live], axis=1)[:, ::-1]
-                    r_q[live] = alloc.batch_max_min_rate(qd, p, cfg.eps)[0]
+                    r_q[live] = _quantized_max_min(
+                        np.sort(lv[live], axis=1)[:, ::-1], d, p, cfg.eps)
 
-                ov = np.empty_like(block)
                 for i in range(k):
-                    levels = outage_levels(block[:, i], d, t_o[i])
-                    ov[:, i] = levels.astype(np.float64) * d
-                    yield "vle_o%d" % i, vle_lengths(levels)
-                perm = np.argsort(-ov, axis=1, kind="stable")
-                ov_desc = np.take_along_axis(ov, perm, axis=1)
-                r_qo = alloc.batch_max_min_rate(ov_desc, p, cfg.eps)[0]
-                alphas = alloc.alloc_from_rate(r_qo, ov_desc, p)
-                true_perm = np.take_along_axis(block, perm, axis=1)
-                out_q = alloc.sic_rates(alphas, true_perm, p).min(axis=1) < cfg.r_th
+                    lv[:, i] = outage_levels(block[:, i], d, t_o[i])
+                    yield "vle_o%d" % i, vle_lengths(lv[:, i])
+                # The order of the fed-back gains, ties kept in receiver order.
+                perm = np.argsort(-(lv * d), axis=1, kind="stable")
+                perm += np.arange(0, lv.size, k)[:, None]
+                r_qo, alphas = _quantized_max_min(lv.take(perm), d, p, cfg.eps, split=True)
+                out_q = _row_min(alloc.sic_rates(alphas, block.take(perm), p)) < cfg.r_th
 
                 yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
                             ("out_qo", out_q), ("outage_loss", out_q & ~out_full))

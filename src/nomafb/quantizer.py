@@ -58,6 +58,30 @@ def default_t_outage(delta, lambda1=1.0):
     return math.ceil(lambda1 / (2.0 * delta) * math.log(1.0 / delta))
 
 
+def distinct_words(levels):
+    """The distinct rows of an (n, K) array of nonnegative int64 levels.
+
+    Each row is read as one int64 key, a number in base (largest level + 1),
+    so equal keys are equal rows, and the distinct keys are decoded back into
+    rows. Returns (words, inverse) with words[inverse] equal to levels, row
+    for row, or None when base**K reaches 2**63, the int64 range.
+    """
+    k = levels.shape[1]
+    base = int(levels.max()) + 1
+    if base**k >= 1 << 63:
+        return None
+    key = levels[:, 0].copy()
+    for j in range(1, k):
+        key *= base
+        key += levels[:, j]
+    key, inverse = np.unique(key, return_inverse=True)
+    words = np.empty((key.size, k), dtype=np.int64)
+    for j in range(k - 1, 0, -1):
+        key, words[:, j] = np.divmod(key, base)
+    words[:, 0] = key
+    return words, inverse
+
+
 def vle_lengths(levels):
     """Codeword lengths floor(log2(level+2)), exact for every int64 level up to 2^63 - 3.
 

@@ -244,7 +244,7 @@ class TestKindRules:
             assert cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"]) == 0
         assert PROGRESS.search(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("kind", [*KINDS, "kuser --k 64"])
+    @pytest.mark.parametrize("kind", [*KINDS, "kuser --k 64", "kuser --variances 1,1e-300"])
     def test_every_kind_runs_at_the_power_limits(self, kind, capsys):
         # with fixed bins, and with RuntimeWarnings as errors; diversity's
         # min02-pcube bin reaches 2^53 bins near 433 dB, so it stops at 400

@@ -52,6 +52,16 @@ GOLDEN = {
         ["kuser", "--k", "9", "--p-db", "10", "--delta", "0.1", "--trials", "20000"],
         "334b5c44532f8c43f71bc53f906e2e05f7d09e1188e849111719aa8c7b6a2ba2",
     ),
+    # The kuser4 benchmark's shape: few distinct fed-back level words per block.
+    "kuser_k4": (
+        ["kuser", "--k", "4", "--p-db", "10", "--delta", "0.05,0.1,0.2", "--trials", "20000"],
+        "0643f369f727df0ef697be9ab7d5d452941160664c601102936b1d3d1f0d74d5",
+    ),
+    # Sixteen receivers at delta 0.01: a level word does not fit one int64 key.
+    "kuser_k16": (
+        ["kuser", "--k", "16", "--p-db", "30", "--delta", "0.01", "--trials", "20000"],
+        "c1bf2c9011c19aa3d04fb9b5b8549f6075b692beaa9112c8d9249aa91daace4b",
+    ),
 }
 
 

@@ -5,12 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import vle_mean_analytic
 from nomafb import alloc, harness
 from nomafb.channel import CHUNK, ChannelParams, sample_block
-from nomafb.quantizer import default_t_outage, outage_levels
+from nomafb.quantizer import (
+    default_t_outage,
+    default_t_rate,
+    distinct_words,
+    outage_levels,
+    rate_levels,
+)
 
 
 def metrics_by_sweep(stats):
@@ -460,6 +466,76 @@ class TestKUser:
             harness.ExperimentConfig(kind="kuser", variances=(1.0,), trials=1000)
         with pytest.raises(ValueError):
             harness.ExperimentConfig(kind="kuser", delta_policy="pcube", trials=1000)
+
+
+def kuser_levels(k, d, p_db, seed, rows=CHUNK):
+    """The lower-edge live rows (sorted) and the upper-edge rows (in the
+    fed-back order) of one kuser block, as the kuser kernel builds them."""
+    lams = tuple(1.0 / (i + 1) for i in range(k))
+    block = sample_block(ChannelParams(lams), seed, 0, rows)
+    lower = np.stack([rate_levels(block[:, i], d, default_t_rate(d, lam))
+                      for i, lam in enumerate(lams)], axis=1)
+    lower = np.sort(lower[np.all(lower > 0, axis=1)], axis=1)[:, ::-1]
+    upper = np.stack([outage_levels(block[:, i], d, default_t_outage(d, lam))
+                      for i, lam in enumerate(lams)], axis=1)
+    perm = np.argsort(-(upper * d), axis=1, kind="stable")
+    return lower, np.take_along_axis(upper, perm, axis=1), 10.0 ** (p_db / 10.0)
+
+
+class TestDistinctWordBisection:
+    """Bisecting each distinct fed-back level word once gives every row the
+    bits that bisecting all rows gives."""
+
+    @pytest.mark.parametrize("p_db", [0.0, 10.0, 30.0])
+    @pytest.mark.parametrize("k, d", [(2, 0.05), (3, 0.05), (4, 0.05), (4, 0.2), (9, 0.1),
+                                      (16, 0.1), (16, 0.01)])
+    def test_distinct_rows_match_every_row(self, k, d, p_db):
+        lower, upper, p = kuser_levels(k, d, p_db, seed=k)
+        # at K = 16 and delta = 0.01 no key fits, and every row is bisected
+        assert (distinct_words(upper) is None) == (k == 16 and d == 0.01)
+        for levels in (lower, upper):
+            if levels.size == 0:  # K = 16 at delta 0.1: no row feeds back every gain
+                continue
+            g = levels * d
+            r, _ = alloc.batch_max_min_rate(g, p, 1e-4)
+            assert_array_equal(harness._quantized_max_min(levels, d, p, 1e-4), r)
+        r_qo, alphas = harness._quantized_max_min(upper, d, p, 1e-4, split=True)
+        assert_array_equal(r_qo, r)
+        assert_array_equal(alphas, alloc.alloc_from_rate(r, g, p))
+
+    def test_row_min_is_the_row_reduction(self):
+        x = np.random.default_rng(0).standard_normal((1000, 5))
+        x[3, 2], x[4, 0] = np.nan, -np.inf
+        assert_array_equal(harness._row_min(x), x.min(axis=1))
+        levels = np.random.default_rng(1).integers(0, 3, (1000, 4))
+        assert_array_equal(harness._row_min(levels) > 0, np.all(levels > 0, axis=1))
+
+    def test_single_row_block(self):
+        _, upper, p = kuser_levels(4, 0.1, 10.0, seed=1, rows=1)
+        r, _ = alloc.batch_max_min_rate(upper * 0.1, p, 1e-4)
+        assert_array_equal(harness._quantized_max_min(upper, 0.1, p, 1e-4), r)
+
+    def test_quantized_bisections_see_each_word_once(self, monkeypatch):
+        calls = []
+        bisect = alloc.batch_max_min_rate
+
+        def recording(gains_desc, p, eps):
+            calls.append(np.array(gains_desc))
+            return bisect(gains_desc, p, eps)
+
+        monkeypatch.setattr(alloc, "batch_max_min_rate", recording)
+        cfg = harness.ExperimentConfig(kind="kuser", variances=(1.0, 0.5, 1.0 / 3.0, 0.25),
+                                       p_db=(10.0,), deltas=(0.05, 0.1, 0.2),
+                                       trials=40_000, seed=2, workers=1)
+        harness.run_k_user(cfg)
+        blocks = [CHUNK, CHUNK, 40_000 - 2 * CHUNK] * 3
+        # per block, in order: true gains, lower-edge live rows, upper-edge rows
+        assert len(calls) == 3 * len(blocks)
+        for rows, true, lower, upper in zip(blocks, *(calls[i::3] for i in range(3))):
+            assert true.shape == (rows, 4)
+            for g in (lower, upper):
+                assert np.unique(g, axis=0).shape == g.shape
+                assert g.shape[0] < rows
 
 
 class TestDriverGuards:

@@ -325,3 +325,50 @@ class TestConfigAndWords:
         assert level == 4
         assert level * 0.1 == pytest.approx(0.4)
         assert quantizer.vle_lengths([level])[0] == len(quantizer.vle_encode(level))
+
+
+@st.composite
+def level_blocks(draw):
+    """(n, K) int64 level rows drawn from a few distinct rows, so rows repeat;
+    small tops give tied levels within a row, large ones keys near 2^63."""
+    k = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([0, 1, 3, 40, 2**31 - 1, 3037000498, 3037000499, 2**62]))
+    row = st.lists(st.integers(0, top), min_size=k, max_size=k)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=np.int64)
+
+
+class TestDistinctWords:
+    # Derandomized, with no example database, so every run checks the same draws.
+    PROPERTY = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+    @PROPERTY
+    @given(level_blocks())
+    def test_words_rebuild_the_rows_and_are_distinct(self, levels):
+        found = quantizer.distinct_words(levels)
+        if (int(levels.max()) + 1) ** levels.shape[1] >= 2**63:
+            assert found is None
+            return
+        words, inverse = found
+        assert words.dtype == np.int64 and inverse.shape == (levels.shape[0],)
+        assert_array_equal(words[inverse], levels)
+        assert len({tuple(w) for w in words.tolist()}) == words.shape[0]
+
+    def test_single_row_and_tied_levels(self):
+        words, inverse = quantizer.distinct_words(np.array([[3, 3, 3, 0]]))
+        assert_array_equal(words, [[3, 3, 3, 0]])
+        assert_array_equal(inverse, [0])
+        levels = np.array([[2, 2], [2, 2], [2, 1], [2, 2]])
+        words, inverse = quantizer.distinct_words(levels)
+        assert words.shape == (2, 2)
+        assert_array_equal(words[inverse], levels)
+
+    def test_key_guard_is_at_two_to_the_63(self):
+        # base 2 and 63 levels: base**K is 2^63, where the guard starts
+        assert quantizer.distinct_words(np.ones((2, 63), dtype=np.int64)) is None
+        words, _ = quantizer.distinct_words(np.ones((2, 62), dtype=np.int64))
+        assert_array_equal(words, np.ones((1, 62)))
+        top = np.full((1, 2), 3037000498)  # base^2 = 2^63 - 5,928,526,807
+        assert_array_equal(quantizer.distinct_words(top)[0], top)
+        assert quantizer.distinct_words(top + 1) is None
