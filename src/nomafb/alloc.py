@@ -74,18 +74,24 @@ def outage_conditions(h1, h2, q1, q2, p, beta):
     power is split on fed-back gains q1, q2 (receiver 1 is strong on ties) and
     both messages are sent at log2(1 + beta). Each rate test log2(1 + sinr) <
     log2(1 + beta) is made as sinr < beta, the weak denominator multiplied out.
+
+    Each receiver is tested both as the strong and as the weak receiver, and
+    boolean & and | keep the test of its role: the same float expressions as
+    a select of the strong and weak gains, so the same bits, with no select.
     """
+    q1 = np.asarray(q1, dtype=np.float64)
+    q2 = np.asarray(q2, dtype=np.float64)
     rx1_strong = q1 >= q2
-    qs = np.where(rx1_strong, q1, q2)
-    qw = np.where(rx1_strong, q2, q1)
-    a = equal_rate_split(qs, qw, p)
-    hs = np.where(rx1_strong, h1, h2)
-    hw = np.where(rx1_strong, h2, h1)
-    bad_strong = p * a * hs < beta
-    bad_weak = p * hw * (1.0 - a) < beta * (p * hw * a + 1.0)
-    out_rx1 = np.where(rx1_strong, bad_strong, bad_weak)
-    out_rx2 = np.where(rx1_strong, bad_weak, bad_strong)
-    return bad_strong | bad_weak, out_rx1, out_rx2
+    a = equal_rate_split(np.maximum(q1, q2), np.minimum(q1, q2), p)
+    pa, rest = p * a, 1.0 - a
+
+    def bad(h, strong):
+        ph = p * h
+        return strong & (pa * h < beta) | ~strong & (ph * rest < beta * (ph * a + 1.0))
+
+    out_rx1 = bad(h1, rx1_strong)
+    out_rx2 = bad(h2, ~rx1_strong)
+    return out_rx1 | out_rx2, out_rx1, out_rx2
 
 
 def max_min_rate_two_user(h1, h2, p):
@@ -108,7 +114,13 @@ def sic_rates(alphas, gains, p):
     a = np.asarray(alphas, dtype=np.float64)
     g = np.asarray(gains, dtype=np.float64)
     _check_power(p)
-    interference = np.cumsum(a, axis=-1) - a
+    # A running sum, one column at a time: the additions of np.cumsum along
+    # the last axis, in its order, without its slow row-by-row loop.
+    running = np.zeros(a.shape[:-1])
+    interference = np.empty_like(a)
+    for k in range(a.shape[-1]):
+        running += a[..., k]
+        interference[..., k] = running - a[..., k]
     # p * g underflows to 0 for a tiny gain at low power; noise 1/0 = +inf is
     # then the right term, and it gives that receiver rate 0.
     with np.errstate(divide="ignore"):

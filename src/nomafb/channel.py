@@ -36,11 +36,14 @@ def block_rng(master, block_index):
 
 
 def sample_block(params, master, block_index, count=CHUNK):
-    """Draw the gains for one block as a (count, K) array.
+    """Draw the gains for one block as a (count, K) array in column-major
+    order, so each receiver's column block[:, k] is contiguous.
 
-    The full block is always generated before slicing, so row i holds the
-    same trial no matter how many rows the caller asked for. Exact zeros
-    (measure zero, but the gain contract is strict positivity) are redrawn.
+    The full block is always generated, row by row, before slicing, so row i
+    holds the same trial no matter how many rows the caller asked for, and
+    the layout changes where the values sit, never what they are. Exact
+    zeros (measure zero, but the gain contract is strict positivity) are
+    redrawn.
     """
     if not 0 < count <= CHUNK:
         raise ValueError("count must be in 1..%d" % CHUNK)
@@ -51,4 +54,4 @@ def sample_block(params, master, block_index, count=CHUNK):
     while bad.any():
         g[bad] = rng.exponential(1.0, size=int(bad.sum())) * np.broadcast_to(lam, g.shape)[bad]
         bad = ~(g > 0)
-    return g[:count]
+    return np.asfortranarray(g[:count])

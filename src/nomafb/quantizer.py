@@ -23,8 +23,9 @@ def rate_levels(x, delta, t):
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("gain must be nonnegative")
     n = np.floor(x / delta)
-    n = np.where((n + 1.0) * delta <= x, n + 1.0, n)
-    n = np.where(n * delta > x, n - 1.0, n)
+    # Adding a mask adds 1.0 or 0.0, both exact, so no select is needed.
+    n += (n + 1.0) * delta <= x
+    n -= n * delta > x
     return np.minimum(n, float(t)).astype(np.int64)
 
 
@@ -34,8 +35,8 @@ def outage_levels(x, delta, t):
     if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
     m = np.ceil(x / delta)
-    m = np.where((m - 1.0) * delta >= x, m - 1.0, m)
-    m = np.where(m * delta < x, m + 1.0, m)
+    m -= (m - 1.0) * delta >= x
+    m += m * delta < x
     return np.clip(m, 1.0, float(t + 1)).astype(np.int64)
 
 

@@ -364,6 +364,18 @@ class TestRateHelpers:
         for k in (1, 2, 3):
             assert_allclose(rate_k(a, gd, 12.0, k), rates[k - 1], rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 9, 64])
+    def test_interference_is_the_cumsum_bit_for_bit(self, k):
+        # sic_rates sums the interference a column at a time; the result must
+        # be the np.cumsum form's, on rows of fractions and on one row.
+        rng = np.random.default_rng(k)
+        a = rng.dirichlet(np.ones(k), 1000) * rng.uniform(0.5, 1.0, (1000, 1))
+        g = np.sort(rng.exponential(1.0, (1000, k)), axis=1)[:, ::-1]
+        for alphas, gains in ((a, g), (a[7], g[7])):
+            want = np.log2(1.0 + alphas / (np.cumsum(alphas, axis=-1) - alphas
+                                           + 1.0 / (3.0 * gains)))
+            assert np.array_equal(alloc.sic_rates(alphas, gains, 3.0), want)
+
 
 def minrate_points(variances, p_db, trials, seed=4):
     """{metric: MetricPoint} of one minrate sweep point."""
@@ -450,6 +462,57 @@ class TestTwoUserKernelProperties:
         out_q = alloc.outage_conditions(h1, h2, q1, q2, p, beta)[0]
         out_full = p * alloc.sic_snr(max(h1, h2), min(h1, h2), p) < beta
         assert out_q or not out_full
+
+
+def _parent_outage_conditions(h1, h2, q1, q2, p, beta):
+    """outage_conditions as first written, selecting the strong and weak
+    gains with np.where; kept as the reference that the select-free kernel
+    must match bit for bit."""
+    rx1_strong = q1 >= q2
+    qs = np.where(rx1_strong, q1, q2)
+    qw = np.where(rx1_strong, q2, q1)
+    a = alloc.equal_rate_split(qs, qw, p)
+    hs = np.where(rx1_strong, h1, h2)
+    hw = np.where(rx1_strong, h2, h1)
+    bad_strong = p * a * hs < beta
+    bad_weak = p * hw * (1.0 - a) < beta * (p * hw * a + 1.0)
+    out_rx1 = np.where(rx1_strong, bad_strong, bad_weak)
+    out_rx2 = np.where(rx1_strong, bad_weak, bad_strong)
+    return bad_strong | bad_weak, out_rx1, out_rx2
+
+
+class TestSelectFreeOutage:
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), power, bin_size, st.floats(0.01, 8.0))
+    def test_masks_match_the_select_form(self, seed, p, delta, r_th):
+        beta = 2.0**r_th - 1.0
+        rng = np.random.default_rng(seed)
+        h1, h2 = rng.exponential(1.0, 64), rng.exponential(0.5, 64)
+        n1, n2 = rng.integers(0, 4, 64), rng.integers(0, 400, 64)
+        n2[:32] = rng.integers(0, 4, 32)
+        n2[:8] = n1[:8]  # ties, which receiver 1 wins
+        n1[8:12] = n2[12:16] = 0  # dead rows: a weak level of 0, either receiver weak
+        n2[16:18] = n1[16:18] = 0
+        q1, q2 = n1 * delta, n2 * delta
+        want = _parent_outage_conditions(h1, h2, q1, q2, p, beta)
+        got = alloc.outage_conditions(h1, h2, q1, q2, p, beta)
+        for w, g in zip(want, got):
+            assert g.dtype == bool and np.array_equal(g, w)
+        for i in range(0, 64, 4):  # scalar inputs, as Python floats
+            args = (float(h1[i]), float(h2[i]), float(q1[i]), float(q2[i]), p, beta)
+            scalar = [bool(g) for g in alloc.outage_conditions(*args)]
+            assert scalar == [bool(w) for w in _parent_outage_conditions(*args)]
+            assert scalar == [bool(w[i]) for w in want]
+
+    def test_weak_threshold_is_strict(self):
+        # A dead row (the weak receiver fed back 0) gives a = 0, so the weak
+        # receiver's test is p h < beta: at p h = beta exactly it decodes,
+        # whichever receiver is weak. The strong one, with no power, fails.
+        for h, q, want in (((1.0, 0.25), (0.5, 0.0), [True, True, False]),
+                           ((0.25, 1.0), (0.0, 0.5), [True, False, True])):
+            got = [bool(x) for x in alloc.outage_conditions(*h, *q, 4.0, 1.0)]
+            assert got == want
+            assert got == [bool(x) for x in _parent_outage_conditions(*h, *q, 4.0, 1.0)]
 
 
 class TestHornerGuard:

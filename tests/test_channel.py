@@ -84,6 +84,24 @@ class TestDeterminism:
         assert_array_equal(r1.random(8), r2.random(8))
 
 
+class TestLayout:
+    # Blocks are column-major, so each receiver's column is contiguous for
+    # the two-user kernels; the values are the row-major draw, unchanged.
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("count", [channel.CHUNK, 7232, 1])
+    def test_columns_are_unit_stride_and_hold_the_row_major_draw(self, count, k):
+        params = channel.ChannelParams(tuple(1.0 / (i + 1) for i in range(k)))
+        block = channel.sample_block(params, 17, 5, count)
+        assert block.shape == (count, k)
+        assert block.flags.f_contiguous
+        for i in range(k):
+            # unit stride; numpy counts a one-row column contiguous at any stride
+            assert block[:, i].flags.c_contiguous
+        draw = channel.block_rng(17, 5).exponential(1.0, size=(channel.CHUNK, k))
+        assert draw.flags.c_contiguous
+        assert_array_equal(block, (draw * np.asarray(params.variances))[:count])
+
+
 class TestValidation:
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):

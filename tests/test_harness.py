@@ -538,6 +538,49 @@ class TestDistinctWordBisection:
                 assert g.shape[0] < rows
 
 
+# One config of each kind, with its scans kept short; feedback runs under the
+# fixed policy (lower-edge levels) and under a policy (upper-edge levels).
+LAYOUT_CONFIGS = {
+    "minrate": dict(p_db=(0.0, 30.0), deltas=(0.01, 0.2)),
+    "rateloss": dict(p_db=(20.0,), deltas=(0.05, 0.3)),
+    "outage": dict(p_db=(10.0,), deltas=(0.05, 0.2), r_th=2.0),
+    "outageloss": dict(p_db=(20.0,), deltas=(0.1,)),
+    "feedback": dict(deltas=(0.01, 0.1)),
+    "feedback-pcube": dict(p_db=(10.0, 20.0), delta_policy="pcube"),
+    "diversity": dict(p_db=(10.0, 15.0, 20.0), deltas=(0.1,)),
+    "kuser": dict(variances=(1.0, 0.5, 0.25, 0.2), deltas=(0.05, 0.2)),
+}
+
+
+class TestBlockLayout:
+    """sample_block returns column-major blocks. Every kernel must give the
+    same per-trial metrics, bit for bit, on a row-major copy of a block, so a
+    host whose strided and unit-stride ufunc loops differ fails here."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+    def test_kernels_ignore_the_block_layout(self, name, monkeypatch):
+        kernels = []
+        scan = harness._scan
+
+        def recording(params, seed, workers, kernel, *args):
+            kernels.append(kernel)
+            return scan(params, seed, workers, kernel, *args)
+
+        monkeypatch.setattr(harness, "_scan", recording)
+        cfg = harness.ExperimentConfig(kind=name.split("-")[0], trials=1000, trial_cap=1000,
+                                       workers=1, **LAYOUT_CONFIGS[name])
+        harness.run_experiment(cfg)
+        assert kernels
+        block = sample_block(ChannelParams(cfg.variances), 3, 0)
+        assert block.flags.f_contiguous
+        for kernel in kernels:
+            cols = list(kernel(block))
+            rows = list(kernel(np.ascontiguousarray(block)))
+            assert [m for m, _ in cols] == [m for m, _ in rows]
+            for (metric, x), (_, y) in zip(cols, rows):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (name, metric)
+
+
 class TestDriverGuards:
     def test_kind_mismatch(self):
         cfg = harness.ExperimentConfig(kind="minrate", trials=1000)

@@ -127,6 +127,33 @@ class TestLevelInputChecks:
                 levels(np.array(x), 0.1, 10)
 
 
+class TestBlockLevels:
+    # The two-user drivers quantize both receivers in one call on an (n, 2)
+    # block. Gains on the bin edges of delta = 0.1 (0.3 among them) and their
+    # float neighbours make both nudges of both quantizers fire.
+    def edge_block(self, delta):
+        k = np.arange(0, 400)
+        edges = np.concatenate([k * delta, np.round(k * delta, 12)])
+        x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+        x = np.random.default_rng(9).permutation(x[x > 0])
+        return x[: x.size - x.size % 2].reshape(-1, 2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_block_call_matches_per_column_calls(self, order):
+        delta, t = 0.1, 1000
+        block = np.asarray(self.edge_block(delta), order=order)
+        assert 0.3 in block
+        for levels, rounded in ((quantizer.rate_levels, np.floor(block / delta)),
+                                (quantizer.outage_levels, np.ceil(block / delta))):
+            got = levels(block, delta, t)
+            assert got.shape == block.shape and got.dtype == np.int64
+            # nudged up on some gains, down on others
+            assert (got > rounded).any() and (got < rounded).any()
+            for i in range(2):
+                assert_array_equal(got[:, i], levels(block[:, i], delta, t))
+                assert_array_equal(got[:, i], [levels(float(x), delta, t) for x in block[:, i]])
+
+
 class TestDefaultBinCounts:
     def test_reference_values(self):
         assert quantizer.default_t_rate(0.01) == 461

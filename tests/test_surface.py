@@ -75,3 +75,20 @@ def test_only_the_config_resolves_sweep_points():
     found = [n for tree in trees for n in ast.walk(tree) if resolves(n)]
     assert len([n for n in found if id(n) in inside]) == 2
     assert [ast.unparse(n) for n in found if id(n) not in inside] == []
+
+
+def test_hot_two_user_kernels_make_no_select():
+    # The outage test and the level quantizers run on every chunk. A
+    # per-element np.where there costs more than the arithmetic around it, so
+    # they pick by np.maximum and np.minimum, boolean & and |, or by adding a
+    # mask; a select brought back would slow every scan without a trace.
+    root = Path(nomafb.__file__).parent
+    for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
+                         ("quantizer", "outage_levels")):
+        tree = ast.parse((root / ("%s.py" % module)).read_text())
+        func = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+        selects = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.Call)
+                   and (isinstance(n.func, ast.Attribute) and n.func.attr == "where"
+                        or isinstance(n.func, ast.Name) and n.func.id == "where")]
+        assert selects == [], "%s.%s: %s" % (module, name, selects)
