@@ -30,9 +30,22 @@ def _highest(x):
 
 
 def _split_den(x, y, p):
-    """Denominator of sic_snr and of the equal-rate split when x decodes last."""
-    s = x + y
-    return np.sqrt(s * s + 4.0 * x * y * y * p) + s
+    """Denominator of sic_snr and of the equal-rate split when x decodes last,
+    sqrt((x + y)^2 + 4 x y^2 p) + (x + y).
+
+    The steps run in place, each rounding as in that expression, so no more
+    than two block-sized arrays are alive at once: the sum x + y is formed
+    again for the last step rather than kept. A 0-d result is made an array
+    so the in-place steps apply to it.
+    """
+    den = np.asarray(4.0 * x * y * y * p)
+    s2 = x + y
+    s2 *= s2
+    den += s2
+    del s2
+    np.sqrt(den, out=den)
+    den += x + y
+    return den
 
 
 def sic_snr(h_last, h_first, p):
@@ -43,7 +56,11 @@ def sic_snr(h_last, h_first, p):
     """
     x = np.asarray(h_last, dtype=np.float64)
     y = np.asarray(h_first, dtype=np.float64)
-    return 2.0 * x * y / _split_den(x, y, p)
+    den = _split_den(x, y, p)
+    snr = np.multiply(2.0, x, out=np.empty_like(den))
+    snr *= y
+    snr /= den
+    return snr[()]
 
 
 def equal_rate_split(g_strong, g_weak, p):
@@ -54,8 +71,11 @@ def equal_rate_split(g_strong, g_weak, p):
     _check_power(p)
     if _lowest(gw) < 0 or (gs < gw).any():
         raise ValueError("need g_strong >= g_weak >= 0; order the gains first")
-    den = _split_den(gs, gw, p)
-    return np.divide(2.0 * gw, den, out=np.zeros_like(den), where=gw > 0.0)
+    served = gw > 0.0
+    a = _split_den(gs, gw, p)
+    np.divide(2.0 * gw, a, out=a, where=served)
+    np.copyto(a, 0.0, where=~served)
+    return a
 
 
 def two_user_rates(a, g_strong, g_weak, p):
@@ -64,9 +84,23 @@ def two_user_rates(a, g_strong, g_weak, p):
     a = np.asarray(a, dtype=np.float64)
     if _lowest(a) < 0 or _highest(a) > 1:
         raise ValueError("alpha must lie in [0, 1]")
-    r_strong = np.log2(1.0 + p * a * g_strong)
-    r_weak = np.log2(1.0 + p * g_weak * (1.0 - a) / (p * g_weak * a + 1.0))
-    return r_strong, r_weak
+    # Two buffers, each step rounding as in log2(1 + p gw (1 - a) / (p gw a + 1))
+    # and log2(1 + p a gs): a product of two factors is the same either way round.
+    shape = np.broadcast_shapes(np.shape(p), a.shape, np.shape(g_strong), np.shape(g_weak))
+    r_weak = np.subtract(1.0, a, out=np.empty(shape))
+    den = np.multiply(p, g_weak, out=np.empty(shape))
+    r_weak *= den
+    den *= a
+    den += 1.0
+    r_weak /= den
+    del den
+    r_weak += 1.0
+    np.log2(r_weak, out=r_weak)
+    r_strong = np.multiply(p, a, out=np.empty(shape))
+    r_strong *= g_strong
+    r_strong += 1.0
+    np.log2(r_strong, out=r_strong)
+    return r_strong[()], r_weak[()]
 
 
 def outage_conditions(h1, h2, q1, q2, p, beta):
@@ -83,11 +117,20 @@ def outage_conditions(h1, h2, q1, q2, p, beta):
     q2 = np.asarray(q2, dtype=np.float64)
     rx1_strong = q1 >= q2
     a = equal_rate_split(np.maximum(q1, q2), np.minimum(q1, q2), p)
-    pa, rest = p * a, 1.0 - a
 
     def bad(h, strong):
-        ph = p * h
-        return strong & (pa * h < beta) | ~strong & (ph * rest < beta * (ph * a + 1.0))
+        # Two buffers: p h (1 - a) < beta (p h a + 1), then p a h < beta.
+        shape = np.broadcast_shapes(np.shape(p), np.shape(h), a.shape)
+        ph = np.multiply(p, h, out=np.empty(shape))
+        sinr = np.subtract(1.0, a, out=np.empty(shape))
+        sinr *= ph
+        ph *= a
+        ph += 1.0
+        ph *= beta
+        weak = sinr < ph
+        np.multiply(p, a, out=sinr)
+        sinr *= h
+        return strong & (sinr < beta) | ~strong & weak
 
     out_rx1 = bad(h1, rx1_strong)
     out_rx2 = bad(h2, ~rx1_strong)
@@ -101,7 +144,10 @@ def max_min_rate_two_user(h1, h2, p):
     _check_power(p)
     if _lowest(h1) <= 0 or _lowest(h2) <= 0:
         raise ValueError("gains must be positive")
-    r = np.log2(1.0 + p * sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p))
+    r = np.asarray(sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p))
+    r *= p
+    r += 1.0
+    np.log2(r, out=r)
     return float(r) if r.ndim == 0 else r
 
 

@@ -49,9 +49,17 @@ def sample_block(params, master, block_index, count=CHUNK):
         raise ValueError("count must be in 1..%d" % CHUNK)
     rng = block_rng(master, block_index)
     lam = np.asarray(params.variances, dtype=np.float64)
-    g = rng.exponential(1.0, size=(CHUNK, lam.size)) * lam
+    # standard_exponential is exponential(1.0) without its scale multiply,
+    # the same values from the same stream. Each column is scaled straight
+    # into the column-major block.
+    e = rng.standard_exponential(size=(CHUNK, lam.size))
+    g = np.empty((CHUNK, lam.size), order="F")
+    for k in range(lam.size):
+        np.multiply(e[:, k], lam[k], out=g[:, k])
     bad = ~(g > 0)
     while bad.any():
-        g[bad] = rng.exponential(1.0, size=int(bad.sum())) * np.broadcast_to(lam, g.shape)[bad]
+        # Boolean indexing reads in row order whatever the layout, so the
+        # redraws land where a row-major draw puts them.
+        g[bad] = rng.standard_exponential(size=int(bad.sum())) * np.broadcast_to(lam, g.shape)[bad]
         bad = ~(g > 0)
     return np.asfortranarray(g[:count])

@@ -40,6 +40,11 @@ MAX_WORKERS_PER_CPU = 4
 P_DB_MAX = 1000.0
 # Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 119 MB RSS.
 MAX_RECEIVERS = 64
+# Chunks per scan job of a row-local kernel. Two worker threads overlap
+# numpy calls on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably
+# than on 16,384-element ones (x1.0 to x1.8), so a job runs the kernel on two
+# chunks at once.
+JOB_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -199,37 +204,56 @@ def _moments(x):
     return x.sum(), (x * x).sum()
 
 
-def _scan(params, seed, workers, kernel, trials, events=(), target=0):
+def _scan(params, seed, workers, kernel, trials, events=(), target=0, job_chunks=JOB_CHUNKS):
     """Reduce the kernel's metrics over the first `trials` trials, chunk by chunk.
 
     kernel yields (metric, per-trial array or event mask) pairs for a block of
-    gains; each is reduced as it comes, so a chunk holds few arrays at once.
-    Without events every chunk runs in one wave. With events the scan grows
-    wave by wave (one chunk per worker) and keeps the shortest chunk prefix in
+    gains; each is reduced as it comes, so a job holds few arrays at once. A
+    job stacks job_chunks consecutive chunks into one block, runs the kernel
+    once on it and reduces each metric per chunk, on that chunk's rows: a
+    kernel that reads each trial's row alone gives every chunk the bits it
+    gives the chunk by itself.
+    Without events every job runs in one wave. With events the scan grows
+    wave by wave (one job per worker) and keeps the shortest chunk prefix in
     which every named event count reaches target; that prefix follows from
     the per-chunk counts in index order, so the wave width cannot change it.
-    Every wave runs on one pool of min(workers, chunks) threads, opened once
+    Every wave runs on one pool of min(workers, jobs) threads, opened once
     per scan.
     Returns (moments, n, capped): moments maps each metric to its fsum-reduced
     (sum, sum of squares) over the n kept trials, and capped says the target
     was not reached within `trials`.
     """
     n_chunks = (trials + CHUNK - 1) // CHUNK
-    wave = max(1, workers) if events else n_chunks
+    n_jobs = (n_chunks + job_chunks - 1) // job_chunks
+    wave = max(1, workers) if events else n_jobs
 
-    def job(ci):
-        block = sample_block(params, seed, ci, min(CHUNK, trials - ci * CHUNK))
-        return {metric: _moments(x) for metric, x in kernel(block)}
+    def job(ji):
+        chunks = range(ji * job_chunks, min((ji + 1) * job_chunks, n_chunks))
+        rows = [min(CHUNK, trials - ci * CHUNK) for ci in chunks]
+        if len(rows) == 1:
+            block = sample_block(params, seed, chunks[0], rows[0])
+        else:
+            block = np.empty((sum(rows), len(params.variances)), order="F")
+            for i, (ci, n) in enumerate(zip(chunks, rows)):
+                block[i * CHUNK:i * CHUNK + n] = sample_block(params, seed, ci, n)
+        parts = [{} for _ in rows]
+        for metric, x in kernel(block):
+            for i, part in enumerate(parts):
+                part[metric] = _moments(x[i * CHUNK:(i + 1) * CHUNK])
+            del x  # so the kernel computes its next metric without this one
+        return parts
 
     partials = []
     counts = dict.fromkeys(events, 0.0)
     keep = None
-    width = min(workers, n_chunks)
+    width = min(workers, n_jobs)
     with ThreadPoolExecutor(width) if width > 1 else contextlib.nullcontext() as pool:
         run = pool.map if pool else map
         while keep is None and len(partials) < n_chunks:
             lo = len(partials)
-            partials.extend(run(job, range(lo, min(lo + wave, n_chunks))))
+            first = lo // job_chunks  # every job but the last has job_chunks chunks
+            for parts in run(job, range(first, min(first + wave, n_jobs))):
+                partials.extend(parts)
             for ci in range(lo, len(partials)):
                 for e in events:
                     counts[e] += partials[ci][e][0]
@@ -281,8 +305,8 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     trials = cfg.trial_cap if events else cfg.trials
     stats = RunStats(experiment=kind, sweep=cfg.sweep, seed=cfg.seed)
     for kernel, views in scans:
-        moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials,
-                                   events, cfg.min_outage_events)
+        moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials, events,
+                                   cfg.min_outage_events, EXPERIMENTS[kind].job_chunks)
         fewest = min((int(moments[e][0]) for e in events), default=None)
         for value, constants in views:
             own = {}
@@ -325,11 +349,22 @@ def _quantized_outage(block, d, t, p, beta):
     return alloc.outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], p, beta)
 
 
-def _quantized_min_rate(q, p):
-    """Min adapted rate of the lower-edge quantizer pipeline, per trial; q
-    holds the two receivers' fed-back gains, rate_levels * delta, by column."""
-    qs, qw = np.maximum(q[:, 0], q[:, 1]), np.minimum(q[:, 0], q[:, 1])
-    return np.minimum(*alloc.two_user_rates(alloc.equal_rate_split(qs, qw, p), qs, qw, p))
+def _fed_back_gains(levels, d):
+    """(strong, weak) fed-back gains of a two-user block of rate levels.
+
+    The strong and weak levels are picked before the multiply by d, which is
+    monotone, so these are the bits of picking from levels * d, without a
+    float copy of the block.
+    """
+    return (np.maximum(levels[:, 0], levels[:, 1]) * d,
+            np.minimum(levels[:, 0], levels[:, 1]) * d)
+
+
+def _quantized_min_rate(qs, qw, p):
+    """Min adapted rate of the lower-edge quantizer pipeline, per trial, on
+    the fed-back gains qs >= qw of _fed_back_gains."""
+    r_strong, r_weak = alloc.two_user_rates(alloc.equal_rate_split(qs, qw, p), qs, qw, p)
+    return np.minimum(r_strong, r_weak, out=r_strong)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +381,7 @@ def run_min_rate(cfg, progress=None):
                 yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
                 for d, t in dts:
                     yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
-                        rate_levels(block, d, t) * d, p)
+                        *_fed_back_gains(rate_levels(block, d, t), d), p)
 
             yield kernel, [(value, {})]
 
@@ -367,11 +402,17 @@ def run_rate_loss(cfg, progress=None):
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
             for d, t in dts:
                 n = rate_levels(block, d, t)
-                rq = _quantized_min_rate(n * d, p)
-                yield ("r_qr", d), rq
-                yield ("rate_loss", d), rf - rq
                 yield ("vle_rx1", d), vle_lengths(n[:, 0])
                 yield ("vle_rx2", d), vle_lengths(n[:, 1])
+                # Each array goes once it is used, so none of them is alive
+                # through the split or the next delta's quantizer.
+                q = _fed_back_gains(n, d)
+                del n
+                rq = _quantized_min_rate(*q, p)
+                del q
+                yield ("r_qr", d), rq
+                yield ("rate_loss", d), rf - rq
+                del rq
 
         yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t, lam1, lam2)})
                        for d, t in dts]
@@ -580,8 +621,9 @@ def run_k_user(cfg, progress=None):
 # policy: takes a delta policy, under which it sweeps p_db. one_delta: a p_db
 # sweep takes one delta. k_user: two or more receivers, not exactly two.
 # r_th_max: where its outage threshold 2^r_th or 2^(2 r_th) overflows.
-Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max",
-                        defaults=(False, False, False, math.inf))
+# job_chunks: chunks per scan job; more than one needs a row-local kernel.
+Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max job_chunks",
+                        defaults=(False, False, False, math.inf, JOB_CHUNKS))
 
 EXPERIMENTS = {
     "minrate": Experiment(run_min_rate, "p_db",
@@ -598,8 +640,11 @@ EXPERIMENTS = {
                            policy=True),
     "diversity": Experiment(run_diversity, "p_db", "outage curves vs P plus fitted high-P slopes",
                             policy=True, one_delta=True, r_th_max=1024.0),
+    # The K-user bisection reads the whole block (the largest r_ub sets its
+    # step count, the largest p g its Horner band, and it bisects distinct
+    # words), so a kuser job is one chunk.
     "kuser": Experiment(run_k_user, "delta", "rate and outage losses vs delta for K receivers",
-                        k_user=True),
+                        k_user=True, job_chunks=1),
 }
 KINDS = tuple(EXPERIMENTS)
 

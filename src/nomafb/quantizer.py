@@ -22,11 +22,21 @@ def rate_levels(x, delta, t):
     # One pass that skips NaN, as np.any(x < 0) does; empty x reads as +inf.
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("gain must be nonnegative")
-    n = np.floor(x / delta)
+    # In place where it can be: one edge buffer and one mask serve both
+    # nudges. np.asarray keeps a 0-d result an array, which out= needs.
+    n = np.asarray(x / delta)
+    np.floor(n, out=n)
     # Adding a mask adds 1.0 or 0.0, both exact, so no select is needed.
-    n += (n + 1.0) * delta <= x
-    n -= n * delta > x
-    return np.minimum(n, float(t)).astype(np.int64)
+    edge = np.asarray(n + 1.0)
+    edge *= delta
+    mask = np.asarray(edge <= x)
+    n += mask
+    np.multiply(n, delta, out=edge)
+    np.greater(edge, x, out=mask)
+    n -= mask
+    del edge, mask
+    np.minimum(n, float(t), out=n)
+    return n.astype(np.int64)[()]
 
 
 def outage_levels(x, delta, t):
@@ -34,10 +44,18 @@ def outage_levels(x, delta, t):
     x = np.asarray(x, dtype=np.float64)
     if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
-    m = np.ceil(x / delta)
-    m -= (m - 1.0) * delta >= x
-    m += m * delta < x
-    return np.clip(m, 1.0, float(t + 1)).astype(np.int64)
+    m = np.asarray(x / delta)
+    np.ceil(m, out=m)
+    edge = np.asarray(m - 1.0)
+    edge *= delta
+    mask = np.asarray(edge >= x)
+    m -= mask
+    np.multiply(m, delta, out=edge)
+    np.less(edge, x, out=mask)
+    m += mask
+    del edge, mask
+    np.clip(m, 1.0, float(t + 1), out=m)
+    return m.astype(np.int64)[()]
 
 
 def _check_default_args(delta, lambda1):
@@ -96,7 +114,8 @@ def vle_lengths(levels):
         return v
     if v.min() < 2:
         raise ValueError("levels must be nonnegative")
-    n = np.frexp(v.astype(np.float64))[1].astype(np.int64) - 1
+    # frexp converts v to float64 a buffer at a time, so no float copy is made.
+    n = np.subtract(np.frexp(v)[1], 1, dtype=np.int64)
     if v.max() >= 1 << 53:
         n = np.minimum(n, 62)
         n -= np.left_shift(1, n) > v

@@ -65,7 +65,8 @@ class TestDeterminism:
 
     def test_single_trial_matches_block(self):
         # a scan of `trial + 1` trials ends on trial t = 3 * CHUNK + 57, which
-        # is row 57 of block 3, whatever the worker count
+        # is row 57 of block 3, whatever the worker count; the last job
+        # stacks blocks 2 and 3, so t is the last of its CHUNK + 58 rows
         trial = 3 * channel.CHUNK + 57
         last = {}
 
@@ -76,7 +77,8 @@ class TestDeterminism:
         for workers in (1, 3):
             last.clear()
             harness._scan(PARAMS, 13, workers, kernel, trial + 1)
-            assert_array_equal(last[58], channel.sample_block(PARAMS, 13, 3)[57])
+            assert sorted(last) == [channel.CHUNK + 58, 2 * channel.CHUNK]
+            assert_array_equal(last[channel.CHUNK + 58], channel.sample_block(PARAMS, 13, 3)[57])
 
     def test_rng_is_stable_per_block(self):
         r1 = channel.block_rng(21, 4)
@@ -84,10 +86,23 @@ class TestDeterminism:
         assert_array_equal(r1.random(8), r2.random(8))
 
 
+def row_major_draw(params, master, block_index, count):
+    """sample_block as first written: exponential(1.0) draws scaled by a
+    broadcast multiply, in row-major order, zeros redrawn, then sliced."""
+    rng = channel.block_rng(master, block_index)
+    lam = np.asarray(params.variances, dtype=np.float64)
+    g = rng.exponential(1.0, size=(channel.CHUNK, lam.size)) * lam
+    bad = ~(g > 0)
+    while bad.any():
+        g[bad] = rng.exponential(1.0, size=int(bad.sum())) * np.broadcast_to(lam, g.shape)[bad]
+        bad = ~(g > 0)
+    return g[:count]
+
+
 class TestLayout:
     # Blocks are column-major, so each receiver's column is contiguous for
     # the two-user kernels; the values are the row-major draw, unchanged.
-    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("k", [2, 4, 16])
     @pytest.mark.parametrize("count", [channel.CHUNK, 7232, 1])
     def test_columns_are_unit_stride_and_hold_the_row_major_draw(self, count, k):
         params = channel.ChannelParams(tuple(1.0 / (i + 1) for i in range(k)))
@@ -97,9 +112,19 @@ class TestLayout:
         for i in range(k):
             # unit stride; numpy counts a one-row column contiguous at any stride
             assert block[:, i].flags.c_contiguous
+        assert_array_equal(block, row_major_draw(params, 17, 5, count))
+
+    @pytest.mark.parametrize("k", [2, 4, 16])
+    @pytest.mark.parametrize("count", [channel.CHUNK, 7232, 1])
+    def test_zero_gains_are_redrawn_as_in_the_row_major_draw(self, count, k):
+        # A mean gain of 1e-320 (subnormal) scales about 1 draw in 800 to
+        # zero, so the redraw loop runs, here with zeros in every block.
+        params = channel.ChannelParams((1.0,) * (k - 1) + (1e-320,))
         draw = channel.block_rng(17, 5).exponential(1.0, size=(channel.CHUNK, k))
-        assert draw.flags.c_contiguous
-        assert_array_equal(block, (draw * np.asarray(params.variances))[:count])
+        assert (draw * np.asarray(params.variances) == 0).any()
+        block = channel.sample_block(params, 17, 5, count)
+        assert block.flags.f_contiguous and (block > 0).all()
+        assert_array_equal(block, row_major_draw(params, 17, 5, count))
 
 
 class TestValidation:

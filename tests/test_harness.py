@@ -84,20 +84,27 @@ class TestWorkerResolution:
                 return super().map(fn, *iterables)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-        # At 0 dB almost every trial is a full-CSI outage, so 60,000 events
-        # take 4 chunks, in two waves of three; at 10 dB about 38 % are, and
-        # the cap of 8 chunks stops the point after three waves.
+        # A job is two chunks and a wave one job per worker. At 0 dB almost
+        # every trial is a full-CSI outage, so 60,000 events take 4 chunks,
+        # inside the first wave of three jobs; at 10 dB about 38 % are, and
+        # the cap of 8 chunks (4 jobs) stops the point after two waves.
         cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 10.0), deltas=(0.2,),
                                        min_outage_events=60_000, trial_cap=8 * CHUNK, workers=3)
         stats = harness.run_outage(cfg)
-        assert pools == [[3, 2], [3, 3]]
+        assert pools == [[3, 1], [3, 2]]
         assert [m.n for m in stats.points if m.metric == "out_full"] == [4 * CHUNK, 8 * CHUNK]
-        # A pool is no wider than the scan has chunks, and a one-chunk scan
-        # needs no pool at all.
+        # A pool is no wider than the scan has jobs, and a one-job scan needs
+        # no pool at all.
         pools.clear()
+        harness.run_outage(replace(cfg, trial_cap=4 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=2 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=CHUNK))
         assert pools == [[2, 1], [2, 1]]
+        # kuser jobs are one chunk each: three chunks take three workers.
+        pools.clear()
+        harness.run_k_user(harness.ExperimentConfig(
+            kind="kuser", variances=(1.0, 0.5, 0.25), trials=3 * CHUNK, workers=3))
+        assert pools == [[3, 1]]
 
 
 class TestPolicyDelta:
@@ -579,6 +586,99 @@ class TestBlockLayout:
             assert [m for m, _ in cols] == [m for m, _ in rows]
             for (metric, x), (_, y) in zip(cols, rows):
                 assert x.dtype == y.dtype and np.array_equal(x, y), (name, metric)
+
+
+def scanned_kernels(cfg, monkeypatch):
+    """(params, kernel) of each scan a run of cfg makes, in order."""
+    kernels = []
+    scan = harness._scan
+
+    def recording(params, seed, workers, kernel, *args):
+        kernels.append((params, kernel))
+        return scan(params, seed, workers, kernel, *args)
+
+    monkeypatch.setattr(harness, "_scan", recording)
+    harness.run_experiment(cfg)
+    monkeypatch.setattr(harness, "_scan", scan)
+    assert kernels
+    return kernels
+
+
+class TestJobs:
+    """A two-user scan job runs its kernel once on two stacked chunks, so
+    each kernel must be row-local: a chunk's rows give the same per-trial
+    metrics whatever rows share its block."""
+
+    @pytest.mark.parametrize("tail", [1, 7, 576, 7232, CHUNK])
+    @pytest.mark.parametrize("name", sorted(set(LAYOUT_CONFIGS) - {"kuser"}))
+    def test_two_user_kernels_are_row_local(self, name, tail, monkeypatch):
+        cfg = harness.ExperimentConfig(kind=name.split("-")[0], trials=1000, trial_cap=1000,
+                                       workers=1, **LAYOUT_CONFIGS[name])
+        assert harness.EXPERIMENTS[cfg.kind].job_chunks == harness.JOB_CHUNKS == 2
+        params = ChannelParams(cfg.variances)
+        first, last = sample_block(params, 3, 0), sample_block(params, 3, 1, tail)
+        stacked = np.asfortranarray(np.concatenate([first, last]))
+        for _, kernel in scanned_kernels(cfg, monkeypatch):
+            alone = [dict(kernel(first)), dict(kernel(last))]
+            together = list(kernel(stacked))
+            assert [m for m, _ in together] == list(alone[0]) == list(alone[1])
+            for metric, x in together:
+                for part, want in zip((x[:CHUNK], x[CHUNK:]), (alone[0][metric], alone[1][metric])):
+                    assert part.dtype == want.dtype and np.array_equal(part, want), (name, metric)
+
+    def test_kuser_bisects_one_chunk_at_a_time(self, monkeypatch):
+        # Its bisection reads the whole block (the largest r_ub and p g), so
+        # stacking two chunks could change the bits; its jobs stay one chunk.
+        assert harness.EXPERIMENTS["kuser"].job_chunks == 1
+        rows = []
+        bisect = alloc.batch_max_min_rate
+
+        def recording(g, *args):
+            rows.append(np.shape(g)[0])
+            return bisect(g, *args)
+
+        monkeypatch.setattr(alloc, "batch_max_min_rate", recording)
+        cfg = harness.ExperimentConfig(kind="kuser", variances=(1.0, 0.5, 0.25), deltas=(0.2,),
+                                       trials=3 * CHUNK - 5, workers=2)
+        harness.run_k_user(cfg)
+        # one true-gain bisection per chunk, and no call sees more rows
+        assert max(rows) == CHUNK and rows.count(CHUNK) == 2 and len(rows) == 9
+
+
+# The benchmark's two-user argvs, as the CLI parses them.
+JOB_PEAK_ARGV = {
+    "minrate": ["minrate", "--p-db", "0:30:5", "--delta", "0.01,0.05", "--trials", "1e6"],
+    "rateloss": ["rateloss", "--delta", "0.2,0.1,0.05,0.02,0.01,0.005", "--p-db", "10",
+                 "--trials", "1e6"],
+    "outage": ["outage", "--p-db", "10:30:5", "--delta", "0.01,0.2",
+               "--min-outage-events", "10000"],
+}
+# Traced peak, in KiB, of one two-chunk job of the first sweep point at one
+# worker: what the in-place kernels reach (1,860, 2,120 and 2,117) plus 5 %.
+# Each block-sized float64 array is 256 KiB, so one more temporary alive at
+# the peak fails here. Measured the same way, a one-chunk job peaked at
+# 1,539, 2,053 and 1,508 KiB before jobs took two chunks, and a two-chunk
+# job with the kernels as they were then at 2,819, 3,846 and 2,788.
+JOB_PEAK_KIB = {"minrate": 1953, "rateloss": 2226, "outage": 2223}
+
+
+@pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))
+def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
+    import tracemalloc
+
+    from nomafb import cli
+
+    cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
+    params, kernel = scanned_kernels(replace(cfg, trials=1000, trial_cap=1000, min_outage_events=1),
+                                     monkeypatch)[0]
+    harness._scan(params, 1, 1, kernel, 2 * CHUNK)  # first calls set up numpy's caches
+    tracemalloc.start()
+    try:
+        harness._scan(params, 1, 1, kernel, 2 * CHUNK)
+        peak = tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+    assert peak <= JOB_PEAK_KIB[kind], "%s job peaked at %.0f KiB" % (kind, peak)
 
 
 class TestDriverGuards:

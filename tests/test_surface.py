@@ -6,9 +6,11 @@ only exceptions.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import nomafb
+from nomafb.channel import CHUNK, sample_block
 
 # Called from outside the package only.
 ENTRY_POINTS = {
@@ -92,3 +94,38 @@ def test_hot_two_user_kernels_make_no_select():
                    and (isinstance(n.func, ast.Attribute) and n.func.attr == "where"
                         or isinstance(n.func, ast.Name) and n.func.id == "where")]
         assert selects == [], "%s.%s: %s" % (module, name, selects)
+
+
+def test_only_the_scan_samples_blocks():
+    # _scan is the one path that turns chunk indices into blocks of gains:
+    # its jobs stack their chunks and slice each chunk's metrics back out. A
+    # second caller could draw or stack blocks some other way.
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "sample_block" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                callers.append(where)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, "%s.%s" % (where, child.name) if named else where)
+
+    for path in Path(nomafb.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert set(callers) == {"harness._scan.job"}
+
+
+def test_sample_block_keeps_the_traced_signature():
+    # bench/layertrace.py wraps sample_block and unpacks its arguments by
+    # name into (params, master, block_index, count); a parameter added,
+    # renamed or made keyword-only breaks every traced benchmark run.
+    sig = inspect.signature(sample_block)
+    assert [(p.name, p.kind) for p in sig.parameters.values()] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("params", "master", "block_index", "count")]
+    assert sig.parameters["count"].default == CHUNK
+    trace = Path(nomafb.__file__).resolve().parents[2] / "bench" / "layertrace.py"
+    if trace.is_file():
+        info = next(node for node in ast.parse(trace.read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_sample_info")
+        assert [a.arg for a in info.args.args] == ["result"] + list(sig.parameters)
