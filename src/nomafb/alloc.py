@@ -195,39 +195,16 @@ def alloc_from_rate(r, gains_desc, p):
     return out
 
 
-def _row_sum(cols):
-    """Elementwise sum of equal-length arrays, in the order np.sum(axis=1)
-    adds one contiguous row of them, so the result is bit-identical.
+def _varpi_rows(r, pg):
+    """varpi of rows at rates r (n,); pg is (p * gains_desc).T, (K, n).
 
-    numpy adds a row pairwise: in order below 8 terms, into 8 interleaved
-    partial sums up to 128 terms, and by halves above that.
+    Term j is 2^(r (K-1-j)) / (p g_j), formed in a C-contiguous (n, K) array
+    so that each row is summed by np.sum's pairwise order, whatever n is.
     """
-    n = len(cols)
-    if n < 8:
-        return sum(cols[1:], cols[0])
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _row_sum(cols[:half]) + _row_sum(cols[half:])
-    stop = n - n % 8
-    acc = [sum(cols[j + 8:stop:8], cols[j]) for j in range(8)]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    return sum(cols[stop:], total)
-
-
-def _varpi_rows(r, pg_cols):
-    """varpi of rows at rates r (n,); pg_cols[j] is p * gains_desc[:, j].
-
-    Term j is 2^(r (K-1-j)) / pg_cols[j]. The exponent-1 power is the 2^r
-    that (2^r - 1) needs anyway and the exponent-0 power is exactly 1, so
-    only K-2 powers per row are computed.
-    """
-    k = len(pg_cols)
-    x = 2.0**r
-    terms = [2.0 ** (r * float(k - 1 - j)) / pg_cols[j] for j in range(k - 2)]
-    if k > 1:
-        terms.append(x / pg_cols[k - 2])
-    terms.append(1.0 / pg_cols[k - 1])
-    return (x - 1.0) * _row_sum(terms)
+    k = pg.shape[0]
+    terms = 2.0 ** np.multiply.outer(r, np.arange(k - 1.0, -1.0, -1.0))
+    terms /= pg.T
+    return (2.0**r - 1.0) * terms.sum(axis=1)
 
 
 def _varpi_horner(y, inv_pg):
@@ -255,15 +232,17 @@ def _horner_band(k, top, pg_max):
       - Horner: 1/(p g_j), then K-1 multiplications and K-1 additions of
         positive numbers, then the product with d: 2K roundings, so
         |e| <= 2K u = K eps to first order.
-      - _varpi_rows: for m = K-1-j >= 2, term j is 2.0**(r*m) / (p g_j).
-        Rounding r*m moves the exponent by at most r m u, a factor of
-        1 + ln2 top K u. pow errs by up to 4 ulp: numpy's float64 accuracy
-        tests allow its transcendental ufuncs up to 2 ulp
-        (_core/tests/data/umath-validation-set-*.csv) and list no pow, and
-        numpy may run its own SIMD pow, not libm's. So the power costs 4 eps,
-        and 2^(r m) differs from y^m by y's own error to the m-th power,
-        4 K eps. The division, the K-term sum of positive terms and the
-        product with d add (K + 1) u. In all, |e| <= (4.5 K + 0.35 K top + 4.5) eps.
+      - _varpi_rows: term j is 2.0**(r*m) / (p g_j), m = K-1-j. The powers
+        m = 1 and m = 0 are exact: r*1.0 == r, so the first is y, and
+        2.0**0.0 == 1. For m >= 2, rounding r*m moves the exponent by at
+        most r m u, a factor of 1 + ln2 top K u. pow errs by up to 4 ulp:
+        numpy's float64 accuracy tests allow its transcendental ufuncs up
+        to 2 ulp (_core/tests/data/umath-validation-set-*.csv) and list no
+        pow, and numpy may run its own SIMD pow, not libm's. So the power
+        costs 4 eps, and 2^(r m) differs from y^m by y's own error to the
+        m-th power, 4 K eps. The division, the K-term sum of positive terms
+        and the product with d add (K + 1) u. In all,
+        |e| <= (4.5 K + 0.35 K top + 4.5) eps.
     The two together stay below (10 K + 0.35 K top) eps; the band,
     16 K (1 + top) eps, is at least 1.6 times that, which leaves room for the
     second-order terms. If Horner's value exceeds 1 + band, then

@@ -229,18 +229,12 @@ def stats_rows(stats):
     ]
 
 
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def render_csv(stats):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
     for row in stats_rows(stats):
-        writer.writerow([_format_cell(row[c]) for c in COLUMNS])
+        writer.writerow([row[c] for c in COLUMNS])
     return buf.getvalue()
 
 

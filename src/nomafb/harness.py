@@ -91,6 +91,18 @@ class ExperimentConfig:
         if self.sweep == "p_db" and exp.one_delta and len(self.deltas) != 1:
             raise ValueError("%s sweeps p_db at one delta; give exactly one delta value"
                              % self.kind)
+        # Each sweep value, and each fixed delta's curve label in a p_db
+        # sweep, names its own rows: a repeat would print them twice or let
+        # one delta's rows overwrite another's.
+        again = _first_repeat(self.p_db if self.sweep == "p_db" else self.deltas)
+        if again is not None:
+            raise ValueError("%s=%s is given twice; give each sweep value once"
+                             % (self.sweep, _fmt(again)))
+        if self.sweep == "p_db" and self.policy == "fixed":
+            again = _first_repeat(_fmt(d) for d in self.deltas)
+            if again is not None:
+                raise ValueError("two deltas label their curves delta=%s; give deltas "
+                                 "that differ in %%g" % again)
         if self.r_th >= exp.r_th_max:
             raise ValueError("%s needs r_th below %g, where its outage threshold overflows"
                              % (self.kind, exp.r_th_max))
@@ -284,6 +296,16 @@ def _points(sweep_value, moments, n):
 
 def _fmt(x):
     return "%g" % x
+
+
+def _first_repeat(keys):
+    """The first key equal to an earlier one, or None."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            return key
+        seen.add(key)
+    return None
 
 
 def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):

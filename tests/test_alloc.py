@@ -147,7 +147,8 @@ class TestSicSnr:
 
 def varpi_rows(r, gains_desc, p):
     """The bisection's feasibility function at one rate and one gain vector."""
-    return float(alloc._varpi_rows(r, list(p * np.asarray(gains_desc, dtype=np.float64))))
+    pg = p * np.asarray(gains_desc, dtype=np.float64)[:, None]
+    return float(alloc._varpi_rows(np.array([r]), pg)[0])
 
 
 class TestVarpi:
@@ -329,10 +330,10 @@ class TestBatchBitExact:
             for p_db in (-1000.0, -10.0, 0.0, 17.0, 40.0, 1000.0):
                 p = 10.0 ** (p_db / 10.0)
                 rates = rng.uniform(0.0, 1.2, g.shape[0]) * np.log2(1.0 + p * g[:, -1])
-                pg_cols = list(np.ascontiguousarray((p * g).T))
+                pg = np.ascontiguousarray((p * g).T)
                 # the references overflow to +inf, silently, as the solver does
                 with np.errstate(over="ignore"):
-                    assert np.array_equal(alloc._varpi_rows(rates, pg_cols),
+                    assert np.array_equal(alloc._varpi_rows(rates, pg),
                                           _parent_varpi_rows(rates, g, p))
                 for eps in (1e-2, 1e-4, 1e-6, 1e-8):
                     with np.errstate(over="ignore"):
@@ -341,12 +342,23 @@ class TestBatchBitExact:
                     assert iters == want_iter
                     assert np.array_equal(r, want_r), (k, p_db, eps)
 
-    def test_row_sum_matches_numpy_order(self):
-        rng = np.random.default_rng(77)
-        for k in list(range(1, 40)) + [127, 128, 129, 200, 300]:
-            t = rng.exponential(1.0, (50, k)) * 10.0 ** rng.uniform(-8.0, 8.0, (50, k))
-            got = alloc._row_sum(list(np.ascontiguousarray(t.T)))
-            assert np.array_equal(got, np.sum(t, axis=1)), k
+    @pytest.mark.parametrize("k", [*range(1, 11), 16, 31, 32, 33, 64])
+    def test_fallback_bits_do_not_depend_on_the_rows_it_gets(self, k):
+        # The solver hands _varpi_rows only the rows near the root, any
+        # number of them: each row must get the bits it gets in a full block.
+        rng = np.random.default_rng(700 + k)
+        n = channel.CHUNK
+        desc = np.sort(10.0 ** rng.uniform(-3.0, 3.0, (n, k)), axis=1)[:, ::-1]
+        for p_db in (-30.0, 0.0, 40.0):
+            p = 10.0 ** (p_db / 10.0)
+            rates = rng.uniform(0.0, 1.2, n) * np.log2(1.0 + p * desc[:, -1])
+            pg = np.ascontiguousarray((p * desc).T)
+            full = alloc._varpi_rows(rates, pg)
+            assert np.array_equal(full, _parent_varpi_rows(rates, desc, p))
+            for rows in (rng.choice(n, m, replace=False) for m in (1, 3, 50, n)):
+                got = alloc._varpi_rows(rates[rows], pg[:, rows])
+                assert np.array_equal(got, full[rows]), (k, p_db, len(rows))
+                assert np.array_equal(got, _parent_varpi_rows(rates[rows], desc[rows], p))
 
 
 def rate_k(alphas, gains_desc, p, k):
@@ -545,9 +557,9 @@ class TestHornerGuard:
         rows = []
         reference = alloc._varpi_rows
 
-        def counted(r, pg_cols):
+        def counted(r, pg):
             rows.append(len(r))
-            return reference(r, pg_cols)
+            return reference(r, pg)
 
         monkeypatch.setattr(alloc, "_varpi_rows", counted)
         rng = np.random.default_rng(604)

@@ -11,13 +11,22 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nomafb
 from nomafb import cli
-from nomafb.harness import EXPERIMENTS, KINDS, P_DB_MAX, POLICIES, ExperimentConfig, RunStats
+from nomafb.harness import (
+    EXPERIMENTS,
+    KINDS,
+    P_DB_MAX,
+    POLICIES,
+    ExperimentConfig,
+    RunStats,
+    run_experiment,
+)
 
 # Derandomized, with no example database, so every run checks the same draws.
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -203,6 +212,17 @@ KIND_RULES = [
     (["minrate", "--variances", "1e308,1"], {"variances": (1e308, 1.0)}, "2^53"),
     (["feedback", "--delta-policy", "pcube", "--p-db", "1000"],
      {"delta_policy": "pcube", "p_db": (1000.0,)}, "2^53"),
+    # a sweep value given twice, or two fixed deltas of a p_db sweep whose
+    # %g curve labels collide
+    (["minrate", "--p-db", "10,10"], {"p_db": (10.0, 10.0)}, "p_db=10 is given twice"),
+    (["minrate", "--p-db", "0,-0"], {"p_db": (0.0, -0.0)}, "p_db=-0 is given twice"),
+    (["rateloss", "--delta", "0.1,0.1"], {"deltas": (0.1, 0.1)}, "delta=0.1 is given twice"),
+    (["minrate", "--p-db", "10", "--delta", "0.01000001,0.01000002"],
+     {"p_db": (10.0,), "deltas": (0.01000001, 0.01000002)}, "curves delta=0.01;"),
+    (["outage", "--p-db", "10", "--delta", "0.2000001,0.2000002"],
+     {"p_db": (10.0,), "deltas": (0.2000001, 0.2000002)}, "curves delta=0.2;"),
+    (["minrate", "--p-db", "0,10", "--delta", "0.1,0.1"],
+     {"p_db": (0.0, 10.0), "deltas": (0.1, 0.1)}, "curves delta=0.1;"),
 ]
 RULE_IDS = [" ".join(argv) for argv, _, _ in KIND_RULES]
 PROGRESS = re.compile(r"^\w+ (p_db|delta)=", re.M)
@@ -235,8 +255,10 @@ class TestKindRules:
 
     def test_every_valid_kind_still_runs(self, capsys):
         # the shape each rule allows: one p_db for a delta sweep, one delta
-        # for a single-curve p_db sweep, a policy where a kind takes one
+        # for a single-curve p_db sweep, a policy where a kind takes one, and
+        # deltas that print alike as %g where they head their own rows
         for argv in (["rateloss", "--delta", "0.1,0.2"], ["outageloss", "--p-db", "0,10"],
+                     ["rateloss", "--delta", "0.2000001,0.2000002"],
                      ["feedback", "--delta-policy", "pcube", "--p-db", "10,20"],
                      ["diversity", "--delta-policy", "pcube", "--p-db", "10,20"],
                      ["outage", "--r-th", "511"], ["rateloss", "--delta", "1e-14"],
@@ -539,6 +561,19 @@ class TestOutputFormats:
         text = cli.render_csv(stats)
         assert "0.3333333333333333" in text
         assert "0.125" in text
+
+    def test_numpy_floats_render_as_python_floats(self):
+        # A library caller may configure a run with numpy scalars; the CSV
+        # holds the same bytes, never an "np.float64(...)" repr.
+        def csv_of(f):
+            cfg = ExperimentConfig(kind="minrate", variances=(f(1.0), f(0.5)),
+                                   p_db=(f(10.0), f(12.5)), deltas=(f(0.01), f(0.2)),
+                                   trials=2000, workers=1)
+            return cli.render_csv(run_experiment(cfg))
+
+        text = csv_of(np.float64)
+        assert text == csv_of(float)
+        assert "np." not in text and ",12.5," in text
 
 
 class FakeLibc:

@@ -96,15 +96,13 @@ def test_hot_two_user_kernels_make_no_select():
         assert selects == [], "%s.%s: %s" % (module, name, selects)
 
 
-def test_only_the_scan_samples_blocks():
-    # _scan is the one path that turns chunk indices into blocks of gains:
-    # its jobs stack their chunks and slice each chunk's metrics back out. A
-    # second caller could draw or stack blocks some other way.
+def _call_sites(name):
+    """module.function[.inner] of every call to `name` in src/nomafb."""
     callers = []
 
     def visit(node, where):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "sample_block" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None), getattr(child.func, "attr", None)):
                 callers.append(where)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
@@ -112,7 +110,14 @@ def test_only_the_scan_samples_blocks():
 
     for path in Path(nomafb.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
-    assert set(callers) == {"harness._scan.job"}
+    return callers
+
+
+def test_only_the_scan_samples_blocks():
+    # _scan is the one path that turns chunk indices into blocks of gains:
+    # its jobs stack their chunks and slice each chunk's metrics back out. A
+    # second caller could draw or stack blocks some other way.
+    assert set(_call_sites("sample_block")) == {"harness._scan.job"}
 
 
 def test_sample_block_keeps_the_traced_signature():
@@ -129,3 +134,10 @@ def test_sample_block_keeps_the_traced_signature():
         info = next(node for node in ast.parse(trace.read_text()).body
                     if isinstance(node, ast.FunctionDef) and node.name == "_sample_info")
         assert [a.arg for a in info.args.args] == ["result"] + list(sig.parameters)
+
+
+def test_the_exact_varpi_runs_only_as_the_solver_fallback():
+    # _varpi_rows defines the K-user bits but is written for clarity, not
+    # speed: batch_max_min_rate calls it only on rows near the root. A call
+    # from anywhere else would put the slow form on the hot path.
+    assert _call_sites("_varpi_rows") == ["alloc.batch_max_min_rate"]
