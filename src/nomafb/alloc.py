@@ -103,24 +103,21 @@ def two_user_rates(a, g_strong, g_weak, p):
     return r_strong[()], r_weak[()]
 
 
-def outage_conditions(h1, h2, q1, q2, p, beta):
+def outage_conditions(h1, h2, a, rx1_strong, p, beta):
     """(system, receiver 1, receiver 2) outage masks on true gains h1, h2 when
-    power is split on fed-back gains q1, q2 (receiver 1 is strong on ties) and
-    both messages are sent at log2(1 + beta). Each rate test log2(1 + sinr) <
-    log2(1 + beta) is made as sinr < beta, the weak denominator multiplied out.
+    the strong receiver (receiver 1 where rx1_strong) gets power fraction a, as
+    in two_user_rates, and both messages are sent at log2(1 + beta). Each rate
+    test is made as sinr < beta, the weak denominator multiplied out.
 
     Each receiver is tested both as the strong and as the weak receiver, and
     boolean & and | keep the test of its role: the same float expressions as
     a select of the strong and weak gains, so the same bits, with no select.
     """
-    q1 = np.asarray(q1, dtype=np.float64)
-    q2 = np.asarray(q2, dtype=np.float64)
-    rx1_strong = q1 >= q2
-    a = equal_rate_split(np.maximum(q1, q2), np.minimum(q1, q2), p)
+    rx1_strong = np.asarray(rx1_strong, dtype=bool)  # ~ of a Python bool is an int
 
     def bad(h, strong):
         # Two buffers: p h (1 - a) < beta (p h a + 1), then p a h < beta.
-        shape = np.broadcast_shapes(np.shape(p), np.shape(h), a.shape)
+        shape = np.broadcast_shapes(np.shape(p), np.shape(h), np.shape(a))
         ph = np.multiply(p, h, out=np.empty(shape))
         sinr = np.subtract(1.0, a, out=np.empty(shape))
         sinr *= ph

@@ -128,7 +128,8 @@ OPTIONS = {
     "workers": ("--workers", parse_count, str, None,
                 "worker threads; 0 means $%s or all cores; never affects output bytes"
                 % WORKERS_ENV),
-    "k": ("--k", parse_count, None, None, "receiver count when --variances is not given"),
+    "k": ("--k", parse_count, None, None,
+          "receiver count, with variances 1/k; --variances, if given, must match it"),
 }
 K_DEFAULT = 4
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)} | {"k": K_DEFAULT}
@@ -186,11 +187,15 @@ def parse_config(argv=None):
     ns = parser.parse_args(argv)
     values = _load_config_file(parser, ns.config) if ns.config else {}
     values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
-    k = values.pop("k", K_DEFAULT)
+    k = values.pop("k", None)
     if EXPERIMENTS[ns.kind].k_user and "variances" not in values:
+        k = K_DEFAULT if k is None else k
         if k > MAX_RECEIVERS:
             parser.error("--k %d: kuser needs 2 to %d receivers" % (k, MAX_RECEIVERS))
         values["variances"] = tuple(1.0 / (i + 1) for i in range(k))
+    if EXPERIMENTS[ns.kind].k_user and k not in (None, len(values["variances"])):
+        parser.error("--k %d does not match --variances, which gives %d receivers"
+                     % (k, len(values["variances"])))
     try:
         cfg = ExperimentConfig(kind=ns.kind, **values)
     except ValueError as e:
@@ -214,19 +219,9 @@ def render_args(cfg, out=None, as_json=False):
 
 def stats_rows(stats):
     """RunStats -> list of row dicts in the output order."""
-    return [
-        {
-            "experiment": stats.experiment,
-            "sweep": stats.sweep,
-            "sweep_value": point.sweep_value,
-            "metric": point.metric,
-            "value": point.value,
-            "stderr": point.stderr,
-            "n": point.n,
-            "seed": stats.seed,
-        }
-        for point in stats.points
-    ]
+    return [dict(zip(COLUMNS, (stats.experiment, stats.sweep, point.sweep_value, point.metric,
+                               point.value, point.stderr, point.n, stats.seed)))
+            for point in stats.points]
 
 
 def render_csv(stats):

@@ -343,7 +343,8 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
                 pts[name] = replace(min((pts[s] for s in of), key=lambda m: m.value), metric=name)
             stats.points.extend(sorted((m for m in pts.values() if m.metric not in drop),
                                        key=lambda m: m.metric))
-            where = "%s=%s" % (stats.sweep, _fmt(value))
+            # The exact value: points %g prints alike get their own labels.
+            where = "%s=%r" % (stats.sweep, float(value))
             if capped:
                 stats.notes.append("%s: trial cap %d reached with %d/%d events"
                                    % (where, n, fewest, cfg.min_outage_events))
@@ -364,15 +365,8 @@ def _full_csi_outage(h1, h2, p, beta):
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
 
 
-def _quantized_outage(block, d, t, p, beta):
-    """outage_conditions on a two-user block of true gains when both
-    receivers feed back upper-edge levels."""
-    q = outage_levels(block, d, t) * d
-    return alloc.outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], p, beta)
-
-
 def _fed_back_gains(levels, d):
-    """(strong, weak) fed-back gains of a two-user block of rate levels.
+    """(strong, weak) fed-back gains of a two-user block of either edge's levels.
 
     The strong and weak levels are picked before the multiply by d, which is
     monotone, so these are the bits of picking from levels * d, without a
@@ -380,6 +374,16 @@ def _fed_back_gains(levels, d):
     """
     return (np.maximum(levels[:, 0], levels[:, 1]) * d,
             np.minimum(levels[:, 0], levels[:, 1]) * d)
+
+
+def _quantized_outage(block, levels, d, p, beta):
+    """outage_conditions on a two-user block of true gains when both receivers
+    feed back upper-edge levels: power is split on _fed_back_gains, as on the
+    rate path, and receiver 1 is strong where its fed-back float is not below
+    receiver 2's (levels past 2^53 can differ as ints and tie as floats)."""
+    a = alloc.equal_rate_split(*_fed_back_gains(levels, d), p)
+    rx1_strong = levels[:, 0] * d >= levels[:, 1] * d
+    return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
 
 
 def _quantized_min_rate(qs, qw, p):
@@ -457,7 +461,8 @@ def run_outage(cfg, progress=None):
                 yield "out_full", _full_csi_outage(h1, h2, p, beta)
                 yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
                 for label, d, t in dts:
-                    yield label, _quantized_outage(block, d, t, p, beta)[0]
+                    yield label, _quantized_outage(block, outage_levels(block, d, t), d, p,
+                                                   beta)[0]
 
             yield kernel, [(value, {})]
 
@@ -474,8 +479,7 @@ def run_outage_loss(cfg, progress=None):
                 h1, h2 = block[:, 0], block[:, 1]
                 out_full = _full_csi_outage(h1, h2, p, beta)
                 m = outage_levels(block, d, t)
-                q = m * d
-                out_qo = alloc.outage_conditions(h1, h2, q[:, 0], q[:, 1], p, beta)[0]
+                out_qo = _quantized_outage(block, m, d, p, beta)[0]
                 yield from (("out_full", out_full), ("out_qo", out_qo),
                             ("outage_loss", out_qo & ~out_full))
                 yield "vle_rx1", vle_lengths(m[:, 0])
@@ -544,9 +548,9 @@ def run_diversity(cfg, progress=None):
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
-                fixed = _quantized_outage(block, d_fix, t_fix, p, beta)
-                sys_pol = _quantized_outage(block, d_pol, t_pol, p, beta)[0]
-                yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], sys_pol,
+                fixed, pol = (_quantized_outage(block, outage_levels(block, d, t), d, p, beta)
+                              for d, t in ((d_fix, t_fix), (d_pol, t_pol)))
+                yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
                                        fixed[1], fixed[2]))
 
             yield kernel, [(value, {})]

@@ -1,12 +1,16 @@
 """Shared independent oracles for the test suite.
 
 Everything here is written from the defining formulas, not from the package
-internals, so tests compare two independent routes to the same number.
+internals, so tests compare two independent routes to the same number. The
+one exception, quantized_outage, is an adapter that feeds the package's own
+outage test, not an oracle.
 """
 
 import math
 
 import numpy as np
+
+from nomafb import alloc
 
 
 def grid_min_rate(h1, h2, p, step=1e-5):
@@ -144,3 +148,13 @@ def vle_rate_bound(delta, lam):
     """Analytic cap on the expected VLE bits per channel state for an
     exponential gain of mean lam under bins of width delta."""
     return 2.0 / math.log(2.0) + 1.0 + math.log2(1.0 + lam / delta)
+
+
+def quantized_outage(h1, h2, q1, q2, p, beta):
+    """alloc.outage_conditions with the power split and roles of fed-back
+    gains q1, q2: the strong receiver is the one with the larger fed-back
+    gain, receiver 1 on ties, and the split is equal_rate_split of the pair."""
+    q1 = np.asarray(q1, dtype=np.float64)
+    q2 = np.asarray(q2, dtype=np.float64)
+    a = alloc.equal_rate_split(np.maximum(q1, q2), np.minimum(q1, q2), p)
+    return alloc.outage_conditions(h1, h2, a, q1 >= q2, p, beta)

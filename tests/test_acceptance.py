@@ -13,7 +13,8 @@ from nomafb import alloc, harness, quantizer
 from nomafb.channel import CHUNK
 from nomafb.harness import ExperimentConfig
 
-from conftest import achievable_check, outage_prob_analytic, vle_mean_analytic, vle_rate_bound
+from conftest import (achievable_check, outage_prob_analytic, quantized_outage, vle_mean_analytic,
+                      vle_rate_bound)
 
 
 def metrics_by_sweep(stats):
@@ -318,7 +319,7 @@ def test_criterion_08_property_suites():
     to = quantizer.default_t_outage(0.2)
     o1 = quantizer.outage_levels(h1, 0.2, to) * 0.2
     o2 = quantizer.outage_levels(h2, 0.2, to) * 0.2
-    out_q = alloc.outage_conditions(h1, h2, o1, o2, p, 2.0**r_th - 1.0)[0]
+    out_q = quantized_outage(h1, h2, o1, o2, p, 2.0**r_th - 1.0)[0]
     out_full = alloc.max_min_rate_two_user(h1, h2, p) < r_th
     violations_dom = int(np.count_nonzero(out_full & ~out_q))
 

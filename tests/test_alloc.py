@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import special
 
-from conftest import achievable_check, grid_min_rate, random_triples, varpi
+from conftest import achievable_check, grid_min_rate, quantized_outage, random_triples, varpi
 from nomafb import alloc, channel, harness, quantizer
 
 
@@ -471,7 +471,7 @@ class TestTwoUserKernelProperties:
         t = quantizer.default_t_outage(delta)
         q1 = quantizer.outage_levels(h1, delta, t) * delta
         q2 = quantizer.outage_levels(h2, delta, t) * delta
-        out_q = alloc.outage_conditions(h1, h2, q1, q2, p, beta)[0]
+        out_q = quantized_outage(h1, h2, q1, q2, p, beta)[0]
         out_full = p * alloc.sic_snr(max(h1, h2), min(h1, h2), p) < beta
         assert out_q or not out_full
 
@@ -507,12 +507,12 @@ class TestSelectFreeOutage:
         n2[16:18] = n1[16:18] = 0
         q1, q2 = n1 * delta, n2 * delta
         want = _parent_outage_conditions(h1, h2, q1, q2, p, beta)
-        got = alloc.outage_conditions(h1, h2, q1, q2, p, beta)
+        got = quantized_outage(h1, h2, q1, q2, p, beta)
         for w, g in zip(want, got):
             assert g.dtype == bool and np.array_equal(g, w)
         for i in range(0, 64, 4):  # scalar inputs, as Python floats
             args = (float(h1[i]), float(h2[i]), float(q1[i]), float(q2[i]), p, beta)
-            scalar = [bool(g) for g in alloc.outage_conditions(*args)]
+            scalar = [bool(g) for g in quantized_outage(*args)]
             assert scalar == [bool(w) for w in _parent_outage_conditions(*args)]
             assert scalar == [bool(w[i]) for w in want]
 
@@ -522,9 +522,26 @@ class TestSelectFreeOutage:
         # whichever receiver is weak. The strong one, with no power, fails.
         for h, q, want in (((1.0, 0.25), (0.5, 0.0), [True, True, False]),
                            ((0.25, 1.0), (0.0, 0.5), [True, False, True])):
-            got = [bool(x) for x in alloc.outage_conditions(*h, *q, 4.0, 1.0)]
+            got = [bool(x) for x in quantized_outage(*h, *q, 4.0, 1.0)]
             assert got == want
             assert got == [bool(x) for x in _parent_outage_conditions(*h, *q, 4.0, 1.0)]
+
+    def test_roles_follow_the_fed_back_floats(self):
+        # Levels 2^53 and 2^53 + 1 differ as ints but both feed back 2^52 at
+        # delta 0.5: a tie of the fed-back gains, which receiver 1 wins. An
+        # int compare of the levels would make receiver 2 strong and flip its
+        # mask.
+        block = np.array([[1e15, 3e15]])
+        levels = np.array([[2**53, 2**53 + 1]], dtype=np.int64)
+        q = levels * 0.5
+        assert q[0, 0] == q[0, 1] == 2.0**52
+        want = _parent_outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], 1e-15, 1.0)
+        got = harness._quantized_outage(block, levels, 0.5, 1e-15, 1.0)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want] == [[True], [True], [False]]
+        a = alloc.equal_rate_split(q[:, 0], q[:, 1], 1e-15)
+        by_int = alloc.outage_conditions(block[:, 0], block[:, 1], a, levels[:, 0] >= levels[:, 1],
+                                         1e-15, 1.0)
+        assert by_int[2].tolist() == [True]
 
 
 class TestHornerGuard:

@@ -380,8 +380,27 @@ class TestParseConfig:
         assert exc.value.code == 2
 
     def test_explicit_variances_beat_k(self):
-        cfg, _ = cli.parse_config(["kuser", "--k", "3", "--variances", "1,1"])
+        cfg, _ = cli.parse_config(["kuser", "--k", "2", "--variances", "1,1"])
         assert cfg.variances == (1.0, 1.0)
+
+    def test_k_must_match_explicit_variances(self, tmp_path, capsys):
+        # Variances of another length would run a K the user did not ask for.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"k": 3, "variances": [1, 0.5]}))
+        for argv in (["kuser", "--k", "3", "--variances", "1,0.5"],
+                     ["kuser", "--config", str(path)],
+                     ["kuser", "--config", str(path), "--k", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--trials", "1000"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not PROGRESS.search(captured.err)
+            assert "--k 3 does not match --variances, which gives 2 receivers" in captured.err
+        # a matching --k runs, from a flag or from the file
+        assert cli.main(["kuser", "--config", str(path), "--k", "2", "--trials", "1000"]) == 0
+        path.write_text(json.dumps({"k": 2, "variances": [1, 0.5]}))
+        assert cli.main(["kuser", "--config", str(path), "--trials", "1000"]) == 0
+        capsys.readouterr()
 
     def test_bad_delta_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -549,6 +568,22 @@ class TestOutputFormats:
         code, _, err = self.run_main(argv, capsys)
         assert code == 0
         assert "note:" in err and "trial cap" in err
+
+    def test_progress_and_notes_name_the_exact_sweep_value(self, capsys):
+        # Two deltas that print alike as %g still get their own progress
+        # lines; the CSV keeps its own formatting of the values.
+        argv = ["rateloss", "--delta", "0.2000001,0.2000002", "--trials", "1000"]
+        code, _, err = self.run_main(argv, capsys)
+        assert code == 0
+        lines = [line for line in err.splitlines() if PROGRESS.match(line)]
+        assert lines == ["rateloss delta=0.2000001: 1000 trials",
+                         "rateloss delta=0.2000002: 1000 trials"]
+        argv = ["outage", "--p-db", "40", "--delta", "0.2", "--min-outage-events", "1e6",
+                "--trial-cap", "1000"]
+        code, _, err = self.run_main(argv, capsys)
+        assert code == 0
+        assert "outage p_db=40.0: 1000 trials" in err
+        assert "note: p_db=40.0: trial cap 1000 reached" in err
 
     def test_empty_stats_render_header_only(self):
         text = cli.render_csv(RunStats(experiment="minrate", sweep="p_db", seed=0))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import achievable_check
+from conftest import achievable_check, quantized_outage
 from nomafb import alloc, evaluator, harness, quantizer
 
 
@@ -153,7 +153,7 @@ class TestOutage:
         q2 = rng.exponential(0.5, 20_000)
         for r_th in (1.0, 2.0):
             beta = 2.0**r_th - 1.0
-            out_sys, out_rx1, out_rx2 = alloc.outage_conditions(h1, h2, q1, q2, 10.0, beta)
+            out_sys, out_rx1, out_rx2 = quantized_outage(h1, h2, q1, q2, 10.0, beta)
             rx1_strong = q1 >= q2
             a = alloc.equal_rate_split(np.maximum(q1, q2), np.minimum(q1, q2), 10.0)
             hs, hw = np.where(rx1_strong, h1, h2), np.where(rx1_strong, h2, h1)
@@ -171,8 +171,8 @@ class TestOutage:
         beta, p, q = 2.0**1.0 - 1.0, 10.0, 0.125
         a = alloc.equal_rate_split(q, q, p)
         assert a == 0.4 and math.log2(1.0 + p * a * 0.25) == 1.0
-        assert not alloc.outage_conditions(0.25, 50.0, q, q, p, beta)[0]
-        assert alloc.outage_conditions(0.25 * 0.999, 50.0, q, q, p, beta)[0]
+        assert not quantized_outage(0.25, 50.0, q, q, p, beta)[0]
+        assert quantized_outage(0.25 * 0.999, 50.0, q, q, p, beta)[0]
 
     def test_full_csi_outage_implies_quantized_outage(self):
         rng = np.random.default_rng(306)
@@ -185,7 +185,7 @@ class TestOutage:
         t = quantizer.default_t_outage(delta)
         q1 = quantizer.outage_levels(h1, delta, t) * delta
         q2 = quantizer.outage_levels(h2, delta, t) * delta
-        out_q = alloc.outage_conditions(h1, h2, q1, q2, p, beta)[0]
+        out_q = quantized_outage(h1, h2, q1, q2, p, beta)[0]
         out_full = p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
         assert not np.any(out_full & ~out_q)
 
@@ -280,7 +280,7 @@ def run_trial(h1, h2, p, delta_rate, t_rate, delta_outage, t_outage, r_th):
     r_actual = achieved_min_rate(h1, h2, a, rx1_strong, p)
     m1, m2 = quantizer.outage_levels([h1, h2], delta_outage, t_outage)
     beta = 2.0**r_th - 1.0
-    out_q = alloc.outage_conditions(h1, h2, m1 * delta_outage, m2 * delta_outage, p, beta)[0]
+    out_q = quantized_outage(h1, h2, m1 * delta_outage, m2 * delta_outage, p, beta)[0]
     bits = tuple(int(b) for b in quantizer.vle_lengths([n1, n2]))
     return r_full, r_adapted, r_actual, r_full < r_th, bool(out_q), bits
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import vle_mean_analytic
+from conftest import quantized_outage, vle_mean_analytic
 from nomafb import alloc, harness
 from nomafb.channel import CHUNK, ChannelParams, sample_block
 from nomafb.quantizer import (
@@ -225,8 +225,8 @@ class TestAdaptiveStopping:
             assert {m.n for m in stats.points} == {cap}
             # and the points count the first cap trials, no more
             h1, h2 = gains[:cap, 0], gains[:cap, 1]
-            out_q = alloc.outage_conditions(h1, h2, outage_levels(h1, 0.2, t) * 0.2,
-                                            outage_levels(h2, 0.2, t) * 0.2, 1e4, 1.0)[0]
+            out_q = quantized_outage(h1, h2, outage_levels(h1, 0.2, t) * 0.2,
+                                     outage_levels(h2, 0.2, t) * 0.2, 1e4, 1.0)[0]
             point = metrics_by_sweep(stats)[40.0]["out_qo[delta=0.2]"]
             assert round(point.value * cap) == np.count_nonzero(out_q) > 0
 
@@ -645,21 +645,46 @@ class TestJobs:
         assert max(rows) == CHUNK and rows.count(CHUNK) == 2 and len(rows) == 9
 
 
-# The benchmark's two-user argvs, as the CLI parses them.
+def test_outage_kinds_share_one_quantized_outage():
+    # outage, outageloss and diversity all test the upper-edge quantizer's
+    # outage on the same blocks. At one point and exactly 40,000 trials each,
+    # a fork between their paths would show as a different count.
+    common = dict(seed=3, deltas=(0.1,))
+    adaptive = dict(min_outage_events=10**9, trial_cap=40_000, **common)
+    outage = metrics_by_sweep(harness.run_outage(harness.ExperimentConfig(
+        kind="outage", p_db=(10.0,), **adaptive)))[10.0]
+    loss = metrics_by_sweep(harness.run_outage_loss(harness.ExperimentConfig(
+        kind="outageloss", p_db=(10.0,), trials=40_000, **common)))[0.1]
+    diversity = metrics_by_sweep(harness.run_diversity(harness.ExperimentConfig(
+        kind="diversity", p_db=(0.0, 5.0, 10.0), **adaptive)))[10.0]
+    for name, runs in (("out_full", [outage["out_full"], loss["out_full"],
+                                     diversity["out_full"]]),
+                       ("out_qo", [outage["out_qo[delta=0.1]"], loss["out_qo"],
+                                   diversity["out_qo_fixed[delta=0.1]"]])):
+        assert [(m.value, m.n) for m in runs] == [(runs[0].value, 40_000)] * 3, name
+    assert 0 < outage["out_full"].value < outage["out_qo[delta=0.1]"].value
+
+
+# The benchmark's two-user argvs, as the CLI parses them, and outageloss,
+# the third upper-edge kind.
 JOB_PEAK_ARGV = {
     "minrate": ["minrate", "--p-db", "0:30:5", "--delta", "0.01,0.05", "--trials", "1e6"],
     "rateloss": ["rateloss", "--delta", "0.2,0.1,0.05,0.02,0.01,0.005", "--p-db", "10",
                  "--trials", "1e6"],
     "outage": ["outage", "--p-db", "10:30:5", "--delta", "0.01,0.2",
                "--min-outage-events", "10000"],
+    "outageloss": ["outageloss", "--delta", "0.05", "--p-db", "10"],
 }
 # Traced peak, in KiB, of one two-chunk job of the first sweep point at one
-# worker: what the in-place kernels reach (1,860, 2,120 and 2,117) plus 5 %.
-# Each block-sized float64 array is 256 KiB, so one more temporary alive at
-# the peak fails here. Measured the same way, a one-chunk job peaked at
-# 1,539, 2,053 and 1,508 KiB before jobs took two chunks, and a two-chunk
-# job with the kernels as they were then at 2,819, 3,846 and 2,788.
-JOB_PEAK_KIB = {"minrate": 1953, "rateloss": 2226, "outage": 2223}
+# worker: what the in-place kernels reach (1,860, 2,120, 2,117 and 2,116)
+# plus 5 %. Each block-sized float64 array is 256 KiB, so one more temporary
+# alive at the peak fails here. Measured the same way, a one-chunk job
+# peaked at 1,539, 2,053 and 1,508 KiB before jobs took two chunks, and a
+# two-chunk job with the kernels as they were then at 2,819, 3,846 and
+# 2,788. outageloss peaked at 2,660 KiB while it kept a float copy of the
+# fed-back gains, and outage now peaks at 2,084, its role mask formed after
+# the split.
+JOB_PEAK_KIB = {"minrate": 1953, "rateloss": 2226, "outage": 2223, "outageloss": 2222}
 
 
 @pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))

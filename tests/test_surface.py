@@ -113,6 +113,17 @@ def _call_sites(name):
     return callers
 
 
+def test_one_upper_edge_outage_path():
+    # Both quantizers order the receivers by their fed-back gains and split
+    # power by the same closed form; only the bin edge differs. The outage
+    # kinds all test a quantized outage through _quantized_outage, and the
+    # split is formed only there and on the rate path, so no second copy can
+    # pick the strong and weak gains some other way.
+    assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
+    assert sorted(_call_sites("equal_rate_split")) == ["harness._quantized_min_rate",
+                                                       "harness._quantized_outage"]
+
+
 def test_only_the_scan_samples_blocks():
     # _scan is the one path that turns chunk indices into blocks of gains:
     # its jobs stack their chunks and slice each chunk's metrics back out. A
