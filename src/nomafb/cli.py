@@ -188,6 +188,10 @@ def parse_config(argv=None):
     values = _load_config_file(parser, ns.config) if ns.config else {}
     values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
     k = values.pop("k", None)
+    if not EXPERIMENTS[ns.kind].k_user and k is not None:
+        # Only --config can carry it here: --k is a kuser flag.
+        parser.error("--config %s: option 'k' is for kuser; %s runs exactly two receivers"
+                     % (ns.config, ns.kind))
     if EXPERIMENTS[ns.kind].k_user and "variances" not in values:
         k = K_DEFAULT if k is None else k
         if k > MAX_RECEIVERS:

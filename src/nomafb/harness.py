@@ -380,9 +380,16 @@ def _quantized_outage(block, levels, d, p, beta):
     """outage_conditions on a two-user block of true gains when both receivers
     feed back upper-edge levels: power is split on _fed_back_gains, as on the
     rate path, and receiver 1 is strong where its fed-back float is not below
-    receiver 2's (levels past 2^53 can differ as ints and tie as floats)."""
-    a = alloc.equal_rate_split(*_fed_back_gains(levels, d), p)
+    receiver 2's (levels past 2^53 can differ as ints and tie as floats).
+
+    levels is dropped before the split: a caller that passes them as a
+    temporary does not keep them alive through it.
+    """
     rx1_strong = levels[:, 0] * d >= levels[:, 1] * d
+    q = _fed_back_gains(levels, d)
+    del levels
+    a = alloc.equal_rate_split(*q, p)
+    del q
     return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
 
 
@@ -393,21 +400,85 @@ def _quantized_min_rate(qs, qw, p):
     return np.minimum(r_strong, r_weak, out=r_strong)
 
 
+# Most entries of a lower-edge min-rate table: 1 MiB of float64, which holds
+# every level pair for t <= 510 bins (delta >= ~0.009 at lambda1 = 1). A finer
+# bin splits power per row: its table would outweigh a job's arrays (563,391
+# entries at delta = 0.005, 191 MB at 1e-3).
+PAIR_TABLE_MAX = 1 << 17
+
+
+def _min_rate_table(d, t, p):
+    """_quantized_min_rate of every pair of lower-edge levels w <= s <= t, the
+    entry of (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX.
+
+    The transmitter adapts its rates to the fed-back levels alone, so a
+    trial's min adapted rate is the entry of its (strong, weak) level pair.
+    Each entry is formed from s * d and w * d, elementwise as a row forms it,
+    so it has the row's bits. The table is built a few strong levels at a
+    time, on slabs no larger than a job's rows.
+    """
+    size = (t + 1) * (t + 2) // 2
+    if size > PAIR_TABLE_MAX:
+        return None
+    table = np.empty(size)
+    step = JOB_CHUNKS * CHUNK // (t + 1)  # strong levels per slab
+    for lo in range(0, t + 1, step):
+        s = np.arange(lo, min(lo + step, t + 1))
+        s = np.repeat(s, s + 1)
+        first = lo * (lo + 1) // 2
+        w = np.arange(first, first + s.size) - (s * (s + 1) >> 1)
+        table[first:first + s.size] = _quantized_min_rate(s * d, w * d, p)
+    return table
+
+
+def _rate_feedback(levels, d, table):
+    """What _lower_edge_min_rate reads of a two-user block of lower-edge
+    levels: each row's key s(s+1)/2 + w into table, for its strong level s
+    and weak level w, or with no table its _fed_back_gains. The caller drops
+    levels before the lookup, so they are not alive through a per-row split.
+    """
+    if table is None:
+        return _fed_back_gains(levels, d)
+    s = np.maximum(levels[:, 0], levels[:, 1])
+    key = s + 1
+    key *= s
+    del s
+    key >>= 1
+    key += np.minimum(levels[:, 0], levels[:, 1])
+    return key
+
+
+def _lower_edge_min_rate(fed, p, table):
+    """Min adapted rate per row of _rate_feedback(levels, d, table): the
+    table's entries, or with no table the split of each row's gains."""
+    return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
+
+
+def _rate_quantizers(deltas, lam1, p):
+    """(delta, bin count, _min_rate_table) of each lower-edge delta at power
+    p: one table per scan and delta, which every job of the scan reads."""
+    quantizers = []
+    for d in deltas:
+        t = default_t_rate(d, lam1)
+        quantizers.append((d, t, _min_rate_table(d, t, p)))
+    return quantizers
+
+
 # ---------------------------------------------------------------------------
 # drivers
 
 def run_min_rate(cfg, progress=None):
     def scans():
         for value, p, deltas in cfg.points:
-            dts = [(d, default_t_rate(d, cfg.variances[0])) for d in deltas]
+            dts = _rate_quantizers(deltas, cfg.variances[0], p)
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
                 yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
                 yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-                for d, t in dts:
-                    yield "r_qr[delta=%s]" % _fmt(d), _quantized_min_rate(
-                        *_fed_back_gains(rate_levels(block, d, t), d), p)
+                for d, t, table in dts:
+                    yield "r_qr[delta=%s]" % _fmt(d), _lower_edge_min_rate(
+                        _rate_feedback(rate_levels(block, d, t), d, table), p, table)
 
             yield kernel, [(value, {})]
 
@@ -420,28 +491,28 @@ def run_rate_loss(cfg, progress=None):
         lam1, lam2 = cfg.variances
         points = cfg.points
         _, p, _ = points[0]
-        dts = [(d, default_t_rate(d, lam1)) for _, _, (d,) in points]
+        dts = _rate_quantizers([d for _, _, (d,) in points], lam1, p)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             rf = alloc.max_min_rate_two_user(h1, h2, p)
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            for d, t in dts:
+            for d, t, table in dts:
                 n = rate_levels(block, d, t)
                 yield ("vle_rx1", d), vle_lengths(n[:, 0])
                 yield ("vle_rx2", d), vle_lengths(n[:, 1])
                 # Each array goes once it is used, so none of them is alive
                 # through the split or the next delta's quantizer.
-                q = _fed_back_gains(n, d)
+                fed = _rate_feedback(n, d, table)
                 del n
-                rq = _quantized_min_rate(*q, p)
-                del q
+                rq = _lower_edge_min_rate(fed, p, table)
+                del fed
                 yield ("r_qr", d), rq
                 yield ("rate_loss", d), rf - rq
                 del rq
 
         yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t, lam1, lam2)})
-                       for d, t in dts]
+                       for d, t, _ in dts]
 
     return _sweep(cfg, "rateloss", scans(), progress, mins=VLE_MIN)
 

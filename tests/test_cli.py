@@ -402,6 +402,20 @@ class TestParseConfig:
         assert cli.main(["kuser", "--config", str(path), "--trials", "1000"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("kind", [k for k in KINDS if not EXPERIMENTS[k].k_user])
+    def test_k_in_config_is_refused_for_two_user_kinds(self, kind, tmp_path, capsys):
+        # A two-user kind always runs two receivers; a "k" it dropped would
+        # run something other than the file asks for.
+        path = tmp_path / "run.json"
+        for k in (2, 3):
+            path.write_text(json.dumps({"k": k}))
+            with pytest.raises(SystemExit) as exc:
+                cli.main([kind, "--config", str(path), "--trials", "1000"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and not PROGRESS.search(captured.err)
+            assert "option 'k' is for kuser; %s runs exactly two receivers" % kind in captured.err
+
     def test_bad_delta_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.parse_config(["rateloss", "--delta", "1.5"])

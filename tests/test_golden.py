@@ -62,6 +62,17 @@ GOLDEN = {
         ["kuser", "--k", "16", "--p-db", "30", "--delta", "0.01", "--trials", "20000"],
         "c1bf2c9011c19aa3d04fb9b5b8549f6075b692beaa9112c8d9249aa91daace4b",
     ),
+    # The largest lower-edge bin count whose min-rate table fits
+    # PAIR_TABLE_MAX (t = 510 at delta 0.0092) and the first past it (t = 511
+    # at 0.00919, split per row). Pinned on the per-row code, before tables.
+    "minrate_table_edge": (
+        ["minrate", "--p-db", "0,20", "--delta", "0.0092,0.00919", "--trials", "20000"],
+        "aafe25afc0b81e49ef42ee61354e01ee9553ef9f2464be704cde0a75f5c77201",
+    ),
+    "rateloss_table_edge": (
+        ["rateloss", "--p-db", "10", "--delta", "0.0092,0.00919", "--trials", "20000"],
+        "f2bde970afbed52837cc2719d1d6c4606bda075b3722b9c12a05a19932e08891",
+    ),
 }
 
 

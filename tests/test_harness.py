@@ -338,6 +338,93 @@ class TestRateLossExamples:
             harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
 
 
+class TestMinRateTable:
+    """The transmitter adapts to the fed-back levels alone, so minrate and
+    rateloss look each trial's min adapted rate up by its (strong, weak)
+    level pair, in one table per scan and delta. Every entry must carry the
+    bits of the per-row split it replaces."""
+
+    @staticmethod
+    def looked_up(levels, d, t, p):
+        table = harness._min_rate_table(d, t, p)
+        assert table is not None and table.size == (t + 1) * (t + 2) // 2
+        return harness._lower_edge_min_rate(harness._rate_feedback(levels, d, table), p, table)
+
+    @staticmethod
+    def per_row(levels, d, p):
+        return harness._quantized_min_rate(*harness._fed_back_gains(levels, d), p)
+
+    @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
+    @pytest.mark.parametrize("d", [0.2, 0.05])
+    def test_every_pair_has_the_per_row_bits(self, d, p_db):
+        p = 10.0 ** (p_db / 10.0)
+        t = default_t_rate(d)
+        s, w = np.tril_indices(t + 1)  # every w <= s, in key order s(s+1)/2 + w
+        # Each pair with receiver 1 strong, then with receiver 2 strong.
+        levels = np.asfortranarray(np.concatenate([np.column_stack([s, w]),
+                                                   np.column_stack([w, s])]))
+        want = self.per_row(levels, d, p)
+        got = self.looked_up(levels, d, t, p)
+        assert got.dtype == np.float64
+        assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert_array_equal(harness._min_rate_table(d, t, p).view(np.int64),
+                           want[:s.size].view(np.int64))
+
+    @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
+    def test_sampled_and_edge_pairs_have_the_per_row_bits(self, p_db):
+        p = 10.0 ** (p_db / 10.0)
+        d = 0.01
+        t = default_t_rate(d)
+        rng = np.random.default_rng(17)
+        s = rng.integers(0, t + 1, 10**5)
+        w = rng.integers(0, s + 1)
+        edge = np.arange(t + 1)
+        s = np.concatenate([s, edge, edge, np.full(t + 1, t)])  # w = 0, w = s, s = t
+        w = np.concatenate([w, np.zeros(t + 1, dtype=np.int64), edge, edge])
+        flip = rng.random(s.size) < 0.5  # either receiver the strong one
+        levels = np.asfortranarray(np.column_stack([np.where(flip, w, s), np.where(flip, s, w)]))
+        assert_array_equal(self.looked_up(levels, d, t, p).view(np.int64),
+                           self.per_row(levels, d, p).view(np.int64))
+
+    def test_no_table_outgrows_its_cap(self):
+        # (t+1)(t+2)/2 pairs fit 2^17 entries up to t = 510; a finer bin
+        # splits per row. The golden minrate and rateloss table-edge cases
+        # run delta = 0.0092 (t = 510) and 0.00919 (t = 511).
+        assert harness.PAIR_TABLE_MAX == 1 << 17
+        assert (default_t_rate(0.0092), default_t_rate(0.00919)) == (510, 511)
+        for t in range(505, 516):
+            table = harness._min_rate_table(1.0 / (t + 1), t, 10.0)
+            if t <= 510:
+                assert table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
+            else:
+                assert table is None
+
+    @pytest.mark.parametrize("kind", ["minrate", "rateloss"])
+    def test_one_table_per_scan_and_delta(self, kind, monkeypatch):
+        deltas, p_db = (0.2, 0.05, 0.00919), (0.0, 10.0, 20.0)
+        cfg = harness.ExperimentConfig(kind=kind, p_db=p_db if kind == "minrate" else (10.0,),
+                                       deltas=deltas, trials=5 * CHUNK - 3, seed=4, workers=2)
+        built = []
+        build = harness._min_rate_table
+
+        def counting(d, t, p):
+            table = build(d, t, p)
+            assert table is None or table.size <= harness.PAIR_TABLE_MAX
+            built.append((d, p, table is not None))
+            return table
+
+        monkeypatch.setattr(harness, "_min_rate_table", counting)
+        looked_up = harness.run_experiment(cfg)
+        # Every scan builds each delta's table once, whatever its job count.
+        powers = [10.0 ** (v / 10.0) for v in cfg.p_db]
+        assert sorted(built) == sorted((d, p, d != 0.00919) for p in powers for d in deltas)
+        # Split per row, every row, for the same metrics.
+        monkeypatch.setattr(harness, "_min_rate_table", lambda d, t, p: None)
+        per_row = harness.run_experiment(cfg)
+        assert [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in looked_up.points] == \
+            [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in per_row.points]
+
+
 class TestOutageExamples:
     def test_fine_bins_track_full_csi(self):
         cfg = harness.ExperimentConfig(kind="outage", p_db=(5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
@@ -677,14 +764,17 @@ JOB_PEAK_ARGV = {
 }
 # Traced peak, in KiB, of one two-chunk job of the first sweep point at one
 # worker: what the in-place kernels reach (1,860, 2,120, 2,117 and 2,116)
-# plus 5 %. Each block-sized float64 array is 256 KiB, so one more temporary
-# alive at the peak fails here. Measured the same way, a one-chunk job
-# peaked at 1,539, 2,053 and 1,508 KiB before jobs took two chunks, and a
-# two-chunk job with the kernels as they were then at 2,819, 3,846 and
-# 2,788. outageloss peaked at 2,660 KiB while it kept a float copy of the
-# fed-back gains, and outage now peaks at 2,084, its role mask formed after
-# the split.
-JOB_PEAK_KIB = {"minrate": 1953, "rateloss": 2226, "outage": 2223, "outageloss": 2222}
+# plus 5 %, lowered since. Each block-sized float64 array is 256 KiB, so one
+# more temporary alive at the peak fails here. Measured the same way, a
+# one-chunk job peaked at 1,539, 2,053 and 1,508 KiB before jobs took two
+# chunks, and a two-chunk job with the kernels as they were then at 2,819,
+# 3,846 and 2,788. outageloss peaked at 2,660 KiB while it kept a float copy
+# of the fed-back gains. minrate now peaks at 1,668 (its min rates looked up
+# by level pair, the levels gone before the lookup) and outage at 1,892 (its
+# levels gone before the split); their pins are those plus 5 %. outageloss,
+# which keeps its levels for the VLE lengths, peaks at 2,148 and rateloss,
+# whose finest delta still splits per row, at 2,120.
+JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222}
 
 
 @pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))

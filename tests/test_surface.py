@@ -86,7 +86,8 @@ def test_hot_two_user_kernels_make_no_select():
     # mask; a select brought back would slow every scan without a trace.
     root = Path(nomafb.__file__).parent
     for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
-                         ("quantizer", "outage_levels")):
+                         ("quantizer", "outage_levels"), ("harness", "_rate_feedback"),
+                         ("harness", "_lower_edge_min_rate")):
         tree = ast.parse((root / ("%s.py" % module)).read_text())
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -122,6 +123,19 @@ def test_one_upper_edge_outage_path():
     assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
     assert sorted(_call_sites("equal_rate_split")) == ["harness._quantized_min_rate",
                                                        "harness._quantized_outage"]
+
+
+def test_one_lower_edge_min_rate_path():
+    # minrate and rateloss look the min adapted rate up by level pair, or
+    # split per row past the table's cap, through one pair of helpers; the
+    # table and the per-row split both run the one formula.
+    assert sorted(_call_sites("_quantized_min_rate")) == ["harness._lower_edge_min_rate",
+                                                          "harness._min_rate_table"]
+    assert sorted(_call_sites("_rate_feedback")) == ["harness.run_min_rate.scans.kernel",
+                                                     "harness.run_rate_loss.scans.kernel"]
+    assert _call_sites("_min_rate_table") == ["harness._rate_quantizers"]
+    assert sorted(_call_sites("_rate_quantizers")) == ["harness.run_min_rate.scans",
+                                                       "harness.run_rate_loss.scans"]
 
 
 def test_only_the_scan_samples_blocks():
