@@ -329,6 +329,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     for kernel, views in scans:
         moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials, events,
                                    cfg.min_outage_events, EXPERIMENTS[kind].job_chunks)
+        del kernel  # its tables go before the next scan builds its own
         fewest = min((int(moments[e][0]) for e in events), default=None)
         for value, constants in views:
             own = {}
@@ -405,6 +406,10 @@ def _quantized_min_rate(qs, qw, p):
 # bin splits power per row: its table would outweigh a job's arrays (563,391
 # entries at delta = 0.005, 191 MB at 1e-3).
 PAIR_TABLE_MAX = 1 << 17
+# Most entries a table is built on at once. The main thread builds it, on a
+# heap the worker threads do not share, so its temporaries add to a run's
+# peak RSS: +1.1 MB at 32,768 entries and +0.5 MB at 16,384 on minrate_psweep.
+PAIR_SLAB = 1 << 13
 
 
 def _min_rate_table(d, t, p):
@@ -415,13 +420,13 @@ def _min_rate_table(d, t, p):
     trial's min adapted rate is the entry of its (strong, weak) level pair.
     Each entry is formed from s * d and w * d, elementwise as a row forms it,
     so it has the row's bits. The table is built a few strong levels at a
-    time, on slabs no larger than a job's rows.
+    time, on slabs of at most PAIR_SLAB entries.
     """
     size = (t + 1) * (t + 2) // 2
     if size > PAIR_TABLE_MAX:
         return None
     table = np.empty(size)
-    step = JOB_CHUNKS * CHUNK // (t + 1)  # strong levels per slab
+    step = PAIR_SLAB // (t + 1)  # strong levels per slab, t + 1 <= 511
     for lo in range(0, t + 1, step):
         s = np.arange(lo, min(lo + step, t + 1))
         s = np.repeat(s, s + 1)
@@ -468,21 +473,22 @@ def _rate_quantizers(deltas, lam1, p):
 # drivers
 
 def run_min_rate(cfg, progress=None):
-    def scans():
-        for value, p, deltas in cfg.points:
-            dts = _rate_quantizers(deltas, cfg.variances[0], p)
+    def kernel_at(p, deltas):
+        dts = _rate_quantizers(deltas, cfg.variances[0], p)
 
-            def kernel(block):
-                h1, h2 = block[:, 0], block[:, 1]
-                yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
-                yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-                for d, t, table in dts:
-                    yield "r_qr[delta=%s]" % _fmt(d), _lower_edge_min_rate(
-                        _rate_feedback(rate_levels(block, d, t), d, table), p, table)
+        def kernel(block):
+            h1, h2 = block[:, 0], block[:, 1]
+            yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
+            yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
+            for d, t, table in dts:
+                yield "r_qr[delta=%s]" % _fmt(d), _lower_edge_min_rate(
+                    _rate_feedback(rate_levels(block, d, t), d, table), p, table)
 
-            yield kernel, [(value, {})]
+        return kernel
 
-    return _sweep(cfg, "minrate", scans(), progress)
+    # Only _sweep holds a point's kernel, so its tables go after its scan.
+    scans = ((kernel_at(p, deltas), [(value, {})]) for value, p, deltas in cfg.points)
+    return _sweep(cfg, "minrate", scans, progress)
 
 
 def run_rate_loss(cfg, progress=None):

@@ -131,10 +131,10 @@ def test_one_lower_edge_min_rate_path():
     # table and the per-row split both run the one formula.
     assert sorted(_call_sites("_quantized_min_rate")) == ["harness._lower_edge_min_rate",
                                                           "harness._min_rate_table"]
-    assert sorted(_call_sites("_rate_feedback")) == ["harness.run_min_rate.scans.kernel",
+    assert sorted(_call_sites("_rate_feedback")) == ["harness.run_min_rate.kernel_at.kernel",
                                                      "harness.run_rate_loss.scans.kernel"]
     assert _call_sites("_min_rate_table") == ["harness._rate_quantizers"]
-    assert sorted(_call_sites("_rate_quantizers")) == ["harness.run_min_rate.scans",
+    assert sorted(_call_sites("_rate_quantizers")) == ["harness.run_min_rate.kernel_at",
                                                        "harness.run_rate_loss.scans"]
 
 
