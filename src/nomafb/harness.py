@@ -329,7 +329,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     for kernel, views in scans:
         moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials, events,
                                    cfg.min_outage_events, EXPERIMENTS[kind].job_chunks)
-        del kernel  # its tables go before the next scan builds its own
+        del kernel  # what it holds, such as minrate's tables, goes before the next is made
         fewest = min((int(moments[e][0]) for e in events), default=None)
         for value, constants in views:
             own = {}

@@ -424,6 +424,28 @@ class TestMinRateTable:
         assert [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in looked_up.points] == \
             [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in per_row.points]
 
+    def test_a_points_tables_go_before_the_next_point_builds(self, monkeypatch):
+        # The main thread builds the tables on a heap of its own, so tables
+        # kept past their scan would add to the run's peak memory.
+        import weakref
+
+        cfg = harness.ExperimentConfig(kind="minrate", p_db=(0.0, 10.0, 20.0),
+                                       deltas=(0.2, 0.05), trials=3 * CHUNK, workers=2)
+        earlier, points = [], []
+        build = harness._min_rate_table
+
+        def tracking(d, t, p):
+            if p not in points:
+                points.append(p)
+                assert all(ref() is None for ref in earlier), "point %d" % len(points)
+            table = build(d, t, p)
+            earlier.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(harness, "_min_rate_table", tracking)
+        harness.run_experiment(cfg)
+        assert len(points) == 3 and len(earlier) == 6
+
 
 class TestOutageExamples:
     def test_fine_bins_track_full_csi(self):
