@@ -45,6 +45,9 @@ MAX_RECEIVERS = 64
 # than on 16,384-element ones (x1.0 to x1.8), so a job runs the kernel on two
 # chunks at once.
 JOB_CHUNKS = 2
+# A bin size and, for each edge's quantizer, its level count at each receiver.
+# Outputs of one count (t_bins, fle_bits, rate_loss_bound's t) give receiver 1's.
+Bin = namedtuple("Bin", "delta t_rate t_outage")
 
 
 @dataclass(frozen=True)
@@ -111,16 +114,7 @@ class ExperimentConfig:
                 raise ValueError("%s must be at least 1" % name)
         if self.seed < 0 or self.workers < 0:
             raise ValueError("seed and workers must be nonnegative")
-        lam1 = self.variances[0]
-        for value, _, deltas in self.points:
-            for d in deltas:
-                # T = lambda1*ln(1/delta)/delta; levels from 2^53 on are not exact
-                if 0 < d < 1 and lam1 / d * -math.log(d) < 2.0**53:
-                    continue
-                what = ("delta=%g" % d if d in self.deltas
-                        else "%s gives delta=%g at p_db=%g" % (self.policy, d, value))
-                raise ValueError(what + (", which needs 2^53 or more bins at lambda1=%g" % lam1
-                                         if 0 < d < 1 else ", outside (0, 1)"))
+        self.points  # resolves, and so checks, every point's bins
 
     @property
     def sweep(self):
@@ -140,10 +134,10 @@ class ExperimentConfig:
 
     @property
     def points(self):
-        """(sweep value, linear power p, bin sizes) of each sweep point. A
-        delta sweep runs each delta at the one p_db; a p_db sweep runs the
-        fixed deltas, or the bin the policy gives at that power (diversity
-        runs its fixed delta and that bin)."""
+        """(sweep value, linear power p, bins) of each sweep point, a Bin for
+        each bin size it runs. A delta sweep runs each delta at the one p_db;
+        a p_db sweep runs the fixed deltas, or the bin the policy gives at
+        that power (diversity runs its fixed delta and that bin)."""
         points = []
         for pdb in self.p_db:
             p = 10.0 ** (pdb / 10.0)
@@ -154,7 +148,20 @@ class ExperimentConfig:
             else:
                 fixed = self.deltas if self.kind == "diversity" else ()
                 points.append((pdb, p, fixed + (policy_delta(self.policy, p),)))
-        return points
+        return [(value, p, tuple(self._bin(d, value) for d in ds)) for value, p, ds in points]
+
+    def _bin(self, d, value):
+        """The Bin of size d at sweep value `value`: kuser counts each receiver's
+        levels from its own mean gain, the two-user kinds both from lambda1."""
+        lams = self.variances if EXPERIMENTS[self.kind].k_user else self.variances[:1] * 2
+        try:
+            return Bin(d, tuple(default_t_rate(d, lam) for lam in lams),
+                       tuple(default_t_outage(d, lam) for lam in lams))
+        except ValueError:
+            what = ("delta=%g" % d if d in self.deltas
+                    else "%s gives delta=%g at p_db=%g" % (self.policy, d, value))
+            raise ValueError(what + (", which needs 2^53 or more bins at lambda1=%g"
+                                     % self.variances[0] if 0 < d < 1 else ", outside (0, 1)"))
 
 
 @dataclass(frozen=True)
@@ -361,6 +368,11 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
 VLE_MIN = {"vle_min": ("vle_rx1", "vle_rx2")}
 
 
+def _snr_threshold(rate):
+    """2^rate - 1, the SNR below which a link cannot carry `rate`: beta at r_th."""
+    return 2.0**rate - 1.0
+
+
 def _full_csi_outage(h1, h2, p, beta):
     """Outage event of full-CSI max-min NOMA: its SIC SNR falls below beta."""
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
@@ -459,22 +471,18 @@ def _lower_edge_min_rate(fed, p, table):
     return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
 
 
-def _rate_quantizers(deltas, lam1, p):
-    """(delta, bin count, _min_rate_table) of each lower-edge delta at power
-    p: one table per scan and delta, which every job of the scan reads."""
-    quantizers = []
-    for d in deltas:
-        t = default_t_rate(d, lam1)
-        quantizers.append((d, t, _min_rate_table(d, t, p)))
-    return quantizers
+def _rate_quantizers(bins, p):
+    """(delta, counts, _min_rate_table) of each Bin's lower edge at power p: one
+    table per scan and delta, up to the largest count, which every job reads."""
+    return [(b.delta, b.t_rate, _min_rate_table(b.delta, max(b.t_rate), p)) for b in bins]
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 def run_min_rate(cfg, progress=None):
-    def kernel_at(p, deltas):
-        dts = _rate_quantizers(deltas, cfg.variances[0], p)
+    def kernel_at(p, bins):
+        dts = _rate_quantizers(bins, p)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -487,17 +495,16 @@ def run_min_rate(cfg, progress=None):
         return kernel
 
     # Only _sweep holds a point's kernel, so its tables go after its scan.
-    scans = ((kernel_at(p, deltas), [(value, {})]) for value, p, deltas in cfg.points)
+    scans = ((kernel_at(p, bins), [(value, {})]) for value, p, bins in cfg.points)
     return _sweep(cfg, "minrate", scans, progress)
 
 
 def run_rate_loss(cfg, progress=None):
     # One scan serves every delta: each block is sampled once.
     def scans():
-        lam1, lam2 = cfg.variances
         points = cfg.points
         _, p, _ = points[0]
-        dts = _rate_quantizers([d for _, _, (d,) in points], lam1, p)
+        dts = _rate_quantizers([b for _, _, (b,) in points], p)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -517,7 +524,7 @@ def run_rate_loss(cfg, progress=None):
                 yield ("rate_loss", d), rf - rq
                 del rq
 
-        yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t, lam1, lam2)})
+        yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t[0], *cfg.variances)})
                        for d, t, _ in dts]
 
     return _sweep(cfg, "rateloss", scans(), progress, mins=VLE_MIN)
@@ -525,13 +532,12 @@ def run_rate_loss(cfg, progress=None):
 
 def run_outage(cfg, progress=None):
     def scans():
-        lam1 = cfg.variances[0]
-        beta = 2.0**cfg.r_th - 1.0
-        beta_tdma = 2.0 ** (2.0 * cfg.r_th) - 1.0
-        for value, p, deltas in cfg.points:
-            dts = [("out_qo[delta=%s]" % _fmt(d) if cfg.policy == "fixed"
-                    else "out_qo[policy=%s]" % cfg.policy, d, default_t_outage(d, lam1))
-                   for d in deltas]
+        beta = _snr_threshold(cfg.r_th)
+        beta_tdma = _snr_threshold(2.0 * cfg.r_th)
+        for value, p, bins in cfg.points:
+            dts = [("out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
+                    else "out_qo[policy=%s]" % cfg.policy, b.delta, b.t_outage)
+                   for b in bins]
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
@@ -548,9 +554,9 @@ def run_outage(cfg, progress=None):
 
 def run_outage_loss(cfg, progress=None):
     def scans():
-        beta = 2.0**cfg.r_th - 1.0
-        for value, p, (d,) in cfg.points:
-            t = default_t_outage(d, cfg.variances[0])
+        beta = _snr_threshold(cfg.r_th)
+        for value, p, (b,) in cfg.points:
+            d, t = b.delta, b.t_outage
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
@@ -569,25 +575,28 @@ def run_outage_loss(cfg, progress=None):
 
 def run_feedback_rate(cfg, progress=None):
     def scans():
-        lam1 = cfg.variances[0]
         fixed = cfg.policy == "fixed"
         # the adaptive-bin-size story is an outage design, so use q_o bins (1..t+1)
-        level_fn, default_t, top = ((rate_levels, default_t_rate, 0) if fixed
-                                    else (outage_levels, default_t_outage, 1))
-        for value, _, (d,) in cfg.points:
-            t = default_t(d, lam1)
+        level_fn, top = (rate_levels, 0) if fixed else (outage_levels, 1)
+        for value, _, (b,) in cfg.points:
+            d, ts = b.delta, b.t_rate if fixed else b.t_outage
 
             def kernel(block):
-                levels = level_fn(block, d, t)
+                levels = level_fn(block, d, ts)
                 yield "vle_rx1", vle_lengths(levels[:, 0])
                 yield "vle_rx2", vle_lengths(levels[:, 1])
 
-            constants = {"fle_bits": fle_bits(t + top), "t_bins": t}
+            constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0]}
             if not fixed:
                 constants["delta_used"] = d
             yield kernel, [(value, constants)]
 
     return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN)
+
+
+def _in_slope_window(p_db, top):
+    """Whether p_db lies in the slope fit's window, the top 10 dB below top."""
+    return p_db >= top - 10.0 - 1e-9
 
 
 def estimate_diversity(curve):
@@ -597,7 +606,7 @@ def estimate_diversity(curve):
     """
     pts = [(float(a), float(b)) for a, b in curve]
     hi = max((a for a, _ in pts), default=math.inf)
-    sel = [(a, b) for a, b in pts if a >= hi - 10.0 - 1e-9]
+    sel = [(a, b) for a, b in pts if _in_slope_window(a, hi)]
     if len(sel) < 3:
         raise ValueError("need at least 3 points in the window, got %d" % len(sel))
     if any(b <= 0 for _, b in sel):
@@ -618,15 +627,13 @@ def run_diversity(cfg, progress=None):
     )
 
     def scans():
-        lam1 = cfg.variances[0]
-        beta = 2.0**cfg.r_th - 1.0
-        for value, p, (d_fix, d_pol) in cfg.points:
-            t_fix, t_pol = default_t_outage(d_fix, lam1), default_t_outage(d_pol, lam1)
+        beta = _snr_threshold(cfg.r_th)
+        for value, p, bins in cfg.points:
 
             def kernel(block):
                 h1, h2 = block[:, 0], block[:, 1]
-                fixed, pol = (_quantized_outage(block, outage_levels(block, d, t), d, p, beta)
-                              for d, t in ((d_fix, t_fix), (d_pol, t_pol)))
+                fixed, pol = (_quantized_outage(block, outage_levels(block, b.delta, b.t_outage),
+                                                b.delta, p, beta) for b in bins)
                 yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
                                        fixed[1], fixed[2]))
 
@@ -634,7 +641,7 @@ def run_diversity(cfg, progress=None):
 
     stats = _sweep(cfg, "diversity", scans(), progress, events=names)
     last = float(max(cfg.p_db))
-    n_window = sum(1 for a in cfg.p_db if a >= last - 10.0 - 1e-9)
+    n_window = sum(1 for a in cfg.p_db if _in_slope_window(a, last))
     slope_pts = []
     for name in names:
         try:
@@ -677,9 +684,8 @@ def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
     def scans():
-        for value, p, (d,) in cfg.points:
-            t_r = [default_t_rate(d, lam) for lam in cfg.variances]
-            t_o = [default_t_outage(d, lam) for lam in cfg.variances]
+        for value, p, (b,) in cfg.points:
+            d = b.delta
 
             def kernel(block):
                 # The row-wise sort and take run on a row-major copy: on the
@@ -691,7 +697,7 @@ def run_k_user(cfg, progress=None):
 
                 lv = np.empty(block.shape, dtype=np.int64)
                 for i in range(k):
-                    lv[:, i] = rate_levels(block[:, i], d, t_r[i])
+                    lv[:, i] = rate_levels(block[:, i], d, b.t_rate[i])
                     yield "vle_r%d" % i, vle_lengths(lv[:, i])
                 live = _row_min(lv) > 0
                 r_q = np.zeros(block.shape[0])
@@ -700,7 +706,7 @@ def run_k_user(cfg, progress=None):
                         np.sort(lv[live], axis=1)[:, ::-1], d, p, cfg.eps)
 
                 for i in range(k):
-                    lv[:, i] = outage_levels(block[:, i], d, t_o[i])
+                    lv[:, i] = outage_levels(block[:, i], d, b.t_outage[i])
                     yield "vle_o%d" % i, vle_lengths(lv[:, i])
                 # The order of the fed-back gains, ties kept in receiver order.
                 perm = np.argsort(-(lv * d), axis=1, kind="stable")

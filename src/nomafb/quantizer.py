@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 def rate_levels(x, delta, t):
-    """Bin indices under the lower-edge quantizer, saturating at t.
+    """Bin indices under the lower-edge quantizer, saturating at t (or t[j] in column j).
 
     Float division can land floor(x/delta) one bin off when x sits on a bin
     boundary (0.3/0.1 -> 2.9999...), so the index is nudged until
@@ -35,12 +35,12 @@ def rate_levels(x, delta, t):
     np.greater(edge, x, out=mask)
     n -= mask
     del edge, mask
-    np.minimum(n, float(t), out=n)
+    np.minimum(n, np.asarray(t), out=n)
     return n.astype(np.int64)[()]
 
 
 def outage_levels(x, delta, t):
-    """Bin indices under the upper-edge quantizer: 1..t+1, never zero."""
+    """Bin indices under the upper-edge quantizer: 1..t+1 (t[j]+1 in column j), never zero."""
     x = np.asarray(x, dtype=np.float64)
     if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
@@ -54,27 +54,31 @@ def outage_levels(x, delta, t):
     np.less(edge, x, out=mask)
     m += mask
     del edge, mask
-    np.clip(m, 1.0, float(t + 1), out=m)
+    np.clip(m, 1.0, np.asarray(t) + 1, out=m)
     return m.astype(np.int64)[()]
 
 
-def _check_default_args(delta, lambda1):
+def _bin_count(delta, lambda1, per):
+    """ceil(lambda1*ln(1/delta) / (per*delta)), refused from 2^53 on (inf and NaN
+    too), where levels stop being exact floats; per*delta is delta at per = 1.0."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1) for the default bin-count rule")
     if not lambda1 > 0:
         raise ValueError("lambda1 must be positive")
+    count = lambda1 / (per * delta) * math.log(1.0 / delta)
+    if not count < 2.0**53:
+        raise ValueError("delta=%g needs 2^53 or more bins at lambda1=%g" % (delta, lambda1))
+    return math.ceil(count)
 
 
 def default_t_rate(delta, lambda1=1.0):
     """Bin count making the saturation tail as small as one bin: T*delta = lambda1*ln(1/delta)."""
-    _check_default_args(delta, lambda1)
-    return math.ceil(lambda1 / delta * math.log(1.0 / delta))
+    return _bin_count(delta, lambda1, 1.0)
 
 
 def default_t_outage(delta, lambda1=1.0):
     """Half the rate rule: saturation tail sqrt(delta) instead of delta."""
-    _check_default_args(delta, lambda1)
-    return math.ceil(lambda1 / (2.0 * delta) * math.log(1.0 / delta))
+    return _bin_count(delta, lambda1, 2.0)
 
 
 def distinct_words(levels):

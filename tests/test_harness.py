@@ -148,6 +148,47 @@ class TestConfigValidation:
                 harness.ExperimentConfig(**kw)
 
 
+def _pcube(p_db, policy="pcube"):
+    return harness.policy_delta(policy, 10.0 ** (p_db / 10.0))
+
+
+class TestConfigBins:
+    # Every quantizer takes its level counts from the bins of the config's
+    # points: the two-user kinds count both receivers from lambda1, kuser
+    # each receiver from its own mean gain. lambda2 = 0.5 would give other
+    # counts, so a bin counted from it shows here.
+    @pytest.mark.parametrize("kind, fields, deltas", [
+        ("minrate", dict(p_db=(0.0, 10.0), deltas=(0.05, 0.2)), [(0.05, 0.2)] * 2),
+        ("rateloss", dict(deltas=(0.05, 0.2)), [(0.05,), (0.2,)]),
+        ("outage", dict(p_db=(10.0, 20.0), delta_policy="pcube"),
+         [(_pcube(10.0),), (_pcube(20.0),)]),
+        ("outageloss", dict(p_db=(10.0, 20.0), deltas=(0.05,)), [(0.05,)] * 2),
+        ("feedback", dict(p_db=(10.0, 30.0), delta_policy="min02-pcube"),
+         [(0.2,), (_pcube(30.0, "min02-pcube"),)]),
+        ("diversity", dict(p_db=(20.0, 30.0), deltas=(0.05,)),
+         [(0.05, 0.2), (0.05, _pcube(30.0, "min02-pcube"))]),
+    ])
+    def test_two_user_kinds_count_both_receivers_from_lambda1(self, kind, fields, deltas):
+        cfg = harness.ExperimentConfig(kind=kind, variances=(2.0, 0.5), **fields)
+        points = cfg.points
+        assert [tuple(b.delta for b in bins) for _, _, bins in points] == deltas
+        for _, _, bins in points:
+            for b in bins:
+                assert b.t_rate == (default_t_rate(b.delta, 2.0),) * 2
+                assert b.t_outage == (default_t_outage(b.delta, 2.0),) * 2
+
+    def test_kuser_counts_each_receiver_from_its_own_mean(self):
+        lams = (1.0, 0.5, 0.25)
+        cfg = harness.ExperimentConfig(kind="kuser", variances=lams, deltas=(0.05, 0.2))
+        points = cfg.points
+        assert [(value, tuple(b.delta for b in bins)) for value, _, bins in points] == [
+            (0.05, (0.05,)), (0.2, (0.2,))]
+        for d, _, (b,) in points:
+            assert b.t_rate == tuple(default_t_rate(d, lam) for lam in lams)
+            assert b.t_outage == tuple(default_t_outage(d, lam) for lam in lams)
+        assert len(set(b.t_rate)) == 3
+
+
 class TestDeterminism:
     def test_fixed_scan_ignores_worker_count(self):
         base = dict(kind="minrate", p_db=(10.0,), deltas=(0.05,),

@@ -153,6 +153,19 @@ class TestBlockLevels:
                 assert_array_equal(got[:, i], levels(block[:, i], delta, t))
                 assert_array_equal(got[:, i], [levels(float(x), delta, t) for x in block[:, i]])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_count_per_column_matches_per_column_calls(self, order):
+        # kuser-style counts: receiver 2 saturates well below receiver 1.
+        delta, ts = 0.1, (30, 7)
+        block = np.asarray(self.edge_block(delta), order=order)
+        for levels in (quantizer.rate_levels, quantizer.outage_levels):
+            got = levels(block, delta, ts)
+            assert got.shape == block.shape and got.dtype == np.int64
+            assert list(got.max(axis=0)) == [t + (levels is quantizer.outage_levels) for t in ts]
+            for i, t in enumerate(ts):
+                assert_array_equal(got[:, i], levels(block[:, i], delta, t))
+            assert_array_equal(levels(block, delta, (30, 30)), levels(block, delta, 30))
+
 
 class TestDefaultBinCounts:
     def test_reference_values(self):
@@ -186,6 +199,33 @@ class TestDefaultBinCounts:
         m = quantizer.outage_levels(x, delta, quantizer.default_t_outage(delta))
         assert np.all(n * delta <= x)
         assert np.all(m * delta >= x)
+
+    @pytest.mark.parametrize("args", [(1e-320,), (0.1, 1e308), (1e-16,)])
+    def test_counts_from_two_to_the_53_are_refused(self, args):
+        # An infinite count, and a finite one whose levels are not exact floats.
+        for count in (quantizer.default_t_rate, quantizer.default_t_outage):
+            with pytest.raises(ValueError, match="2\\^53"):
+                count(*args)
+
+    def test_outage_count_is_refused_exactly_where_it_reaches_two_to_the_53(self):
+        # At delta = 0.5 the outage count is lambda1 * ln 2: step lambda1 to
+        # the last value whose count is below 2^53.
+        delta, lam = 0.5, 2.0**53 / math.log(2.0)
+
+        def count(lam):
+            return lam / (2.0 * delta) * math.log(1.0 / delta)
+
+        while count(lam) < 2.0**53:
+            lam = math.nextafter(lam, math.inf)
+        while count(lam) >= 2.0**53:
+            lam = math.nextafter(lam, 0.0)
+        assert 2**53 - 8 < quantizer.default_t_outage(delta, lam) < 2**53
+        with pytest.raises(ValueError, match="2\\^53"):
+            quantizer.default_t_outage(delta, math.nextafter(lam, math.inf))
+        # The rate count is twice as large: refused at lambda1, not at half of it.
+        with pytest.raises(ValueError, match="2\\^53"):
+            quantizer.default_t_rate(delta, lam)
+        assert quantizer.default_t_rate(delta, lam / 2.0) < 2**53
 
     def test_rejects_delta_outside_unit_interval(self):
         for bad in (0.0, 1.0, 1.5, -0.1):

@@ -77,6 +77,11 @@ def test_only_the_config_resolves_sweep_points():
     found = [n for tree in trees for n in ast.walk(tree) if resolves(n)]
     assert len([n for n in found if id(n) in inside]) == 2
     assert [ast.unparse(n) for n in found if id(n) not in inside] == []
+    # Each point's bins carry their level counts, from the mean gain the
+    # config picks for each receiver; a driver that counted them itself
+    # could pick another mean.
+    for name in ("default_t_rate", "default_t_outage"):
+        assert _call_sites(name) == ["harness.ExperimentConfig._bin"], name
 
 
 def test_hot_two_user_kernels_make_no_select():
