@@ -684,8 +684,7 @@ def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
     def scans():
-        for value, p, (b,) in cfg.points:
-            d = b.delta
+        for value, p, ((d, t_r, t_o),) in cfg.points:
 
             def kernel(block):
                 # The row-wise sort and take run on a row-major copy: on the
@@ -697,7 +696,7 @@ def run_k_user(cfg, progress=None):
 
                 lv = np.empty(block.shape, dtype=np.int64)
                 for i in range(k):
-                    lv[:, i] = rate_levels(block[:, i], d, b.t_rate[i])
+                    lv[:, i] = rate_levels(block[:, i], d, t_r[i])
                     yield "vle_r%d" % i, vle_lengths(lv[:, i])
                 live = _row_min(lv) > 0
                 r_q = np.zeros(block.shape[0])
@@ -706,7 +705,7 @@ def run_k_user(cfg, progress=None):
                         np.sort(lv[live], axis=1)[:, ::-1], d, p, cfg.eps)
 
                 for i in range(k):
-                    lv[:, i] = outage_levels(block[:, i], d, b.t_outage[i])
+                    lv[:, i] = outage_levels(block[:, i], d, t_o[i])
                     yield "vle_o%d" % i, vle_lengths(lv[:, i])
                 # The order of the fed-back gains, ties kept in receiver order.
                 perm = np.argsort(-(lv * d), axis=1, kind="stable")

@@ -35,7 +35,7 @@ def rate_levels(x, delta, t):
     np.greater(edge, x, out=mask)
     n -= mask
     del edge, mask
-    np.minimum(n, np.asarray(t), out=n)
+    np.minimum(n, np.asarray(t, dtype=np.float64), out=n)
     return n.astype(np.int64)[()]
 
 
@@ -54,7 +54,8 @@ def outage_levels(x, delta, t):
     np.less(edge, x, out=mask)
     m += mask
     del edge, mask
-    np.clip(m, 1.0, np.asarray(t) + 1, out=m)
+    # in float64: an int64 t + 1 would wrap at the top of its range
+    np.clip(m, 1.0, np.asarray(t, dtype=np.float64) + 1.0, out=m)
     return m.astype(np.int64)[()]
 
 

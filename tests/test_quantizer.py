@@ -120,6 +120,14 @@ class TestLevelInputChecks:
             levels(np.array([np.nan, 0.25]), 0.1, 10)
             levels(np.array([np.nan]), 0.1, 10)
 
+    def test_a_count_past_int64_saturates_nothing(self, name):
+        # The count is taken as a float, so the top of the int64 range
+        # neither wraps to a negative top nor falls back to object arrays.
+        levels, _ = LEVEL_CHECKS[name]
+        for t in (2**63 - 1, 2**70, (2**63 - 1, 2**70)):
+            assert_array_equal(levels(np.array([[0.37, 123.0]]), 0.1, t),
+                               levels(np.array([[0.37, 123.0]]), 0.1, 10**6))
+
     def test_rejects_a_bad_gain_beside_nan(self, name):
         levels, bad = LEVEL_CHECKS[name]
         for x in ([bad], [0.25, bad], [np.nan, bad], [bad, np.nan]):
