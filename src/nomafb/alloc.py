@@ -14,8 +14,16 @@ ITERATION_CAP = 64
 
 
 def _check_power(p):
-    if np.any(np.asarray(p) <= 0):
-        raise ValueError("power must be positive")
+    """The power rule of every function here that takes p: positive and
+    finite, elementwise for an array, so NaN and +-inf fail. A scalar takes
+    one chained comparison, since the hot kernels check p on every chunk."""
+    if isinstance(p, (int, float, np.generic)):
+        ok = 0 < p < math.inf
+    else:
+        p = np.asarray(p)  # min and max keep NaN; the initials let an empty p pass
+        ok = p.min(initial=math.inf) > 0 and p.max(initial=-math.inf) < math.inf
+    if not ok:
+        raise ValueError("p must be positive and finite")
 
 
 def _lowest(x):
@@ -56,6 +64,7 @@ def sic_snr(h_last, h_first, p):
     """
     x = np.asarray(h_last, dtype=np.float64)
     y = np.asarray(h_first, dtype=np.float64)
+    _check_power(p)
     den = _split_den(x, y, p)
     snr = np.multiply(2.0, x, out=np.empty_like(den))
     snr *= y
@@ -82,6 +91,7 @@ def two_user_rates(a, g_strong, g_weak, p):
     """(strong, weak) rates when the strong receiver gets power fraction a and
     decodes last; the weak one treats that share as interference."""
     a = np.asarray(a, dtype=np.float64)
+    _check_power(p)
     if _lowest(a) < 0 or _highest(a) > 1:
         raise ValueError("alpha must lie in [0, 1]")
     # Two buffers, each step rounding as in log2(1 + p gw (1 - a) / (p gw a + 1))
@@ -114,6 +124,7 @@ def outage_conditions(h1, h2, a, rx1_strong, p, beta):
     a select of the strong and weak gains, so the same bits, with no select.
     """
     rx1_strong = np.asarray(rx1_strong, dtype=bool)  # ~ of a Python bool is an int
+    _check_power(p)
 
     def bad(h, strong):
         # Two buffers: p h (1 - a) < beta (p h a + 1), then p a h < beta.
@@ -138,7 +149,6 @@ def max_min_rate_two_user(h1, h2, p):
     """Largest achievable min rate over all power splits, either ordering."""
     h1 = np.asarray(h1, dtype=np.float64)
     h2 = np.asarray(h2, dtype=np.float64)
-    _check_power(p)
     if _lowest(h1) <= 0 or _lowest(h2) <= 0:
         raise ValueError("gains must be positive")
     r = np.asarray(sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p))
@@ -272,8 +282,7 @@ def batch_max_min_rate(gains_desc, p, eps):
         raise ValueError("gains_desc must be a nonempty (n, K) array")
     if not (g.min() > 0 and g.max() < math.inf):  # np.min and np.max keep NaN
         raise ValueError("gains must be positive and finite")
-    if not 0 < p < math.inf:
-        raise ValueError("p must be positive and finite")
+    _check_power(p)
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     pg = np.ascontiguousarray((p * g).T)

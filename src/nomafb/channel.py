@@ -25,8 +25,8 @@ class ChannelParams:
     def __post_init__(self):
         if len(self.variances) == 0:
             raise ValueError("need at least one receiver")
-        if any(not v > 0 for v in self.variances):
-            raise ValueError("every mean gain must be positive")
+        if not all(0 < v < np.inf for v in self.variances):  # NaN fails too
+            raise ValueError("variances must be positive and finite")
 
 
 def block_rng(master, block_index):

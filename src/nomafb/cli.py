@@ -207,18 +207,13 @@ def parse_config(argv=None):
     return cfg, {"out": ns.out, "json": ns.json}
 
 
-def render_args(cfg, out=None, as_json=False):
+def render_args(cfg):
     """Canonical argv for a config; parse_config(render_args(cfg)) round-trips.
 
     Values are glued on with '=' so negative sweep entries survive argparse.
     """
-    argv = [cfg.kind] + ["%s=%s" % (flag, render(getattr(cfg, dest)))
+    return [cfg.kind] + ["%s=%s" % (flag, render(getattr(cfg, dest)))
                          for dest, (flag, _, render, _, _) in OPTIONS.items() if render]
-    if out:
-        argv += ["--out", out]
-    if as_json:
-        argv.append("--json")
-    return argv
 
 
 def stats_rows(stats):
@@ -256,12 +251,12 @@ def _write_out(text, path):
 def fix_malloc_thresholds():
     """Stop glibc from mapping and trimming heap pages for every chunk temporary.
 
-    A chunk's float64 array is 128 KiB, right at glibc's default mmap
-    threshold, so each kernel temporary would map fresh pages (or trim freed
-    ones) and fault them in again. Raising the mmap threshold to 4 MiB and the
-    trim threshold to 64 MiB lets freed chunks be reused in place. Runs once per
-    process; a no-op off glibc or where the environment already sets either
-    threshold. True if the thresholds were set.
+    A two-user job stacks two chunks, so a float64 column temporary is 256 KiB,
+    above glibc's default 128 KiB mmap threshold: each would map fresh pages
+    (or trim freed ones) and fault them in again. Raising the mmap threshold to
+    4 MiB and the trim threshold to 64 MiB lets freed temporaries be reused in
+    place. Runs once per process; a no-op off glibc or where the environment
+    already sets either threshold. True if the thresholds were set.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")

@@ -75,8 +75,9 @@ class ExperimentConfig:
                 self.kind, "2 to %d" % MAX_RECEIVERS if exp.k_user else "exactly two", rx))
         if not all(abs(v) <= P_DB_MAX for v in self.p_db):  # NaN fails too
             raise ValueError("every p_db must be finite and within +-%g dB" % P_DB_MAX)
-        for name in ("variances", "r_th", "eps"):
-            if not all(0 < v < math.inf for v in np.atleast_1d(getattr(self, name))):
+        ChannelParams(self.variances)  # checks the means: the one gain-mean rule
+        for name in ("r_th", "eps"):
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
         if any(a < b for a, b in zip(self.variances, self.variances[1:])):
             raise ValueError("variances must be nonincreasing (receiver 1 strongest)")
@@ -662,8 +663,8 @@ def _row_min(x):
 
 
 def _quantized_max_min(levels_desc, d, p, eps, split=False):
-    """Max-min rate of each row of fed-back gains levels_desc * d and, with
-    split, its power fractions; levels_desc is (n, K) int64, descending.
+    """Max-min rate of each row of fed-back gains levels_desc * d or, with
+    split, only its power fractions; levels_desc is (n, K) int64, descending.
 
     Each distinct level word is bisected once and its result scattered back
     to every row that fed it back. This gives every row the bits of a
@@ -675,9 +676,7 @@ def _quantized_max_min(levels_desc, d, p, eps, split=False):
     words, inverse = found if found is not None else (levels_desc, slice(None))
     g = words.astype(np.float64) * d
     r = alloc.batch_max_min_rate(g, p, eps)[0]
-    if not split:
-        return r[inverse]
-    return r[inverse], alloc.alloc_from_rate(r, g, p)[inverse]
+    return alloc.alloc_from_rate(r, g, p)[inverse] if split else r[inverse]
 
 
 def run_k_user(cfg, progress=None):
@@ -710,7 +709,7 @@ def run_k_user(cfg, progress=None):
                 # The order of the fed-back gains, ties kept in receiver order.
                 perm = np.argsort(-(lv * d), axis=1, kind="stable")
                 perm += np.arange(0, lv.size, k)[:, None]
-                r_qo, alphas = _quantized_max_min(lv.take(perm), d, p, cfg.eps, split=True)
+                alphas = _quantized_max_min(lv.take(perm), d, p, cfg.eps, split=True)
                 out_q = _row_min(alloc.sic_rates(alphas, rows.take(perm), p)) < cfg.r_th
 
                 yield from (("rate_loss", r_true - r_q), ("out_full", out_full),

@@ -1,5 +1,6 @@
 """Power allocation: closed form, feasibility function, K-user bisection."""
 
+import inspect
 import math
 
 import numpy as np
@@ -81,6 +82,49 @@ class TestTwoUserClosedForm:
             r = alloc.max_min_rate_two_user(h1[i], h2[i], p[i])
             assert r >= r_grid - 1e-6
             assert abs(a - a_grid) <= 1e-4
+
+
+# Each public function that takes p, called on valid gains with the given p.
+POWER_CALLS = {
+    "sic_snr": lambda p: alloc.sic_snr(1.0, 0.5, p),
+    "equal_rate_split": lambda p: alloc.equal_rate_split(1.0, 0.5, p),
+    "two_user_rates": lambda p: alloc.two_user_rates(0.3, 1.0, 0.5, p),
+    "outage_conditions": lambda p: alloc.outage_conditions(1.0, 0.5, 0.3, True, p, 1.0),
+    "max_min_rate_two_user": lambda p: alloc.max_min_rate_two_user(1.0, 0.5, p),
+    "sic_rates": lambda p: alloc.sic_rates([0.3, 0.7], [1.0, 0.5], p),
+    "alloc_from_rate": lambda p: alloc.alloc_from_rate(1.0, [1.0, 0.5], p),
+    "batch_max_min_rate": lambda p: alloc.batch_max_min_rate(np.array([[1.0, 0.5]]), p, 1e-4),
+}
+# The two-user kernels take an array p elementwise, as random_triples draws it.
+ARRAY_POWER = ("sic_snr", "equal_rate_split", "two_user_rates", "outage_conditions",
+               "max_min_rate_two_user")
+
+
+class TestPowerRule:
+    """Every function that takes p refuses the same powers with the same words."""
+
+    def test_every_function_taking_p_is_listed(self):
+        takes_p = {name for name, f in vars(alloc).items() if inspect.isfunction(f)
+                   and not name.startswith("_") and "p" in inspect.signature(f).parameters}
+        assert takes_p == set(POWER_CALLS)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", sorted(POWER_CALLS))
+    def test_refuses_a_power_that_is_not_positive_and_finite(self, name, p):
+        POWER_CALLS[name](10.0)
+        with pytest.raises(ValueError, match="p must be positive and finite"):
+            POWER_CALLS[name](p)
+
+    @pytest.mark.parametrize("name", ARRAY_POWER)
+    def test_checks_an_array_power_elementwise(self, name):
+        _, _, p = random_triples(50, np.random.default_rng(105))
+        POWER_CALLS[name](p)
+        POWER_CALLS[name](np.array([]))
+        for bad in (0.0, np.inf, np.nan):
+            q = p.copy()
+            q[7] = bad
+            with pytest.raises(ValueError, match="p must be positive and finite"):
+                POWER_CALLS[name](q)
 
 
 # Each per-chunk input check of the two-user kernel, as (call that feeds x to

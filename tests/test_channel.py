@@ -134,6 +134,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             channel.ChannelParams(variances=(1.0, -0.5))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_a_mean_that_is_not_finite(self, at, bad):
+        lams = [1.0, 0.5, 0.25]
+        lams[at] = bad
+        with pytest.raises(ValueError, match="variances must be positive and finite"):
+            channel.ChannelParams(tuple(lams))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             channel.ChannelParams(variances=())

@@ -344,7 +344,7 @@ class TestRenderArgsProperties:
     @PROPERTY
     @given(configs(), st.booleans())
     def test_render_then_parse_is_identity(self, cfg, as_json):
-        back, opts = cli.parse_config(cli.render_args(cfg, as_json=as_json))
+        back, opts = cli.parse_config(cli.render_args(cfg) + ["--json"] * as_json)
         assert back == cfg
         assert opts == {"out": None, "json": as_json}
 
@@ -493,7 +493,7 @@ class TestRoundTrip:
 
     def test_io_options_render(self):
         cfg = ExperimentConfig(kind="minrate")
-        argv = cli.render_args(cfg, out="x.csv", as_json=True)
+        argv = cli.render_args(cfg) + ["--out", "x.csv", "--json"]
         back, opts = cli.parse_config(argv)
         assert back == cfg
         assert opts == {"out": "x.csv", "json": True}

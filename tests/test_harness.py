@@ -656,8 +656,7 @@ class TestDistinctWordBisection:
             g = levels * d
             r, _ = alloc.batch_max_min_rate(g, p, 1e-4)
             assert_array_equal(harness._quantized_max_min(levels, d, p, 1e-4), r)
-        r_qo, alphas = harness._quantized_max_min(upper, d, p, 1e-4, split=True)
-        assert_array_equal(r_qo, r)
+        alphas = harness._quantized_max_min(upper, d, p, 1e-4, split=True)
         assert_array_equal(alphas, alloc.alloc_from_rate(r, g, p))
 
     def test_row_min_is_the_row_reduction(self):

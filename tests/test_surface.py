@@ -171,3 +171,29 @@ def test_the_exact_varpi_runs_only_as_the_solver_fallback():
     # speed: batch_max_min_rate calls it only on rows near the root. A call
     # from anywhere else would put the slow form on the hot path.
     assert _call_sites("_varpi_rows") == ["alloc.batch_max_min_rate"]
+
+
+def test_one_power_rule_in_alloc():
+    # The paper's splits are defined for a finite P > 0, and alloc._check_power
+    # is the one place that says so. A function that compared p itself, or
+    # skipped the check, would let inf or NaN through where its neighbours
+    # refuse them, or refuse with other words.
+    tree = ast.parse((Path(nomafb.__file__).parent / "alloc.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, func in funcs.items():
+        compared = [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.Compare)
+                    and any(isinstance(m, ast.Name) and m.id == "p" for m in ast.walk(n))]
+        assert compared == [] or name == "_check_power", "%s: %s" % (name, compared)
+
+    def calls(func):
+        return {n.func.id for n in ast.walk(func)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    public = {name: func for name, func in funcs.items() if not name.startswith("_")
+              and "p" in [a.arg for a in func.args.args]}
+    assert len(public) == 8
+    direct = {name for name, func in public.items() if "_check_power" in calls(func)}
+    for name, func in public.items():
+        # once per call: directly, or through one public function that checks
+        through = calls(func) & direct
+        assert (name in direct) != bool(through), (name, through)
