@@ -214,18 +214,21 @@ def _varpi_rows(r, pg):
     return (2.0**r - 1.0) * terms.sum(axis=1)
 
 
-def _varpi_horner(y, inv_pg):
+def _varpi_horner(y, inv_pg, out=None):
     """varpi of rows at y = 2^r by Horner's rule, one power for all terms:
     (y - 1) * (((c_0 y + c_1) y + ...) y + c_(K-1)), c_j = inv_pg[j] = 1/(p g_j).
 
     Its last bits differ from _varpi_rows, which defines them; _horner_band
-    bounds by how much.
+    bounds by how much. The steps run in out (a new array if None), and y is
+    left holding y - 1.
     """
     s = inv_pg[0]
     for c in inv_pg[1:]:
-        s = s * y
+        s = np.multiply(s, y, out=out)
+        out = s
         s += c
-    return (y - 1.0) * s
+    y -= 1.0
+    return np.multiply(s, y, out=out)
 
 
 def _horner_band(k, top, pg_max):
@@ -298,21 +301,27 @@ def batch_max_min_rate(gains_desc, p, eps):
     band = _horner_band(g.shape[1], top, pg.max())
     lo = np.zeros(g.shape[0])
     hi = r_ub
+    # Each step runs in these buffers, every rounding as in
+    # mid = 0.5 * (lo + hi) and v = _varpi_horner(2.0**mid, inv_pg).
+    mid, y, v, t = (np.empty(g.shape[0]) for _ in range(4))
     # A power or sum past the float64 range is +inf, varpi's correct
     # "infeasible" verdict on a valid row, so it is no cause for a warning.
     with np.errstate(over="ignore"):
         inv_pg = 1.0 / pg
         for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            v = _varpi_horner(2.0**mid, inv_pg)
-            dist = np.abs(v - 1.0)
+            np.add(lo, hi, out=mid)
+            mid *= 0.5
+            _varpi_horner(np.power(2.0, mid, out=y), inv_pg, out=v)
+            np.abs(np.subtract(v, 1.0, out=t), out=t)  # distance from 1
             # np.min keeps NaN, and `NaN > band` is False, so NaN rows fall back too
-            if not dist.min() > band:
-                near = ~(dist > band)
+            if not t.min() > band:
+                near = ~(t > band)
                 v[near] = _varpi_rows(mid[near], pg[:, near])
-            feasible = (v < 1.0).astype(np.float64)
+            np.less(v, 1.0, out=t)  # 1.0 where feasible, else 0.0
             # 0 <= lo <= mid <= hi, so these maxima pick exactly what
             # np.where(feasible, ...) would, at a fraction of its cost.
-            lo = np.maximum(lo, mid * feasible)
-            hi = np.maximum(mid, hi * feasible)
+            hi *= t
+            np.maximum(mid, hi, out=hi)
+            t *= mid
+            np.maximum(lo, t, out=lo)
     return lo, n_iter

@@ -390,20 +390,21 @@ def _fed_back_gains(levels, d):
             np.minimum(levels[:, 0], levels[:, 1]) * d)
 
 
-def _quantized_outage(block, levels, d, p, beta):
+def _quantized_outage(block, levels, d, p, beta, table):
     """outage_conditions on a two-user block of true gains when both receivers
     feed back upper-edge levels: power is split on _fed_back_gains, as on the
-    rate path, and receiver 1 is strong where its fed-back float is not below
-    receiver 2's (levels past 2^53 can differ as ints and tie as floats).
+    rate path, or looked up in table (_outage_quantizers) by level pair, and
+    receiver 1 is strong where its fed-back float is not below receiver 2's
+    (levels past 2^53 can differ as ints and tie as floats).
 
     levels is dropped before the split: a caller that passes them as a
     temporary does not keep them alive through it.
     """
     rx1_strong = levels[:, 0] * d >= levels[:, 1] * d
-    q = _fed_back_gains(levels, d)
+    fed = _pair_feedback(levels, d, table)
     del levels
-    a = alloc.equal_rate_split(*q, p)
-    del q
+    a = alloc.equal_rate_split(*fed, p) if table is None else table.take(fed)
+    del fed
     return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
 
 
@@ -414,10 +415,11 @@ def _quantized_min_rate(qs, qw, p):
     return np.minimum(r_strong, r_weak, out=r_strong)
 
 
-# Most entries of a lower-edge min-rate table: 1 MiB of float64, which holds
-# every level pair for t <= 510 bins (delta >= ~0.009 at lambda1 = 1). A finer
-# bin splits power per row: its table would outweigh a job's arrays (563,391
-# entries at delta = 0.005, 191 MB at 1e-3).
+# Most entries of a level-pair table: 1 MiB of float64, which holds every
+# pair of levels up to 510 (delta >= ~0.009 on the lower edge and >= 0.00518
+# on the upper at lambda1 = 1). A finer bin splits power per row: its table
+# would outweigh a job's arrays (on the lower edge 563,391 entries at delta =
+# 0.005, 191 MB at 1e-3).
 PAIR_TABLE_MAX = 1 << 17
 # Most entries a table is built on at once. The main thread builds it, on a
 # heap the worker threads do not share, so its temporaries add to a run's
@@ -425,15 +427,15 @@ PAIR_TABLE_MAX = 1 << 17
 PAIR_SLAB = 1 << 13
 
 
-def _min_rate_table(d, t, p):
-    """_quantized_min_rate of every pair of lower-edge levels w <= s <= t, the
-    entry of (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX.
+def _pair_table(fn, d, t):
+    """fn(s * d, w * d) of every pair of levels w <= s <= t, the entry of
+    (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX.
 
-    The transmitter adapts its rates to the fed-back levels alone, so a
-    trial's min adapted rate is the entry of its (strong, weak) level pair.
-    Each entry is formed from s * d and w * d, elementwise as a row forms it,
-    so it has the row's bits. The table is built a few strong levels at a
-    time, on slabs of at most PAIR_SLAB entries.
+    The transmitter adapts to the fed-back levels alone, so on either edge a
+    trial's power split and min adapted rate are the entries of its (strong,
+    weak) level pair. Each entry is formed from s * d and w * d, elementwise
+    as a row forms it, so it has the row's bits. The table is built a few
+    strong levels at a time, on slabs of at most PAIR_SLAB entries.
     """
     size = (t + 1) * (t + 2) // 2
     if size > PAIR_TABLE_MAX:
@@ -445,12 +447,12 @@ def _min_rate_table(d, t, p):
         s = np.repeat(s, s + 1)
         first = lo * (lo + 1) // 2
         w = np.arange(first, first + s.size) - (s * (s + 1) >> 1)
-        table[first:first + s.size] = _quantized_min_rate(s * d, w * d, p)
+        table[first:first + s.size] = fn(s * d, w * d)
     return table
 
 
-def _rate_feedback(levels, d, table):
-    """What _lower_edge_min_rate reads of a two-user block of lower-edge
+def _pair_feedback(levels, d, table):
+    """What a level-pair lookup reads of a two-user block of either edge's
     levels: each row's key s(s+1)/2 + w into table, for its strong level s
     and weak level w, or with no table its _fed_back_gains. The caller drops
     levels before the lookup, so they are not alive through a per-row split.
@@ -467,15 +469,23 @@ def _rate_feedback(levels, d, table):
 
 
 def _lower_edge_min_rate(fed, p, table):
-    """Min adapted rate per row of _rate_feedback(levels, d, table): the
+    """Min adapted rate per row of _pair_feedback(levels, d, table): the
     table's entries, or with no table the split of each row's gains."""
     return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
 
 
 def _rate_quantizers(bins, p):
-    """(delta, counts, _min_rate_table) of each Bin's lower edge at power p: one
-    table per scan and delta, up to the largest count, which every job reads."""
-    return [(b.delta, b.t_rate, _min_rate_table(b.delta, max(b.t_rate), p)) for b in bins]
+    """(delta, counts, min-rate _pair_table) of each Bin's lower edge at power
+    p: one table per scan and delta, up to the largest count, which every job reads."""
+    return [(b.delta, b.t_rate, _pair_table(lambda qs, qw: _quantized_min_rate(qs, qw, p),
+                                            b.delta, max(b.t_rate))) for b in bins]
+
+
+def _outage_quantizers(bins, p):
+    """(delta, counts, split _pair_table) of each Bin's upper edge at power p,
+    as _rate_quantizers: its levels run to the largest count + 1."""
+    return [(b.delta, b.t_outage, _pair_table(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
+                                              b.delta, max(b.t_outage) + 1)) for b in bins]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +501,7 @@ def run_min_rate(cfg, progress=None):
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
             for d, t, table in dts:
                 yield "r_qr[delta=%s]" % _fmt(d), _lower_edge_min_rate(
-                    _rate_feedback(rate_levels(block, d, t), d, table), p, table)
+                    _pair_feedback(rate_levels(block, d, t), d, table), p, table)
 
         return kernel
 
@@ -517,7 +527,7 @@ def run_rate_loss(cfg, progress=None):
                 yield ("vle_rx2", d), vle_lengths(n[:, 1])
                 # Each array goes once it is used, so none of them is alive
                 # through the split or the next delta's quantizer.
-                fed = _rate_feedback(n, d, table)
+                fed = _pair_feedback(n, d, table)
                 del n
                 rq = _lower_edge_min_rate(fed, p, table)
                 del fed
@@ -532,46 +542,48 @@ def run_rate_loss(cfg, progress=None):
 
 
 def run_outage(cfg, progress=None):
-    def scans():
+    def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
         beta_tdma = _snr_threshold(2.0 * cfg.r_th)
-        for value, p, bins in cfg.points:
-            dts = [("out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
-                    else "out_qo[policy=%s]" % cfg.policy, b.delta, b.t_outage)
-                   for b in bins]
+        labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
+                  else "out_qo[policy=%s]" % cfg.policy for b in bins]
+        dts = _outage_quantizers(bins, p)
 
-            def kernel(block):
-                h1, h2 = block[:, 0], block[:, 1]
-                yield "out_full", _full_csi_outage(h1, h2, p, beta)
-                yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
-                for label, d, t in dts:
-                    yield label, _quantized_outage(block, outage_levels(block, d, t), d, p,
-                                                   beta)[0]
+        def kernel(block):
+            h1, h2 = block[:, 0], block[:, 1]
+            yield "out_full", _full_csi_outage(h1, h2, p, beta)
+            yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
+            for label, (d, t, table) in zip(labels, dts):
+                yield label, _quantized_outage(block, outage_levels(block, d, t), d, p, beta,
+                                               table)[0]
 
-            yield kernel, [(value, {})]
+        return kernel
 
-    return _sweep(cfg, "outage", scans(), progress, events=("out_full",))
+    # Only _sweep holds a point's kernel, so its tables go after its scan.
+    scans = ((kernel_at(p, bins), [(value, {})]) for value, p, bins in cfg.points)
+    return _sweep(cfg, "outage", scans, progress, events=("out_full",))
 
 
 def run_outage_loss(cfg, progress=None):
-    def scans():
+    def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
-        for value, p, (b,) in cfg.points:
-            d, t = b.delta, b.t_outage
+        ((d, t, table),) = _outage_quantizers(bins, p)
 
-            def kernel(block):
-                h1, h2 = block[:, 0], block[:, 1]
-                out_full = _full_csi_outage(h1, h2, p, beta)
-                m = outage_levels(block, d, t)
-                out_qo = _quantized_outage(block, m, d, p, beta)[0]
-                yield from (("out_full", out_full), ("out_qo", out_qo),
-                            ("outage_loss", out_qo & ~out_full))
-                yield "vle_rx1", vle_lengths(m[:, 0])
-                yield "vle_rx2", vle_lengths(m[:, 1])
+        def kernel(block):
+            h1, h2 = block[:, 0], block[:, 1]
+            out_full = _full_csi_outage(h1, h2, p, beta)
+            m = outage_levels(block, d, t)
+            out_qo = _quantized_outage(block, m, d, p, beta, table)[0]
+            yield from (("out_full", out_full), ("out_qo", out_qo),
+                        ("outage_loss", out_qo & ~out_full))
+            yield "vle_rx1", vle_lengths(m[:, 0])
+            yield "vle_rx2", vle_lengths(m[:, 1])
 
-            yield kernel, [(value, {"sqrt_delta": math.sqrt(d)})]
+        return kernel
 
-    return _sweep(cfg, "outageloss", scans(), progress, mins=VLE_MIN)
+    scans = ((kernel_at(p, (b,)), [(value, {"sqrt_delta": math.sqrt(b.delta)})])
+             for value, p, (b,) in cfg.points)
+    return _sweep(cfg, "outageloss", scans, progress, mins=VLE_MIN)
 
 
 def run_feedback_rate(cfg, progress=None):
@@ -627,20 +639,21 @@ def run_diversity(cfg, progress=None):
         "out_rx2_fixed[delta=%s]" % _fmt(d_fix),
     )
 
-    def scans():
+    def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
-        for value, p, bins in cfg.points:
+        dts = _outage_quantizers(bins, p)
 
-            def kernel(block):
-                h1, h2 = block[:, 0], block[:, 1]
-                fixed, pol = (_quantized_outage(block, outage_levels(block, b.delta, b.t_outage),
-                                                b.delta, p, beta) for b in bins)
-                yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
-                                       fixed[1], fixed[2]))
+        def kernel(block):
+            h1, h2 = block[:, 0], block[:, 1]
+            fixed, pol = (_quantized_outage(block, outage_levels(block, d, t), d, p, beta, table)
+                          for d, t, table in dts)
+            yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
+                                   fixed[1], fixed[2]))
 
-            yield kernel, [(value, {})]
+        return kernel
 
-    stats = _sweep(cfg, "diversity", scans(), progress, events=names)
+    scans = ((kernel_at(p, bins), [(value, {})]) for value, p, bins in cfg.points)
+    stats = _sweep(cfg, "diversity", scans, progress, events=names)
     last = float(max(cfg.p_db))
     n_window = sum(1 for a in cfg.p_db if _in_slope_window(a, last))
     slope_pts = []

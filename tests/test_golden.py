@@ -73,6 +73,18 @@ GOLDEN = {
         ["rateloss", "--p-db", "10", "--delta", "0.0092,0.00919", "--trials", "20000"],
         "f2bde970afbed52837cc2719d1d6c4606bda075b3722b9c12a05a19932e08891",
     ),
+    # The same edge for the upper-edge split table: t_outage = 509 at delta
+    # 0.00518 (levels up to 510, 130,816 pairs) and 510 at 0.00517, split per
+    # row. Pinned on the per-row code, before tables.
+    "outage_table_edge": (
+        ["outage", "--p-db", "10,20", "--delta", "0.00518,0.00517", "--min-outage-events",
+         "1000"],
+        "77e55758f144c5833201ebd0a578c54774991b2ec83dcb1dac7dd7e711f76bf5",
+    ),
+    "outageloss_table_edge": (
+        ["outageloss", "--p-db", "10", "--delta", "0.00518,0.00517", "--trials", "20000"],
+        "20f3e61a28829da7a3e1deae2e2850eea8b250505a5a0ea5fd1a515035bd026e",
+    ),
 }
 
 

@@ -379,6 +379,48 @@ class TestRateLossExamples:
             harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
 
 
+def pair_table(edge, d, t, p):
+    """The table a scan at power p builds for bin size d and level count t:
+    the min rate of every lower-edge pair, or the split of every upper-edge one."""
+    quantizers = harness._rate_quantizers if edge == "lower" else harness._outage_quantizers
+    return quantizers([harness.Bin(d, (t, t), (t, t))], p)[0][2]
+
+
+def tracking_table_builds(monkeypatch):
+    """(builds, points): each _pair_table call of a run as (d, t, built), and
+    the power of each point that makes tables, in order. It fails if a point
+    makes its tables while an earlier point's are still alive."""
+    import weakref
+
+    builds, points, earlier = [], [], []
+    build = harness._pair_table
+
+    def table(fn, d, t):
+        made = build(fn, d, t)
+        assert made is None or made.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
+        builds.append((d, t, made is not None))
+        if made is not None:
+            earlier.append(weakref.ref(made))
+        return made
+
+    def at_point(quantizers):
+        def tracking(bins, p):
+            assert all(ref() is None for ref in earlier), "point %d" % (len(points) + 1)
+            points.append(p)
+            return quantizers(bins, p)
+        return tracking
+
+    monkeypatch.setattr(harness, "_pair_table", table)
+    for name in ("_rate_quantizers", "_outage_quantizers"):
+        monkeypatch.setattr(harness, name, at_point(getattr(harness, name)))
+    return builds, points
+
+
+def same_points(a, b):
+    return [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in a.points] == \
+        [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in b.points]
+
+
 class TestMinRateTable:
     """The transmitter adapts to the fed-back levels alone, so minrate and
     rateloss look each trial's min adapted rate up by its (strong, weak)
@@ -387,9 +429,9 @@ class TestMinRateTable:
 
     @staticmethod
     def looked_up(levels, d, t, p):
-        table = harness._min_rate_table(d, t, p)
+        table = pair_table("lower", d, t, p)
         assert table is not None and table.size == (t + 1) * (t + 2) // 2
-        return harness._lower_edge_min_rate(harness._rate_feedback(levels, d, table), p, table)
+        return harness._lower_edge_min_rate(harness._pair_feedback(levels, d, table), p, table)
 
     @staticmethod
     def per_row(levels, d, p):
@@ -408,7 +450,7 @@ class TestMinRateTable:
         got = self.looked_up(levels, d, t, p)
         assert got.dtype == np.float64
         assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert_array_equal(harness._min_rate_table(d, t, p).view(np.int64),
+        assert_array_equal(pair_table("lower", d, t, p).view(np.int64),
                            want[:s.size].view(np.int64))
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
@@ -434,7 +476,7 @@ class TestMinRateTable:
         assert harness.PAIR_TABLE_MAX == 1 << 17
         assert (default_t_rate(0.0092), default_t_rate(0.00919)) == (510, 511)
         for t in range(505, 516):
-            table = harness._min_rate_table(1.0 / (t + 1), t, 10.0)
+            table = pair_table("lower", 1.0 / (t + 1), t, 10.0)
             if t <= 510:
                 assert table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
             else:
@@ -445,47 +487,125 @@ class TestMinRateTable:
         deltas, p_db = (0.2, 0.05, 0.00919), (0.0, 10.0, 20.0)
         cfg = harness.ExperimentConfig(kind=kind, p_db=p_db if kind == "minrate" else (10.0,),
                                        deltas=deltas, trials=5 * CHUNK - 3, seed=4, workers=2)
-        built = []
-        build = harness._min_rate_table
-
-        def counting(d, t, p):
-            table = build(d, t, p)
-            assert table is None or table.size <= harness.PAIR_TABLE_MAX
-            built.append((d, p, table is not None))
-            return table
-
-        monkeypatch.setattr(harness, "_min_rate_table", counting)
+        builds, points = tracking_table_builds(monkeypatch)
         looked_up = harness.run_experiment(cfg)
         # Every scan builds each delta's table once, whatever its job count.
-        powers = [10.0 ** (v / 10.0) for v in cfg.p_db]
-        assert sorted(built) == sorted((d, p, d != 0.00919) for p in powers for d in deltas)
+        assert points == [10.0 ** (v / 10.0) for v in cfg.p_db]
+        assert sorted(builds) == sorted((d, default_t_rate(d), d != 0.00919)
+                                        for _ in points for d in deltas)
         # Split per row, every row, for the same metrics.
-        monkeypatch.setattr(harness, "_min_rate_table", lambda d, t, p: None)
-        per_row = harness.run_experiment(cfg)
-        assert [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in looked_up.points] == \
-            [(m.metric, m.sweep_value, m.value, m.stderr, m.n) for m in per_row.points]
+        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t: None)
+        assert same_points(looked_up, harness.run_experiment(cfg))
 
     def test_a_points_tables_go_before_the_next_point_builds(self, monkeypatch):
         # The main thread builds the tables on a heap of its own, so tables
         # kept past their scan would add to the run's peak memory.
-        import weakref
-
         cfg = harness.ExperimentConfig(kind="minrate", p_db=(0.0, 10.0, 20.0),
                                        deltas=(0.2, 0.05), trials=3 * CHUNK, workers=2)
-        earlier, points = [], []
-        build = harness._min_rate_table
-
-        def tracking(d, t, p):
-            if p not in points:
-                points.append(p)
-                assert all(ref() is None for ref in earlier), "point %d" % len(points)
-            table = build(d, t, p)
-            earlier.append(weakref.ref(table))
-            return table
-
-        monkeypatch.setattr(harness, "_min_rate_table", tracking)
+        builds, points = tracking_table_builds(monkeypatch)
         harness.run_experiment(cfg)
-        assert len(points) == 3 and len(earlier) == 6
+        assert len(points) == 3 and len(builds) == 6
+
+
+class TestSplitTable:
+    """On the upper edge the power split, too, depends on the gains only
+    through the (strong, weak) level pair, so outage, outageloss and
+    diversity look it up in one table per scan and bin. Every outage mask
+    must carry the bits of the per-row split it replaces."""
+
+    @staticmethod
+    def masks(levels, d, t, p, seed):
+        """_quantized_outage's three masks, looked up and split per row, on
+        true gains drawn inside each row's bins, at r_th = 1."""
+        u = np.random.default_rng(seed).random(levels.shape)
+        block = np.asfortranarray((levels - u) * d)  # level m holds gains in ((m-1)d, md]
+        table = pair_table("upper", d, t, p)
+        assert table is not None and table.size == (t + 2) * (t + 3) // 2
+        return [harness._quantized_outage(block, levels, d, p, 1.0, tab) for tab in (table, None)]
+
+    @staticmethod
+    def both_ways(s, w, flip):
+        """Level rows of the pairs (s, w), receiver 2 the strong one where flip."""
+        return np.asfortranarray(np.column_stack([np.where(flip, w, s), np.where(flip, s, w)]))
+
+    @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
+    @pytest.mark.parametrize("d", [0.2, 0.05])
+    def test_every_pair_has_the_per_row_bits(self, d, p_db):
+        p = 10.0 ** (p_db / 10.0)
+        t = default_t_outage(d)
+        # Every key, level 0 included, holds the split of its gains.
+        s, w = np.tril_indices(t + 2)
+        assert_array_equal(pair_table("upper", d, t, p).view(np.int64),
+                           alloc.equal_rate_split(s * d, w * d, p).view(np.int64))
+        # The levels a quantizer feeds back, 1 <= w <= s <= t + 1, each pair
+        # with receiver 1 strong and then with receiver 2 strong.
+        s, w = s[w > 0], w[w > 0]
+        flip = np.repeat([False, True], s.size)
+        looked_up, per_row = self.masks(self.both_ways(np.tile(s, 2), np.tile(w, 2), flip),
+                                        d, t, p, seed=5)
+        for got, want in zip(looked_up, per_row):
+            assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < np.count_nonzero(per_row[0]) < per_row[0].size or p_db != 10.0
+
+    @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
+    def test_sampled_and_edge_pairs_have_the_per_row_bits(self, p_db):
+        p = 10.0 ** (p_db / 10.0)
+        d = 0.01
+        t = default_t_outage(d)
+        rng = np.random.default_rng(19)
+        s = rng.integers(1, t + 2, 10**5)
+        w = rng.integers(1, s + 1)
+        edge = np.arange(1, t + 2)
+        s = np.concatenate([s, edge, edge, np.full(t + 1, t + 1)])  # w = 1, w = s, s = t + 1
+        w = np.concatenate([w, np.ones(t + 1, dtype=np.int64), edge, edge])
+        levels = self.both_ways(s, w, rng.random(s.size) < 0.5)
+        looked_up, per_row = self.masks(levels, d, t, p, seed=7)
+        for got, want in zip(looked_up, per_row):
+            assert np.array_equal(got, want)
+
+    def test_no_table_outgrows_its_cap(self):
+        # Levels run to t + 1, so (t+2)(t+3)/2 pairs fit 2^17 entries up to
+        # t = 509; a finer bin splits per row. The golden outage and
+        # outageloss table-edge cases run delta = 0.00518 (t = 509) and
+        # 0.00517 (t = 510).
+        assert (default_t_outage(0.00518), default_t_outage(0.00517)) == (509, 510)
+        for t in range(504, 515):
+            table = pair_table("upper", 1.0 / (t + 2), t, 10.0)
+            if t <= 509:
+                assert table.size == (t + 2) * (t + 3) // 2 <= harness.PAIR_TABLE_MAX
+            else:
+                assert table is None
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("outage", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.2, 0.05, 0.00517),
+                        min_outage_events=3000)),
+        ("outageloss", dict(p_db=(10.0,), deltas=(0.2, 0.05, 0.00517), trials=5 * CHUNK - 3)),
+        ("diversity", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.00517,), min_outage_events=500)),
+    ])
+    def test_one_table_per_scan_and_bin(self, kind, fields, monkeypatch):
+        cfg = harness.ExperimentConfig(kind=kind, seed=4, workers=2, **fields)
+        builds, _ = tracking_table_builds(monkeypatch)
+        looked_up = harness.run_experiment(cfg)
+        # Every scan builds each bin's table once, whatever its job count,
+        # up to its largest level t + 1; the finest bin is split per row.
+        want = [(b.delta, b.t_outage[0] + 1, b.delta != 0.00517)
+                for _, _, bins in cfg.points for b in bins]
+        assert sorted(builds) == sorted(want) and any(built for _, _, built in want)
+        # Split per row, every row, for the same metrics.
+        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t: None)
+        assert same_points(looked_up, harness.run_experiment(cfg))
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("outage", dict(deltas=(0.2, 0.05), min_outage_events=500)),
+        ("outageloss", dict(deltas=(0.05,), trials=3 * CHUNK)),
+        ("diversity", dict(deltas=(0.05,), min_outage_events=500)),
+    ])
+    def test_a_points_tables_go_before_the_next_point_builds(self, kind, fields, monkeypatch):
+        # As on the lower edge: a point's tables are freed after its scan.
+        cfg = harness.ExperimentConfig(kind=kind, p_db=(0.0, 10.0, 20.0), workers=2, **fields)
+        builds, points = tracking_table_builds(monkeypatch)
+        harness.run_experiment(cfg)
+        assert len(points) == 3 and len(builds) == 3 * (2 if kind != "outageloss" else 1)
 
 
 class TestOutageExamples:
@@ -834,8 +954,10 @@ JOB_PEAK_ARGV = {
 # of the fed-back gains. minrate now peaks at 1,668 (its min rates looked up
 # by level pair, the levels gone before the lookup) and outage at 1,892 (its
 # levels gone before the split); their pins are those plus 5 %. outageloss,
-# which keeps its levels for the VLE lengths, peaks at 2,148 and rateloss,
-# whose finest delta still splits per row, at 2,120.
+# which keeps its levels for the VLE lengths, peaked at 2,148 and rateloss,
+# whose finest delta still splits per row, at 2,120. With their power splits
+# looked up by level pair, outage peaks at 1,667 and outageloss at 2,052,
+# under the pins set for the per-row split, which are kept.
 JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222}
 
 

@@ -91,8 +91,8 @@ def test_hot_two_user_kernels_make_no_select():
     # mask; a select brought back would slow every scan without a trace.
     root = Path(nomafb.__file__).parent
     for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
-                         ("quantizer", "outage_levels"), ("harness", "_rate_feedback"),
-                         ("harness", "_lower_edge_min_rate")):
+                         ("quantizer", "outage_levels"), ("harness", "_pair_feedback"),
+                         ("harness", "_lower_edge_min_rate"), ("harness", "_quantized_outage")):
         tree = ast.parse((root / ("%s.py" % module)).read_text())
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -122,23 +122,35 @@ def _call_sites(name):
 def test_one_upper_edge_outage_path():
     # Both quantizers order the receivers by their fed-back gains and split
     # power by the same closed form; only the bin edge differs. The outage
-    # kinds all test a quantized outage through _quantized_outage, and the
-    # split is formed only there and on the rate path, so no second copy can
-    # pick the strong and weak gains some other way.
+    # kinds all test a quantized outage through _quantized_outage, which
+    # looks the split up by level pair or, past the table's cap, splits per
+    # row. The split is formed only in the two edges' table builders and
+    # their per-row fallbacks, so no second copy can pick the strong and
+    # weak gains some other way.
     assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
-    assert sorted(_call_sites("equal_rate_split")) == ["harness._quantized_min_rate",
+    assert sorted(_call_sites("equal_rate_split")) == ["harness._outage_quantizers",
+                                                       "harness._quantized_min_rate",
                                                        "harness._quantized_outage"]
+    assert sorted(_call_sites("_outage_quantizers")) == ["harness.run_diversity.kernel_at",
+                                                         "harness.run_outage.kernel_at",
+                                                         "harness.run_outage_loss.kernel_at"]
+    assert sorted(_call_sites("_quantized_outage")) == [
+        "harness.run_diversity.kernel_at.kernel", "harness.run_outage.kernel_at.kernel",
+        "harness.run_outage_loss.kernel_at.kernel"]
 
 
 def test_one_lower_edge_min_rate_path():
     # minrate and rateloss look the min adapted rate up by level pair, or
     # split per row past the table's cap, through one pair of helpers; the
-    # table and the per-row split both run the one formula.
+    # table and the per-row split both run the one formula. One builder
+    # makes the tables of both edges, and one key serves both lookups.
     assert sorted(_call_sites("_quantized_min_rate")) == ["harness._lower_edge_min_rate",
-                                                          "harness._min_rate_table"]
-    assert sorted(_call_sites("_rate_feedback")) == ["harness.run_min_rate.kernel_at.kernel",
+                                                          "harness._rate_quantizers"]
+    assert sorted(_call_sites("_pair_feedback")) == ["harness._quantized_outage",
+                                                     "harness.run_min_rate.kernel_at.kernel",
                                                      "harness.run_rate_loss.scans.kernel"]
-    assert _call_sites("_min_rate_table") == ["harness._rate_quantizers"]
+    assert sorted(_call_sites("_pair_table")) == ["harness._outage_quantizers",
+                                                  "harness._rate_quantizers"]
     assert sorted(_call_sites("_rate_quantizers")) == ["harness.run_min_rate.kernel_at",
                                                        "harness.run_rate_loss.scans"]
 
