@@ -167,18 +167,21 @@ def sic_rates(alphas, gains, p):
     a = np.asarray(alphas, dtype=np.float64)
     g = np.asarray(gains, dtype=np.float64)
     _check_power(p)
-    # A running sum, one column at a time: the additions of np.cumsum along
-    # the last axis, in its order, without its slow row-by-row loop.
-    running = np.zeros(a.shape[:-1])
-    interference = np.empty_like(a)
-    for k in range(a.shape[-1]):
-        running += a[..., k]
-        interference[..., k] = running - a[..., k]
-    # p * g underflows to 0 for a tiny gain at low power; noise 1/0 = +inf is
-    # then the right term, and it gives that receiver rate 0.
+    # noise + interference in one buffer in g's layout, rounding as in
+    # log2(1 + a / (interference + noise)). p * g underflows to 0 for a tiny
+    # gain at low power; noise 1/0 = +inf is then right: that receiver gets rate 0.
+    den = np.empty_like(g, shape=np.broadcast_shapes(np.shape(p), a.shape, g.shape))
     with np.errstate(divide="ignore"):
-        noise = 1.0 / (p * g)
-    return np.log2(1.0 + a / (interference + noise))
+        np.divide(1.0, np.multiply(p, g, out=den), out=den)
+    # The interference as a running sum, a column at a time: the additions of
+    # np.cumsum along the last axis, in its order, without its row-by-row loop.
+    running = np.zeros(den.shape[:-1])
+    for k in range(den.shape[-1]):
+        running += a[..., k]
+        den[..., k] += running - a[..., k]
+    np.divide(a, den, out=den)
+    den += 1.0
+    return np.log2(den, out=den)
 
 
 def alloc_from_rate(r, gains_desc, p):
@@ -232,40 +235,62 @@ def _varpi_horner(y, inv_pg, out=None):
 
 
 def _horner_band(k, top, pg_max):
-    """Half-width of the band around 1 outside which _varpi_horner and
-    _varpi_rows decide `varpi < 1` alike, for K receivers, rates r <= top and
-    every p g_j <= pg_max.
+    """Half-width W of the band around 1 outside which _varpi_horner at
+    y' = np.exp2(r) and _varpi_rows decide `varpi < 1` alike, for K
+    receivers, rates r <= top and every p g_j <= pg_max. A row is decided by
+    its Horner value v where (min(|v - 1|, 1) - W) d' > 16 eps, d' = y' - 1:
+    the slack grows as y' nears 1, where exp2's last bit is all of d'.
 
-    Let eps = 2^-52, u = eps/2, y = 2.0**r and d = y - 1 as both forms compute
-    them, and V = d * sum_j y^(K-1-j) / (p g_j) exactly. Each form is V times
-    (1 + e), |e| small:
-      - Horner: 1/(p g_j), then K-1 multiplications and K-1 additions of
-        positive numbers, then the product with d: 2K roundings, so
-        |e| <= 2K u = K eps to first order.
-      - _varpi_rows: term j is 2.0**(r*m) / (p g_j), m = K-1-j. The powers
-        m = 1 and m = 0 are exact: r*1.0 == r, so the first is y, and
-        2.0**0.0 == 1. For m >= 2, rounding r*m moves the exponent by at
-        most r m u, a factor of 1 + ln2 top K u. pow errs by up to 4 ulp:
-        numpy's float64 accuracy tests allow its transcendental ufuncs up
-        to 2 ulp (_core/tests/data/umath-validation-set-*.csv) and list no
-        pow, and numpy may run its own SIMD pow, not libm's. So the power
-        costs 4 eps, and 2^(r m) differs from y^m by y's own error to the
-        m-th power, 4 K eps. The division, the K-term sum of positive terms
-        and the product with d add (K + 1) u. In all,
-        |e| <= (4.5 K + 0.35 K top + 4.5) eps.
-    The two together stay below (10 K + 0.35 K top) eps; the band,
-    16 K (1 + top) eps, is at least 1.6 times that, which leaves room for the
-    second-order terms. If Horner's value exceeds 1 + band, then
-    V > (1 + band)/(1 + e_h) and _varpi_rows gives V (1 + e_r) > 1; below
-    1 - band, likewise < 1.
+    Let eps = 2^-52, u = eps/2, y = 2.0**r and d = y - 1 as _varpi_rows
+    forms them, and V = d S(y) exactly, S(y) = sum_j y^(K-1-j) / (p g_j).
+    _varpi_rows gives V (1 + b):
+      - Term j is 2.0**(r*m) / (p g_j), m = K-1-j. The powers m = 1 and
+        m = 0 are exact: r*1.0 == r, so the first is y, and 2.0**0.0 == 1.
+        For m >= 2, rounding r*m moves the exponent by at most r m u, a
+        factor of 1 + ln2 top K u. pow errs by up to 4 ulp: numpy's float64
+        accuracy tests allow its transcendental ufuncs up to 2 ulp
+        (_core/tests/data/umath-validation-set-*.csv) and list no pow, and
+        numpy may run its own SIMD pow, not libm's. So the power costs 4 eps,
+        and 2^(r m) differs from y^m by y's own error to the m-th power,
+        4 K eps. The division, the K-term sum of positive terms and the
+        product with d add (K + 1) u. In all, |b| <= (4.5 K + 0.35 K top + 4.5) eps.
+    Those tests allow exp2 1 ulp (all 714 float64 rows of its file), so
+    |y' - y| <= 5 eps y'. Horner gives v = d' S(y') (1 + e), |e| <= K eps
+    for its 2K roundings; S(y)/S(y') is within 5 (K-1) eps of 1; and
+    |d/d' - 1| <= rho = 6 eps + 5 x, x = eps/d' (y - 1 and y' - 1 are exact
+    below 2, u off above). So _varpi_rows gives v (1 -+ rho)(1 -+ c), with
+    c = (10.5 K + 0.35 K top + 4.5) eps. Let k = 6 eps + c; W =
+    16 (K (1 + top) + 1) eps >= 1.5 k. A decided row has x < 1/16, so
+    rho < 0.32 and d > 0, and |v - 1| > W + 16 x. If v > 1, the reference
+    exceeds (1 + W + 16 x)(1 - 5 x - k) >= 1 + W - (1 + W) k +
+    x (6 - 5 W - 16 k) > 1, as 80 x^2 <= 5 x and W < 0.1 (K (1 + top) <
+    10^13). If v < 1, it is below (1 - W - 16 x)(1 + 5 x + 6 eps + 1.32 c)
+    <= 1 + k + 0.32 c - W - 11 x < 1. The margins cover second-order terms
+    and the test's own roundings.
 
     This needs every p g_j <= 2^960: then every 1/(p g_j), term and partial
     sum is a normal float, so the relative bounds hold, and a form that
-    overflows to +inf has V >= eps * 2^1024 / 2^960 > 1, so both call the row
-    infeasible. Past 2^960 the band is infinite and every row takes the
-    reference. The CLI's p <= 10^100 keeps p g far below that.
+    overflows to +inf has V >= eps * 2^1024 / 2^960 > 1 (times 1 - rho > 0.6
+    for Horner at y'), so both call the row infeasible; y' stays finite, as
+    top <= 961. Past 2^960 W is 1, which
+    decides no row: every row takes the reference. The CLI's p <= 10^100
+    keeps p g far below that.
     """
-    return 16.0 * k * (1.0 + top) * 2.0**-52 if pg_max <= 2.0**960 else math.inf
+    return 16.0 * (k * (1.0 + top) + 1.0) * 2.0**-52 if pg_max <= 2.0**960 else 1.0
+
+
+def _distrusted(v, d, band, t):
+    """Mask of the rows _horner_band's test leaves to the reference (NaN ones
+    too), or None if none; v holds Horner's values, d each y - 1. Rounding is
+    monotone: if the smallest |v - 1| and smallest d pass, every row does."""
+    slack = 16.0 * 2.0**-52
+    np.abs(np.subtract(v, 1.0, out=t), out=t)
+    if (min(float(t.min()), 1.0) - band) * float(d.min()) > slack:
+        return None
+    np.minimum(t, 1.0, out=t)
+    t -= band
+    t *= d
+    return None if t.min() > slack else ~(t > slack)
 
 
 def batch_max_min_rate(gains_desc, p, eps):
@@ -274,11 +299,11 @@ def batch_max_min_rate(gains_desc, p, eps):
     Returns (r, iterations) with each r on the feasible (low) side of its
     bracket, within eps of the root.
 
-    Each step decides `varpi < 1` by _varpi_horner, and re-evaluates by
-    _varpi_rows every row whose Horner value lies within _horner_band of 1,
-    or is NaN. Outside the band both forms decide alike, and the brackets
-    depend on nothing but those decisions, so every rate is bit-identical to
-    a bisection that runs _varpi_rows on every row.
+    Each step decides `varpi < 1` by _varpi_horner at np.exp2(mid), and
+    re-evaluates by _varpi_rows the rows _distrusted names, NaN rows too.
+    Elsewhere both forms decide alike, and the brackets depend on nothing
+    but those decisions, so every rate is bit-identical to a bisection that
+    runs _varpi_rows on every row.
     """
     g = np.asarray(gains_desc, dtype=np.float64)
     if g.ndim != 2 or g.size == 0:
@@ -302,7 +327,7 @@ def batch_max_min_rate(gains_desc, p, eps):
     lo = np.zeros(g.shape[0])
     hi = r_ub
     # Each step runs in these buffers, every rounding as in
-    # mid = 0.5 * (lo + hi) and v = _varpi_horner(2.0**mid, inv_pg).
+    # mid = 0.5 * (lo + hi) and v = _varpi_horner(np.exp2(mid), inv_pg).
     mid, y, v, t = (np.empty(g.shape[0]) for _ in range(4))
     # A power or sum past the float64 range is +inf, varpi's correct
     # "infeasible" verdict on a valid row, so it is no cause for a warning.
@@ -311,11 +336,9 @@ def batch_max_min_rate(gains_desc, p, eps):
         for _ in range(n_iter):
             np.add(lo, hi, out=mid)
             mid *= 0.5
-            _varpi_horner(np.power(2.0, mid, out=y), inv_pg, out=v)
-            np.abs(np.subtract(v, 1.0, out=t), out=t)  # distance from 1
-            # np.min keeps NaN, and `NaN > band` is False, so NaN rows fall back too
-            if not t.min() > band:
-                near = ~(t > band)
+            _varpi_horner(np.exp2(mid, out=y), inv_pg, out=v)
+            near = _distrusted(v, y, band, t)  # y holds the y - 1 Horner leaves
+            if near is not None:
                 v[near] = _varpi_rows(mid[near], pg[:, near])
             np.less(v, 1.0, out=t)  # 1.0 where feasible, else 0.0
             # 0 <= lo <= mid <= hi, so these maxima pick exactly what

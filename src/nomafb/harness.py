@@ -395,12 +395,14 @@ def _quantized_outage(block, levels, d, p, beta, table):
     feed back upper-edge levels: power is split on _fed_back_gains, as on the
     rate path, or looked up in table (_outage_quantizers) by level pair, and
     receiver 1 is strong where its fed-back float is not below receiver 2's
-    (levels past 2^53 can differ as ints and tie as floats).
+    (levels past 2^53 can differ as ints and tie as floats; a table's levels,
+    at most 510, order as their ints do).
 
     levels is dropped before the split: a caller that passes them as a
     temporary does not keep them alive through it.
     """
-    rx1_strong = levels[:, 0] * d >= levels[:, 1] * d
+    rx1_strong = (levels[:, 0] >= levels[:, 1] if table is not None
+                  else levels[:, 0] * d >= levels[:, 1] * d)
     fed = _pair_feedback(levels, d, table)
     del levels
     a = alloc.equal_rate_split(*fed, p) if table is None else table.take(fed)
@@ -427,9 +429,10 @@ PAIR_TABLE_MAX = 1 << 17
 PAIR_SLAB = 1 << 13
 
 
-def _pair_table(fn, d, t):
+def _pair_table(fn, d, t, rows):
     """fn(s * d, w * d) of every pair of levels w <= s <= t, the entry of
-    (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX.
+    (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX, or
+    than the scan's rows - 1: a short scan splits its rows faster.
 
     The transmitter adapts to the fed-back levels alone, so on either edge a
     trial's power split and min adapted rate are the entries of its (strong,
@@ -438,7 +441,7 @@ def _pair_table(fn, d, t):
     strong levels at a time, on slabs of at most PAIR_SLAB entries.
     """
     size = (t + 1) * (t + 2) // 2
-    if size > PAIR_TABLE_MAX:
+    if size > PAIR_TABLE_MAX or size >= rows:
         return None
     table = np.empty(size)
     step = PAIR_SLAB // (t + 1)  # strong levels per slab, t + 1 <= 511
@@ -474,18 +477,18 @@ def _lower_edge_min_rate(fed, p, table):
     return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
 
 
-def _rate_quantizers(bins, p):
+def _rate_quantizers(bins, p, rows):
     """(delta, counts, min-rate _pair_table) of each Bin's lower edge at power
-    p: one table per scan and delta, up to the largest count, which every job reads."""
+    p: one table per scan of `rows` trials and delta, up to the largest count."""
     return [(b.delta, b.t_rate, _pair_table(lambda qs, qw: _quantized_min_rate(qs, qw, p),
-                                            b.delta, max(b.t_rate))) for b in bins]
+                                            b.delta, max(b.t_rate), rows)) for b in bins]
 
 
-def _outage_quantizers(bins, p):
+def _outage_quantizers(bins, p, rows):
     """(delta, counts, split _pair_table) of each Bin's upper edge at power p,
     as _rate_quantizers: its levels run to the largest count + 1."""
     return [(b.delta, b.t_outage, _pair_table(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
-                                              b.delta, max(b.t_outage) + 1)) for b in bins]
+                                              b.delta, max(b.t_outage) + 1, rows)) for b in bins]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +496,7 @@ def _outage_quantizers(bins, p):
 
 def run_min_rate(cfg, progress=None):
     def kernel_at(p, bins):
-        dts = _rate_quantizers(bins, p)
+        dts = _rate_quantizers(bins, p, cfg.trials)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -515,7 +518,7 @@ def run_rate_loss(cfg, progress=None):
     def scans():
         points = cfg.points
         _, p, _ = points[0]
-        dts = _rate_quantizers([b for _, _, (b,) in points], p)
+        dts = _rate_quantizers([b for _, _, (b,) in points], p, cfg.trials)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -547,7 +550,7 @@ def run_outage(cfg, progress=None):
         beta_tdma = _snr_threshold(2.0 * cfg.r_th)
         labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
                   else "out_qo[policy=%s]" % cfg.policy for b in bins]
-        dts = _outage_quantizers(bins, p)
+        dts = _outage_quantizers(bins, p, cfg.trial_cap)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -567,7 +570,7 @@ def run_outage(cfg, progress=None):
 def run_outage_loss(cfg, progress=None):
     def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
-        ((d, t, table),) = _outage_quantizers(bins, p)
+        ((d, t, table),) = _outage_quantizers(bins, p, cfg.trials)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -641,7 +644,7 @@ def run_diversity(cfg, progress=None):
 
     def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
-        dts = _outage_quantizers(bins, p)
+        dts = _outage_quantizers(bins, p, cfg.trial_cap)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -675,6 +678,48 @@ def _row_min(x):
     return functools.reduce(np.minimum, x.T)
 
 
+@functools.lru_cache(maxsize=None)
+def _network(k):
+    """Batcher's odd-even merge sort on k wires, as the (i, j) comparators,
+    i < j, it runs in turn; dropping those that reach past k sorts any k."""
+    pairs, p = [], 1
+    while p < k:
+        for q in (p >> s for s in range(p.bit_length())):
+            pairs += [(i, i + q) for j in range(q % p, k - q, 2 * q)
+                      for i in range(j, min(j + q, k - q)) if i // (2 * p) == (i + q) // (2 * p)]
+        p *= 2
+    return tuple(pairs)
+
+
+def _sort_desc(a):
+    """Sort each column of the (K, n) array a in place, largest first: each
+    comparator of _network(K) is a np.minimum, a np.maximum and a row copy."""
+    t = np.empty_like(a[0])
+    for i, j in _network(len(a)):
+        np.minimum(a[i], a[j], out=t)
+        np.maximum(a[i], a[j], out=a[i])
+        a[j] = t
+    return a
+
+
+def _fed_back_order(levels, d):
+    """Flat indices into the (K, n) array levels, each column in the stable
+    np.argsort order of -(levels * d): by fed-back gain, ties by receiver.
+
+    _sort_desc sorts keys level << 6 | 63 - i for receiver i < 64. Below
+    2^52, level * d is strictly increasing, as neighbouring levels' products
+    lie d apart and each rounds by under d/2; from 2^52 on, the ranks of the
+    floats stand in for the levels."""
+    k, n = levels.shape
+    key = levels if levels.max() < 1 << 52 else np.unique(
+        levels * d, return_inverse=True)[1].reshape(levels.shape)
+    key = _sort_desc(key << 6 | np.arange(63, 63 - k, -1)[:, None])
+    at = np.bitwise_and(key, 63, out=key)
+    at *= -n
+    at += np.arange(63 * n, 64 * n)  # (63 - i) n + column
+    return at
+
+
 def _quantized_max_min(levels_desc, d, p, eps, split=False):
     """Max-min rate of each row of fed-back gains levels_desc * d or, with
     split, only its power fractions; levels_desc is (n, K) int64, descending.
@@ -686,10 +731,11 @@ def _quantized_max_min(levels_desc, d, p, eps, split=False):
     sets the Horner band, and the row that sets each is among the words.
     """
     found = distinct_words(levels_desc)
-    words, inverse = found if found is not None else (levels_desc, slice(None))
-    g = words.astype(np.float64) * d
+    g = (levels_desc if found is None else found[0]).astype(np.float64) * d
     r = alloc.batch_max_min_rate(g, p, eps)[0]
-    return alloc.alloc_from_rate(r, g, p)[inverse] if split else r[inverse]
+    x = alloc.alloc_from_rate(r, g, p) if split else r
+    # gathered along the rows of x.T, so the split comes back column-major
+    return x if found is None else x.T.take(found[1], axis=-1).T
 
 
 def run_k_user(cfg, progress=None):
@@ -699,31 +745,28 @@ def run_k_user(cfg, progress=None):
         for value, p, ((d, t_r, t_o),) in cfg.points:
 
             def kernel(block):
-                # The row-wise sort and take run on a row-major copy: on the
-                # column-major block they take about 2 and 3 times as long.
-                rows = np.ascontiguousarray(block)
-                gains_desc = np.sort(rows, axis=1)[:, ::-1]
-                r_true, _ = alloc.batch_max_min_rate(gains_desc, p, cfg.eps)
+                n = block.shape[0]
+                # F-ordered (n, K), so the solver's (p * g).T is a view
+                r_true, _ = alloc.batch_max_min_rate(_sort_desc(np.array(block.T)).T, p, cfg.eps)
                 out_full = r_true < cfg.r_th
 
-                lv = np.empty(block.shape, dtype=np.int64)
+                lv = np.empty((k, n), dtype=np.int64)
                 for i in range(k):
-                    lv[:, i] = rate_levels(block[:, i], d, t_r[i])
-                    yield "vle_r%d" % i, vle_lengths(lv[:, i])
-                live = _row_min(lv) > 0
-                r_q = np.zeros(block.shape[0])
+                    lv[i] = rate_levels(block[:, i], d, t_r[i])
+                    yield "vle_r%d" % i, vle_lengths(lv[i])
+                _sort_desc(lv)
+                live = lv[-1] > 0
+                r_q = np.zeros(n)
                 if live.any():
-                    r_q[live] = _quantized_max_min(
-                        np.sort(lv[live], axis=1)[:, ::-1], d, p, cfg.eps)
+                    r_q[live] = _quantized_max_min(lv[:, live].T, d, p, cfg.eps)
 
                 for i in range(k):
-                    lv[:, i] = outage_levels(block[:, i], d, t_o[i])
-                    yield "vle_o%d" % i, vle_lengths(lv[:, i])
-                # The order of the fed-back gains, ties kept in receiver order.
-                perm = np.argsort(-(lv * d), axis=1, kind="stable")
-                perm += np.arange(0, lv.size, k)[:, None]
-                alphas = _quantized_max_min(lv.take(perm), d, p, cfg.eps, split=True)
-                out_q = _row_min(alloc.sic_rates(alphas, rows.take(perm), p)) < cfg.r_th
+                    lv[i] = outage_levels(block[:, i], d, t_o[i])
+                    yield "vle_o%d" % i, vle_lengths(lv[i])
+                at = _fed_back_order(lv, d)
+                alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
+                gains = np.ravel(block, order="F").take(at).T
+                out_q = _row_min(alloc.sic_rates(alphas, gains, p)) < cfg.r_th
 
                 yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
                             ("out_qo", out_q), ("outage_loss", out_q & ~out_full))

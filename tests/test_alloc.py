@@ -640,3 +640,98 @@ class TestHornerGuard:
         r, iters = alloc.batch_max_min_rate(g, 1.0, 1e-6)
         assert rows == [2] * iters
         assert np.array_equal(r, _parent_batch_max_min_rate(g, 1.0, 1e-6)[0])
+
+
+class TestExp2Filter:
+    """Each step evaluates Horner at np.exp2(mid), where _varpi_rows takes
+    2.0**mid; _horner_band's derivation rests on the two lying within 5 ulp
+    of each other (pow within 4 ulp of 2^x, exp2 within 1)."""
+
+    def test_exp2_lies_within_five_ulp_of_pow(self):
+        rng = np.random.default_rng(2024)
+        x = np.concatenate([
+            np.linspace(0.0, 1100.0, 2_000_001),
+            rng.uniform(0.0, 1100.0, 10**6),
+            rng.uniform(0.0, 1.0, 10**6),
+            2.0 ** -rng.uniform(0.0, 60.0, 10**5),  # mids where exp2 rounds to 1
+            1024.0 - 2.0 ** -rng.uniform(1.0, 52.0, 10**5),  # the last finite powers
+            rng.uniform(1023.0, 1025.0, 10**5),  # and the first to overflow
+        ])
+        with np.errstate(over="ignore"):
+            fast, ref = np.exp2(x), 2.0**x
+        assert np.count_nonzero(fast == 1.0) > 10**4 and np.isinf(ref).any()
+        # Positive floats are ordered as their bits, and +inf's follow the
+        # largest finite float's, so the bit distance counts ulp, overflow too.
+        assert np.abs(fast.view(np.int64) - ref.view(np.int64)).max() <= 5
+
+    @PROPERTY
+    @given(st.integers(1, 64), st.floats(-1000.0, 1000.0), st.floats(0.0, 16.0),
+           st.integers(0, 2**32 - 1))
+    def test_trusted_rows_decide_as_the_reference(self, k, p_db, decades, seed):
+        rng = np.random.default_rng(seed)
+        p = 10.0 ** (p_db / 10.0)
+        desc = np.sort(10.0 ** rng.uniform(-decades / 2, decades / 2, (300, k)), axis=1)[:, ::-1]
+        pg = np.ascontiguousarray((p * desc).T)
+        r_ub = np.log2(1.0 + pg[-1])
+        # rates anywhere in [0, 1.2 r_ub], 2^-60 to 2^-20 from each root, and
+        # rates of 2^-60 to 2^-40, where y - 1 holds a few ulp of 1
+        root = alloc.batch_max_min_rate(desc, p, 1e-15)[0]
+        offset = rng.choice([-1.0, 1.0], 300) * 2.0 ** -rng.uniform(20.0, 60.0, 300)
+        rates = np.concatenate([rng.uniform(0.0, 1.2, 300) * r_ub, root * (1.0 + offset),
+                                2.0 ** -rng.uniform(40.0, 60.0, 300)])
+        pg = np.concatenate([pg, pg, pg], axis=1)
+        band = alloc._horner_band(k, rates.max(), pg.max())
+        y = np.exp2(rates)
+        with np.errstate(over="ignore"):
+            v = alloc._varpi_horner(y, 1.0 / pg)
+            want = alloc._varpi_rows(rates, pg)
+        near = alloc._distrusted(v, y, band, np.empty_like(v))
+        trusted = np.ones(v.size, bool) if near is None else ~near
+        assert np.array_equal((v < 1.0)[trusted], (want < 1.0)[trusted])
+
+    def test_rows_with_y_near_one_are_distrusted_however_far_v_is(self):
+        # Where y - 1 is a few ulp of 1, a 1-ulp slip of exp2 can hold all of
+        # it, so no value of v is far enough from 1 to decide the row.
+        v = np.array([0.0, 0.5, 2.0, 1e6, 1e300, np.inf])
+        for ulps in (0.0, 1.0, 4.0, 16.0):
+            near = alloc._distrusted(v, np.full(6, ulps * 2.0**-52), 1e-13, np.empty(6))
+            assert near is not None and near.all(), ulps
+        assert alloc._distrusted(v, np.full(6, 2.0**-40), 1e-13, np.empty(6)) is None
+
+    def test_the_block_passes_only_where_every_row_would(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            v = rng.choice([0.0, 0.5, 1.0, 2.0, 1e300, np.nan, np.inf], 50)
+            v *= 1.0 + rng.normal(0.0, 1e-12, 50)
+            d = rng.choice([0.0, 2.0**-52, 2.0**-48, 1e-3, 1.0, 2.0**1000], 50)
+            band = rng.choice([1e-13, 1e-3, 1.0])
+            near = alloc._distrusted(v, d, band, np.empty(50))
+            alone = [alloc._distrusted(v[i:i + 1], d[i:i + 1], band, np.empty(1)) is not None
+                     for i in range(50)]
+            assert near is None if not any(alone) else near.tolist() == alone
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 9, 16, 64])
+    def test_forced_fallback_is_bit_exact(self, k, monkeypatch):
+        # eps = 1e-12 leaves the last brackets inside the band, and gains
+        # over 120 decades put many mids where exp2 rounds to 1; at -1000 dB
+        # every rate is below eps and no step runs.
+        rows = []
+        reference = alloc._varpi_rows
+
+        def counted(r, pg):
+            rows.append(len(r))
+            return reference(r, pg)
+
+        monkeypatch.setattr(alloc, "_varpi_rows", counted)
+        rng = np.random.default_rng(900 + k)
+        g = np.sort(10.0 ** rng.uniform(-120.0, 0.0, (400, k)), axis=1)[:, ::-1]
+        g[:20] = 1.0
+        for p_db in (-1000.0, 0.0, 1000.0):
+            p = 10.0 ** (p_db / 10.0)
+            del rows[:]
+            r, iters = alloc.batch_max_min_rate(g, p, 1e-12)
+            with np.errstate(over="ignore"):
+                want_r, want_iter = _parent_batch_max_min_rate(g, p, 1e-12)
+            assert iters == want_iter and (iters == 0) == (p_db == -1000.0)
+            assert np.array_equal(r, want_r), (k, p_db)
+            assert (sum(rows) > 0) == (iters > 0)

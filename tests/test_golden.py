@@ -62,6 +62,20 @@ GOLDEN = {
         ["kuser", "--k", "16", "--p-db", "30", "--delta", "0.01", "--trials", "20000"],
         "c1bf2c9011c19aa3d04fb9b5b8549f6075b692beaa9112c8d9249aa91daace4b",
     ),
+    # The kernel's comparator networks at K = 3 and 33, cut down from 4 and
+    # 64 wires, and at K = 8, a whole one. Pinned before the networks.
+    "kuser_k3": (
+        ["kuser", "--k", "3", "--p-db", "10", "--delta", "0.05,0.2", "--trials", "20000"],
+        "f16c0801fe9457781a183ecff4123e1c29e4ad94910f9fca5e396acc19131d16",
+    ),
+    "kuser_k8": (
+        ["kuser", "--k", "8", "--p-db", "20", "--delta", "0.1", "--trials", "20000"],
+        "b13b9884fc36356b3f26e9f1f0ad7655851319c4de6645deb606d9409a0b1120",
+    ),
+    "kuser_k33": (
+        ["kuser", "--k", "33", "--p-db", "10", "--delta", "0.2", "--trials", "20000"],
+        "00335c96cad280a670af8d6d72fa89ff80bef738a04e166b2515adbbe0367bed",
+    ),
     # The largest lower-edge bin count whose min-rate table fits
     # PAIR_TABLE_MAX (t = 510 at delta 0.0092) and the first past it (t = 511
     # at 0.00919, split per row). Pinned on the per-row code, before tables.

@@ -383,7 +383,7 @@ def pair_table(edge, d, t, p):
     """The table a scan at power p builds for bin size d and level count t:
     the min rate of every lower-edge pair, or the split of every upper-edge one."""
     quantizers = harness._rate_quantizers if edge == "lower" else harness._outage_quantizers
-    return quantizers([harness.Bin(d, (t, t), (t, t))], p)[0][2]
+    return quantizers([harness.Bin(d, (t, t), (t, t))], p, math.inf)[0][2]
 
 
 def tracking_table_builds(monkeypatch):
@@ -395,8 +395,8 @@ def tracking_table_builds(monkeypatch):
     builds, points, earlier = [], [], []
     build = harness._pair_table
 
-    def table(fn, d, t):
-        made = build(fn, d, t)
+    def table(fn, d, t, rows):
+        made = build(fn, d, t, rows)
         assert made is None or made.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
         builds.append((d, t, made is not None))
         if made is not None:
@@ -404,10 +404,10 @@ def tracking_table_builds(monkeypatch):
         return made
 
     def at_point(quantizers):
-        def tracking(bins, p):
+        def tracking(bins, p, rows):
             assert all(ref() is None for ref in earlier), "point %d" % (len(points) + 1)
             points.append(p)
-            return quantizers(bins, p)
+            return quantizers(bins, p, rows)
         return tracking
 
     monkeypatch.setattr(harness, "_pair_table", table)
@@ -494,7 +494,7 @@ class TestMinRateTable:
         assert sorted(builds) == sorted((d, default_t_rate(d), d != 0.00919)
                                         for _ in points for d in deltas)
         # Split per row, every row, for the same metrics.
-        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t: None)
+        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t, rows: None)
         assert same_points(looked_up, harness.run_experiment(cfg))
 
     def test_a_points_tables_go_before_the_next_point_builds(self, monkeypatch):
@@ -592,7 +592,7 @@ class TestSplitTable:
                 for _, _, bins in cfg.points for b in bins]
         assert sorted(builds) == sorted(want) and any(built for _, _, built in want)
         # Split per row, every row, for the same metrics.
-        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t: None)
+        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t, rows: None)
         assert same_points(looked_up, harness.run_experiment(cfg))
 
     @pytest.mark.parametrize("kind, fields", [
@@ -606,6 +606,55 @@ class TestSplitTable:
         builds, points = tracking_table_builds(monkeypatch)
         harness.run_experiment(cfg)
         assert len(points) == 3 and len(builds) == 3 * (2 if kind != "outageloss" else 1)
+
+
+class TestTableUse:
+    """Where a scan reads a level-pair table, and what it may read from it."""
+
+    @pytest.mark.parametrize("d", [0.2, 0.05, 0.00518, 1.0 / 3.0, 0.9])
+    def test_role_mask_from_levels_at_the_table_cap(self, d):
+        # A table holds levels up to 510 on either edge, so _quantized_outage
+        # compares the levels as ints there: every pair gives its floats' mask.
+        s, w = np.meshgrid(np.arange(512), np.arange(512))
+        assert_array_equal(s >= w, s * d >= w * d)
+
+    def test_a_table_needs_more_rows_than_entries(self):
+        calls = []
+
+        def fn(qs, qw):
+            calls.append(qs.size)
+            return qs - qw
+
+        t = 30
+        size = (t + 1) * (t + 2) // 2
+        for rows in (1, size - 1, size):
+            assert harness._pair_table(fn, 0.1, t, rows) is None
+        assert not calls
+        assert harness._pair_table(fn, 0.1, t, size + 1).size == size
+        assert harness._pair_table(fn, 0.1, t, math.inf).size == size
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("minrate", dict(p_db=(0.0, 20.0), deltas=(0.01,), trials=1000)),
+        ("rateloss", dict(p_db=(10.0,), deltas=(0.2, 0.01), trials=1000)),
+        ("outage", dict(p_db=(10.0, 20.0), deltas=(0.01,), min_outage_events=100,
+                        trial_cap=20_000)),
+        ("outageloss", dict(p_db=(10.0,), deltas=(0.01,), trials=20_000)),
+        ("diversity", dict(p_db=(0.0, 5.0, 10.0), deltas=(0.01,), min_outage_events=100,
+                           trial_cap=20_000)),
+    ])
+    def test_a_short_scan_splits_per_row_with_the_tables_bits(self, kind, fields, monkeypatch):
+        # minrate --trials 1000 --delta 0.01 would build 106,953 entries to
+        # read 1,000 rows; it splits them per row, to the same bits.
+        cfg = harness.ExperimentConfig(kind=kind, seed=6, workers=2, **fields)
+        builds, _ = tracking_table_builds(monkeypatch)
+        per_row = harness.run_experiment(cfg)
+        small = [built for d, _, built in builds if d == 0.2]
+        assert small == [True] * len(small)  # 231 entries, fewer than 1,000 rows
+        assert not any(built for d, _, built in builds if d == 0.01) and builds
+        build = harness._pair_table
+        monkeypatch.setattr(harness, "_pair_table",
+                            lambda fn, d, t, rows: build(fn, d, t, math.inf))
+        assert same_points(per_row, harness.run_experiment(cfg))
 
 
 class TestOutageExamples:
@@ -828,6 +877,77 @@ LAYOUT_CONFIGS = {
 }
 
 
+class TestSortingNetwork:
+    """run_k_user sorts a block's K columns with one comparator network:
+    the true gains and the lower-edge levels by value, and the upper-edge
+    levels in the stable order of their fed-back gains."""
+
+    SIZES = [*range(1, 11), 16, 31, 32, 33, 64]
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_values_are_the_row_sort(self, k):
+        rng = np.random.default_rng(50 + k)
+        gains = rng.exponential(1.0, (2000, k))
+        gains[:300] = gains[:300, :1]  # tied rows
+        gains[300:600, k // 2:] = gains[300:600, :1]  # rows with a tie
+        levels = rng.integers(0, 4, (2000, k))  # ties in most rows
+        for rows in (gains, levels):
+            cols = np.array(rows.T)
+            got = harness._sort_desc(cols)
+            assert got is cols and got.dtype == rows.dtype
+            assert_array_equal(got.T, np.sort(rows, axis=1)[:, ::-1])
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_every_zero_one_column_sorts(self, k):
+        # A comparator network that sorts every 0/1 input sorts every input.
+        cols = (np.arange(1 << k) >> np.arange(k)[:, None]) & 1
+        assert_array_equal(harness._sort_desc(cols), np.sort(cols, axis=0)[::-1])
+
+    def test_comparator_counts(self):
+        # Batcher's odd-even merge sort on a power of two, 2^p wires:
+        # (p^2 - p + 4) 2^(p-2) - 1 comparators.
+        for p in range(1, 7):
+            assert len(harness._network(2**p)) == (p * p - p + 4) * 2 ** (p - 2) - 1
+        assert all(i < j < k for k in self.SIZES for i, j in harness._network(k))
+
+    @staticmethod
+    def argsort_order(levels, d):
+        """_fed_back_order as an (n, K) permutation, and the argsort it replaces."""
+        n = levels.shape[0]
+        before = levels.copy()
+        at = harness._fed_back_order(np.array(levels.T), d)
+        assert_array_equal(levels, before)
+        assert_array_equal(at % n, np.broadcast_to(np.arange(n), at.shape))
+        return (at // n).T, np.argsort(-(levels * d), axis=1, kind="stable")
+
+    @pytest.mark.parametrize("k", SIZES)
+    def test_order_is_the_stable_argsort(self, k):
+        rng = np.random.default_rng(80 + k)
+        for d in (0.2, 0.05, 0.00518, 1.0 / 3.0):
+            levels = rng.integers(1, 6, (3000, k))  # ties in most rows
+            levels[:100] = 1 << 51
+            levels[100:200] = rng.integers((1 << 52) - 8, 1 << 52, (100, k))
+            got, want = self.argsort_order(levels, d)
+            assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 9, 33, 64])
+    def test_order_past_two_to_the_52_is_the_floats(self, k):
+        # From 2^52 on, neighbouring levels can round to one float: those
+        # tie, and keep receiver order, though their ints differ.
+        rng = np.random.default_rng(90 + k)
+        for d in (0.1, 0.3, 1.0 / 3.0, 0.7):
+            top = 1 << 53
+            levels = np.concatenate([
+                rng.integers((1 << 52) - 4, (1 << 52) + 4, (500, k)),  # across 2^52
+                rng.integers(top - 8, top + 1, (500, k)),  # up to 2^53
+                rng.integers(1, 6, (500, k)),  # small levels beside them
+            ])
+            f = levels * d  # some distinct ints tie as floats
+            assert np.any((f[:, :1] == f) & (levels[:, :1] != levels))
+            got, want = self.argsort_order(levels, d)
+            assert_array_equal(got, want)
+
+
 class TestBlockLayout:
     """sample_block returns column-major blocks. Every kernel must give the
     same per-trial metrics, bit for bit, on a row-major copy of a block, so a
@@ -968,7 +1088,9 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     from nomafb import cli
 
     cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
-    params, kernel = scanned_kernels(replace(cfg, trials=1000, trial_cap=1000, min_outage_events=1),
+    # The first point at the argv's own trial count and cap, which decide
+    # whether its scan builds a level-pair table.
+    params, kernel = scanned_kernels(replace(cfg, p_db=cfg.p_db[:1], min_outage_events=1),
                                      monkeypatch)[0]
     harness._scan(params, 1, 1, kernel, 2 * CHUNK)  # first calls set up numpy's caches
     tracemalloc.start()
