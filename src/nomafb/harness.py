@@ -477,6 +477,16 @@ def _lower_edge_min_rate(fed, p, table):
     return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
 
 
+def _vle_lookup(top, rows):
+    """The codeword lengths of levels 0..top, as vle_lengths gives them:
+    the take of a table of all top + 1, built once per scan, or vle_lengths
+    itself where the table would hold more than PAIR_TABLE_MAX entries or
+    at least the scan's rows."""
+    if top + 1 > PAIR_TABLE_MAX or top + 1 >= rows:
+        return vle_lengths
+    return vle_lengths(np.arange(top + 1)).take
+
+
 def _rate_quantizers(bins, p, rows):
     """(delta, counts, min-rate _pair_table) of each Bin's lower edge at power
     p: one table per scan of `rows` trials and delta, up to the largest count."""
@@ -519,15 +529,16 @@ def run_rate_loss(cfg, progress=None):
         points = cfg.points
         _, p, _ = points[0]
         dts = _rate_quantizers([b for _, _, (b,) in points], p, cfg.trials)
+        vles = [_vle_lookup(max(t), cfg.trials) for _, t, _ in dts]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             rf = alloc.max_min_rate_two_user(h1, h2, p)
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            for d, t, table in dts:
+            for (d, t, table), lengths in zip(dts, vles):
                 n = rate_levels(block, d, t)
-                yield ("vle_rx1", d), vle_lengths(n[:, 0])
-                yield ("vle_rx2", d), vle_lengths(n[:, 1])
+                yield ("vle_rx1", d), lengths(n[:, 0])
+                yield ("vle_rx2", d), lengths(n[:, 1])
                 # Each array goes once it is used, so none of them is alive
                 # through the split or the next delta's quantizer.
                 fed = _pair_feedback(n, d, table)
@@ -571,6 +582,7 @@ def run_outage_loss(cfg, progress=None):
     def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
         ((d, t, table),) = _outage_quantizers(bins, p, cfg.trials)
+        lengths = _vle_lookup(max(t) + 1, cfg.trials)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
@@ -579,8 +591,8 @@ def run_outage_loss(cfg, progress=None):
             out_qo = _quantized_outage(block, m, d, p, beta, table)[0]
             yield from (("out_full", out_full), ("out_qo", out_qo),
                         ("outage_loss", out_qo & ~out_full))
-            yield "vle_rx1", vle_lengths(m[:, 0])
-            yield "vle_rx2", vle_lengths(m[:, 1])
+            yield "vle_rx1", lengths(m[:, 0])
+            yield "vle_rx2", lengths(m[:, 1])
 
         return kernel
 
@@ -596,11 +608,12 @@ def run_feedback_rate(cfg, progress=None):
         level_fn, top = (rate_levels, 0) if fixed else (outage_levels, 1)
         for value, _, (b,) in cfg.points:
             d, ts = b.delta, b.t_rate if fixed else b.t_outage
+            lengths = _vle_lookup(max(ts) + top, cfg.trials)
 
             def kernel(block):
                 levels = level_fn(block, d, ts)
-                yield "vle_rx1", vle_lengths(levels[:, 0])
-                yield "vle_rx2", vle_lengths(levels[:, 1])
+                yield "vle_rx1", lengths(levels[:, 0])
+                yield "vle_rx2", lengths(levels[:, 1])
 
             constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0]}
             if not fixed:
@@ -743,6 +756,8 @@ def run_k_user(cfg, progress=None):
 
     def scans():
         for value, p, ((d, t_r, t_o),) in cfg.points:
+            vle_r = _vle_lookup(max(t_r), cfg.trials)
+            vle_o = _vle_lookup(max(t_o) + 1, cfg.trials)
 
             def kernel(block):
                 n = block.shape[0]
@@ -753,7 +768,7 @@ def run_k_user(cfg, progress=None):
                 lv = np.empty((k, n), dtype=np.int64)
                 for i in range(k):
                     lv[i] = rate_levels(block[:, i], d, t_r[i])
-                    yield "vle_r%d" % i, vle_lengths(lv[i])
+                    yield "vle_r%d" % i, vle_r(lv[i])
                 _sort_desc(lv)
                 live = lv[-1] > 0
                 r_q = np.zeros(n)
@@ -762,7 +777,7 @@ def run_k_user(cfg, progress=None):
 
                 for i in range(k):
                     lv[i] = outage_levels(block[:, i], d, t_o[i])
-                    yield "vle_o%d" % i, vle_lengths(lv[i])
+                    yield "vle_o%d" % i, vle_o(lv[i])
                 at = _fed_back_order(lv, d)
                 alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
                 gains = np.ravel(block, order="F").take(at).T

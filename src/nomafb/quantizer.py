@@ -11,51 +11,108 @@ import math
 
 import numpy as np
 
+def _certified_floor(x, delta, t):
+    """floor(min(x/delta, t + 1/2)) as float64 (t[j] in column j), or None
+    when some row may need a bin-edge nudge; x holds gains >= 0 or NaN.
+
+    Let u = eps/2, q = fl(x/delta) and n = floor(q) of the capped q, with
+    the exact fraction f = q - n. The block is certified when every f lies
+    in (M, 1 - M), M = 4 eps (t_max + 2); a NaN fails both tests, and so
+    does every row once t_max >= 2^49, where M >= 1/2.
+      - Errors. An uncapped row (q < t + 1/2) has n <= t_max and
+        q >= f > M, so q is a normal float: q = (x/delta)(1 + e), |e| <= u.
+        Each fl(k delta), k >= 1, errs by at most u k delta: k delta >=
+        delta is normal for a normal delta, and for a subnormal one a
+        subnormal k delta is a multiple of 2^-1074, so exact. An overflow
+        to +inf only raises fl((n+1) delta).
+      - Uncapped rows. fl(n delta) <= n delta (1 + u) < x needs
+        f > n (2u + u^2), and fl((n+1) delta) >= (n+1) delta (1 - u) > x
+        needs 1 - f > (n+1) 2u. M > 2u (t_max + 1) (1 + u) gives both, so
+        fl(n delta) < x < fl((n+1) delta): no nudge of either edge fires,
+        the lower level is n and the upper ceil(q) = n + 1, as f > 0.
+      - Capped rows. The capped q is t + 1/2 exactly (t < 2^49), so
+        f = 1/2 and n = t. The uncapped q >= t + 1/2 puts x above
+        fl(t delta) <= t delta (1 + u) while t (2u + u^2) < 1/2. Each nudge
+        moves a level by one, and one that took it below t (below t + 1 on
+        the upper edge) would need fl(t delta) > x (>= x). So the nudged
+        level is at least t (t + 1), and the clips give t (t + 1).
+    Where x/delta underflows (subnormal or zero q) f = q <= M, and from
+    q = 2^52 on every f is 0: both fall back. M is four times the bound,
+    which covers its own rounding.
+    """
+    q = np.asarray(x / delta)
+    np.minimum(q, t + 0.5, out=q)
+    n = np.floor(q)
+    q -= n
+    margin = 4.0 * 2.0**-52 * (float(t.max()) + 2.0)
+    # np.min and np.max keep NaN, which fails both; empty x passes
+    if q.min(initial=np.inf) > margin and q.max(initial=-np.inf) < 1.0 - margin:
+        return n
+    return None
+
+
 def rate_levels(x, delta, t):
     """Bin indices under the lower-edge quantizer, saturating at t (or t[j] in column j).
 
     Float division can land floor(x/delta) one bin off when x sits on a bin
-    boundary (0.3/0.1 -> 2.9999...), so the index is nudged until
-    n*delta <= x < (n+1)*delta holds exactly.
+    boundary (0.3/0.1 -> 2.9999...), so the index is nudged up once where
+    (n+1)*delta <= x, then down once where n*delta > x, which leaves
+    n*delta <= x < (n+1)*delta in floats. Once each way is enough: below
+    2^51 bins, fl(x/delta) and every float edge fl(n*delta) err by under a
+    quarter bin, so floor(fl(x/delta)) is n* - 1, n* or n* + 1 for the
+    true level n*. Most blocks skip the nudges: _certified_floor proves
+    that none of them would fire.
     """
     x = np.asarray(x, dtype=np.float64)
     # One pass that skips NaN, as np.any(x < 0) does; empty x reads as +inf.
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("gain must be nonnegative")
-    # In place where it can be: one edge buffer and one mask serve both
-    # nudges. np.asarray keeps a 0-d result an array, which out= needs.
-    n = np.asarray(x / delta)
-    np.floor(n, out=n)
-    # Adding a mask adds 1.0 or 0.0, both exact, so no select is needed.
-    edge = np.asarray(n + 1.0)
-    edge *= delta
-    mask = np.asarray(edge <= x)
-    n += mask
-    np.multiply(n, delta, out=edge)
-    np.greater(edge, x, out=mask)
-    n -= mask
-    del edge, mask
-    np.minimum(n, np.asarray(t, dtype=np.float64), out=n)
+    t = np.asarray(t, dtype=np.float64)
+    n = _certified_floor(x, delta, t)
+    if n is None:
+        # In place where it can be: one edge buffer and one mask serve both
+        # nudges. np.asarray keeps a 0-d result an array, which out= needs.
+        n = np.asarray(x / delta)
+        np.floor(n, out=n)
+        # Adding a mask adds 1.0 or 0.0, both exact, so no select is needed.
+        edge = np.asarray(n + 1.0)
+        edge *= delta
+        mask = np.asarray(edge <= x)
+        n += mask
+        np.multiply(n, delta, out=edge)
+        np.greater(edge, x, out=mask)
+        n -= mask
+        del edge, mask
+        np.minimum(n, t, out=n)
     return n.astype(np.int64)[()]
 
 
 def outage_levels(x, delta, t):
-    """Bin indices under the upper-edge quantizer: 1..t+1 (t[j]+1 in column j), never zero."""
+    """Bin indices under the upper-edge quantizer: 1..t+1 (t[j]+1 in column j), never zero.
+
+    As rate_levels: ceil(x/delta), nudged at most once down and once up, or
+    one more than _certified_floor's level where that certifies the block.
+    """
     x = np.asarray(x, dtype=np.float64)
     if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
-    m = np.asarray(x / delta)
-    np.ceil(m, out=m)
-    edge = np.asarray(m - 1.0)
-    edge *= delta
-    mask = np.asarray(edge >= x)
-    m -= mask
-    np.multiply(m, delta, out=edge)
-    np.less(edge, x, out=mask)
-    m += mask
-    del edge, mask
-    # in float64: an int64 t + 1 would wrap at the top of its range
-    np.clip(m, 1.0, np.asarray(t, dtype=np.float64) + 1.0, out=m)
+    t = np.asarray(t, dtype=np.float64)
+    m = _certified_floor(x, delta, t)
+    if m is None:
+        m = np.asarray(x / delta)
+        np.ceil(m, out=m)
+        edge = np.asarray(m - 1.0)
+        edge *= delta
+        mask = np.asarray(edge >= x)
+        m -= mask
+        np.multiply(m, delta, out=edge)
+        np.less(edge, x, out=mask)
+        m += mask
+        del edge, mask
+        # in float64: an int64 t + 1 would wrap at the top of its range
+        np.clip(m, 1.0, t + 1.0, out=m)
+    else:
+        m += 1.0
     return m.astype(np.int64)[()]
 
 

@@ -1,6 +1,7 @@
 """Quantizer bins, default sizing, and the two feedback codecs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,6 +176,141 @@ class TestBlockLevels:
             assert_array_equal(levels(block, delta, (30, 30)), levels(block, delta, 30))
 
 
+LEVELS = {"rate": quantizer.rate_levels, "outage": quantizer.outage_levels}
+
+
+def nudged(levels, x, delta, t):
+    """levels(x, delta, t) with no block certified: the bin-edge nudges alone."""
+    with mock.patch.object(quantizer, "_certified_floor", lambda x, delta, t: None):
+        return levels(x, delta, t)
+
+
+def certifies(x, delta, t):
+    return quantizer._certified_floor(np.asarray(x, dtype=np.float64), delta,
+                                      np.asarray(t, dtype=np.float64)) is not None
+
+
+def agrees_row_by_row(levels, x, delta, t):
+    """Each gain of x, quantized alone, certified where it can be, gives the
+    nudges' level; returns how many of them certified."""
+    for g in x:
+        assert levels(g, delta, t) == nudged(levels, g, delta, t), (g, delta, t)
+    return sum(certifies(g, delta, t) for g in x)
+
+
+class TestCertifiedLevels:
+    """A block whose every fraction x/delta - n lies clear of a bin edge
+    skips the nudges (quantizer._certified_floor); its levels must be the
+    nudges' levels, bit for bit, on both edges."""
+
+    DELTAS = (0.1, 0.3, 1.0 / 3.0, 0.2, 0.05, 0.01, 0.005)
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_every_bin_edge_and_its_ulps(self, name, delta):
+        levels = LEVELS[name]
+        t = (quantizer.default_t_rate if name == "rate" else quantizer.default_t_outage)(delta)
+        k = np.arange(0.0, t + 3)
+        # The edges and their neighbours, which certify only past the cap
+        # (k = t + 1 and t + 2), and mid-bin gains and gains just past the
+        # margin, which all certify.
+        margin = 4.0 * 2.0**-52 * (t + 2)
+        x = np.concatenate([*around(k * delta, 2), (k + 0.5) * delta,
+                            (k + 1.5 * margin) * delta, (k + 1.0 - 1.5 * margin) * delta])
+        x = x[x > 0]
+        assert agrees_row_by_row(levels, x, delta, t) == 3 * len(k) + 2 * 5
+        assert_array_equal(levels(x, delta, t), nudged(levels, x, delta, t))
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_one_count_per_column_and_rows_at_the_cap(self, name):
+        # delta = 1/4 is exact, so x = (t + 1/2) delta sits on the cap itself.
+        levels, delta, ts = LEVELS[name], 0.25, (30, 7)
+        top = np.array(ts) + (name == "outage")
+        cap = (np.array(ts) + 0.5) * delta
+        block = np.array([[0.3, 0.3], [2.1, 2.1], cap, cap * 2, [1e300, 1e300],
+                          [np.inf, np.inf], np.nextafter(cap, 0), np.nextafter(cap, np.inf)])
+        assert certifies(block, delta, ts)
+        got = levels(block, delta, ts)
+        assert_array_equal(got, nudged(levels, block, delta, ts))
+        assert_array_equal(got[2:6], np.broadcast_to(top, (4, 2)))
+        for j, t in enumerate(ts):
+            assert agrees_row_by_row(levels, block[:, j], delta, t) == len(block)
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_odd_gains(self, name):
+        levels, delta, t = LEVELS[name], 0.1, 10
+        assert levels(np.inf, delta, t) == t + (name == "outage")
+        assert certifies(np.inf, delta, t)
+        with np.errstate(invalid="ignore"):  # NaN has no int64 level
+            assert not certifies([0.25, np.nan], delta, t)
+            assert not certifies([np.nan, 0.25], delta, t)
+            assert_array_equal(levels(np.array([0.25, np.nan]), delta, t)[:1], [2 + (name == "outage")])
+        tiny = np.array([5e-324, 1e-310, 2.0**-1022, 1e-300])
+        assert not any(certifies(g, delta, t) for g in tiny)
+        assert_array_equal(levels(tiny, delta, t), [name == "outage"] * 4)
+        empty = levels(np.array([]), delta, t)
+        assert empty.shape == (0,) and empty.dtype == np.int64 and certifies([], delta, t)
+        assert levels(np.zeros((0, 2)), delta, (t, t)).shape == (0, 2)
+        scalar = levels(np.asarray(0.37), delta, t)
+        assert scalar.shape == () and scalar.dtype == np.int64
+        assert scalar == nudged(levels, np.asarray(0.37), delta, t) == 3 + (name == "outage")
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_one_edge_row_sends_the_block_to_the_nudges(self, name):
+        # 1.7 / 0.1 = 17.0, but 17 * 0.1 = 1.7000000000000002: the rate
+        # level is nudged down to 16; 0.1 * 3 / 0.1 = 3.0000000000000004,
+        # and the outage level is nudged down to 3.
+        levels, delta, t = LEVELS[name], 0.1, 40
+        edge, want = (1.7, 16) if name == "rate" else (0.1 * 3, 3)
+        x = np.random.default_rng(12).uniform(0.01, 3.0, 1000)
+        assert certifies(x, delta, t)
+        x[517] = edge
+        assert not certifies(x, delta, t)
+        got = levels(x, delta, t)
+        rounded = np.floor(edge / delta) if name == "rate" else np.ceil(edge / delta)
+        assert got[517] == want == rounded - 1
+        assert_array_equal(got, [levels(g, delta, t) for g in x])
+
+    def test_counts_from_two_to_the_49_never_certify(self):
+        # q = 2.5 exactly, a fraction of 1/2, the farthest from an edge. The
+        # margin 4 eps (t + 2) reaches 1/2 at t = 2^49 - 2.
+        assert certifies(1.25, 0.5, 2**49 - 3)
+        for t in (2**49 - 2, 2**49, 2**52, 2**63 - 1, 2**70, (10, 2**49)):
+            x = [[1.25, 1.25]] if isinstance(t, tuple) else 1.25
+            assert not certifies(x, 0.5, t)
+            for levels in LEVELS.values():
+                assert_array_equal(levels(x, 0.5, t), nudged(levels, x, 0.5, t))
+
+    def test_a_negative_gain_is_refused_before_any_level(self):
+        # -0.25 / 0.1 has the fraction 1/2, which would certify.
+        for levels in LEVELS.values():
+            for x in ([0.25, -0.25], [-0.25], [np.nan, -0.25]):
+                with pytest.raises(ValueError):
+                    levels(np.array(x), 0.1, 10)
+
+    PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+    @PROPERTY
+    @given(st.sampled_from(DELTAS + (0.7, 1e-3)) | st.floats(1e-4, 0.99),
+           st.lists(st.integers(0, 3000), min_size=1, max_size=2),
+           st.lists(st.floats(0.0, 400.0) | st.integers(0, 3100).map(float), min_size=1,
+                    max_size=40),
+           st.integers(-2, 2))
+    def test_random_blocks(self, delta, ts, gains, ulps):
+        # Gains given as an integer are bin edges k * delta, moved a few ulps.
+        x = np.array([g * delta if g.is_integer() else g for g in gains])
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, math.copysign(np.inf, ulps))
+        x = np.abs(x)
+        x = np.repeat(x, len(ts)).reshape(-1, len(ts))
+        for name, levels in LEVELS.items():
+            if name == "outage":
+                x[x == 0] = 5e-324
+            assert_array_equal(levels(x, delta, ts), nudged(levels, x, delta, ts))
+            for j, t in enumerate(ts):
+                agrees_row_by_row(levels, x[:, j], delta, t)
+
+
 class TestDefaultBinCounts:
     def test_reference_values(self):
         assert quantizer.default_t_rate(0.01) == 461
@@ -307,9 +443,14 @@ class TestVleProperties:
         assert quantizer.vle_encode(quantizer.vle_decode(bits)) == bits
 
 
-def around(x):
-    """x and its two float neighbours."""
-    return np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)
+def around(x, k=1):
+    """x and its k nearest float neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
 
 
 class TestLevelBoundaryProperties:
