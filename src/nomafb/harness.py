@@ -43,7 +43,9 @@ MAX_RECEIVERS = 64
 # Chunks per scan job of a row-local kernel. Two worker threads overlap
 # numpy calls on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably
 # than on 16,384-element ones (x1.0 to x1.8), so a job runs the kernel on two
-# chunks at once.
+# chunks at once. A K-user job is one chunk: its bisection reads the whole
+# block (the largest r_ub sets its step count, the largest p g its Horner
+# band, and it bisects distinct words).
 JOB_CHUNKS = 2
 # A bin size and, for each edge's quantizer, its level count at each receiver.
 # Outputs of one count (t_bins, fle_bits, rate_loss_bound's t) give receiver 1's.
@@ -334,9 +336,10 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     workers = resolve_workers(cfg.workers)
     trials = cfg.trial_cap if events else cfg.trials
     stats = RunStats(experiment=kind, sweep=cfg.sweep, seed=cfg.seed)
+    job_chunks = 1 if EXPERIMENTS[kind].k_user else JOB_CHUNKS
     for kernel, views in scans:
         moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials, events,
-                                   cfg.min_outage_events, EXPERIMENTS[kind].job_chunks)
+                                   cfg.min_outage_events, job_chunks)
         del kernel  # what it holds, such as minrate's tables, goes before the next is made
         fewest = min((int(moments[e][0]) for e in events), default=None)
         for value, constants in views:
@@ -379,42 +382,28 @@ def _full_csi_outage(h1, h2, p, beta):
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
 
 
-def _fed_back_gains(levels, d):
-    """(strong, weak) fed-back gains of a two-user block of either edge's levels.
-
-    The strong and weak levels are picked before the multiply by d, which is
-    monotone, so these are the bits of picking from levels * d, without a
-    float copy of the block.
-    """
-    return (np.maximum(levels[:, 0], levels[:, 1]) * d,
-            np.minimum(levels[:, 0], levels[:, 1]) * d)
+def _rx1_strong(levels, d, top):
+    """Where receiver 1's fed-back gain is not below receiver 2's, for
+    two-user levels at most top. Below 2^52 levels order as their floats
+    level * d do (_fed_back_order), so the ints are compared; from there on
+    the floats are, as past 2^53 two levels can differ as ints and tie."""
+    return (levels[:, 0] >= levels[:, 1] if top < 1 << 52
+            else levels[:, 0] * d >= levels[:, 1] * d)
 
 
-def _quantized_outage(block, levels, d, p, beta, table):
+def _quantized_outage(block, levels, b, split, p, beta):
     """outage_conditions on a two-user block of true gains when both receivers
-    feed back upper-edge levels: power is split on _fed_back_gains, as on the
-    rate path, or looked up in table (_outage_quantizers) by level pair, and
-    receiver 1 is strong where its fed-back float is not below receiver 2's
-    (levels past 2^53 can differ as ints and tie as floats; a table's levels,
-    at most 510, order as their ints do).
-
-    levels is dropped before the split: a caller that passes them as a
-    temporary does not keep them alive through it.
+    feed back upper-edge levels of the Bin b, with power split by `split`,
+    its _split_lookup. levels is dropped before the split: a caller that
+    passes them as a temporary does not keep them alive through it.
     """
-    rx1_strong = (levels[:, 0] >= levels[:, 1] if table is not None
-                  else levels[:, 0] * d >= levels[:, 1] * d)
-    fed = _pair_feedback(levels, d, table)
+    rx1_strong = _rx1_strong(levels, b.delta, max(b.t_outage) + 1)
+    key, read = split
+    fed = key(levels)
     del levels
-    a = alloc.equal_rate_split(*fed, p) if table is None else table.take(fed)
+    a = read(fed)
     del fed
     return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
-
-
-def _quantized_min_rate(qs, qw, p):
-    """Min adapted rate of the lower-edge quantizer pipeline, per trial, on
-    the fed-back gains qs >= qw of _fed_back_gains."""
-    r_strong, r_weak = alloc.two_user_rates(alloc.equal_rate_split(qs, qw, p), qs, qw, p)
-    return np.minimum(r_strong, r_weak, out=r_strong)
 
 
 # Most entries of a level-pair table: 1 MiB of float64, which holds every
@@ -429,20 +418,35 @@ PAIR_TABLE_MAX = 1 << 17
 PAIR_SLAB = 1 << 13
 
 
-def _pair_table(fn, d, t, rows):
-    """fn(s * d, w * d) of every pair of levels w <= s <= t, the entry of
-    (s, w) at s(s+1)/2 + w; None if that is more than PAIR_TABLE_MAX, or
-    than the scan's rows - 1: a short scan splits its rows faster.
+def _table_pays(size, rows):
+    """Whether a scan of `rows` trials builds a per-scan table of `size`
+    entries: at most PAIR_TABLE_MAX, and fewer than its rows, which a short
+    scan computes faster than it could build the table."""
+    return size <= PAIR_TABLE_MAX and size < rows
+
+
+def _pair_lookup(fn, d, t, rows):
+    """(key, read): read(key(levels)) is fn(s * d, w * d) of the (strong,
+    weak) level pair w <= s <= t of each row of a two-user block of levels.
 
     The transmitter adapts to the fed-back levels alone, so on either edge a
-    trial's power split and min adapted rate are the entries of its (strong,
-    weak) level pair. Each entry is formed from s * d and w * d, elementwise
-    as a row forms it, so it has the row's bits. The table is built a few
-    strong levels at a time, on slabs of at most PAIR_SLAB entries.
+    trial's power split and min adapted rate are functions of its level
+    pair. Where _table_pays, a scan of `rows` trials tabulates fn, on slabs
+    of at most PAIR_SLAB entries: key gives each row's index s(s+1)/2 + w
+    and read takes its entry, formed from s * d and w * d as a row forms
+    them, so with the row's bits. Otherwise key gives the fed-back gains and
+    read runs fn on them. A caller drops levels between the two steps, so
+    they are not alive through a per-row fn.
     """
     size = (t + 1) * (t + 2) // 2
-    if size > PAIR_TABLE_MAX or size >= rows:
-        return None
+    if not _table_pays(size, rows):
+        def gains(levels):
+            # picked before the multiply by d, which is monotone: the bits of
+            # picking from levels * d, without a float copy of the block
+            return (np.maximum(levels[:, 0], levels[:, 1]) * d,
+                    np.minimum(levels[:, 0], levels[:, 1]) * d)
+
+        return gains, lambda fed: fn(*fed)
     table = np.empty(size)
     step = PAIR_SLAB // (t + 1)  # strong levels per slab, t + 1 <= 511
     for lo in range(0, t + 1, step):
@@ -451,54 +455,41 @@ def _pair_table(fn, d, t, rows):
         first = lo * (lo + 1) // 2
         w = np.arange(first, first + s.size) - (s * (s + 1) >> 1)
         table[first:first + s.size] = fn(s * d, w * d)
-    return table
+
+    def key(levels):
+        s = np.maximum(levels[:, 0], levels[:, 1])
+        k = s + 1
+        k *= s
+        del s
+        k >>= 1
+        k += np.minimum(levels[:, 0], levels[:, 1])
+        return k
+
+    return key, table.take
 
 
-def _pair_feedback(levels, d, table):
-    """What a level-pair lookup reads of a two-user block of either edge's
-    levels: each row's key s(s+1)/2 + w into table, for its strong level s
-    and weak level w, or with no table its _fed_back_gains. The caller drops
-    levels before the lookup, so they are not alive through a per-row split.
-    """
-    if table is None:
-        return _fed_back_gains(levels, d)
-    s = np.maximum(levels[:, 0], levels[:, 1])
-    key = s + 1
-    key *= s
-    del s
-    key >>= 1
-    key += np.minimum(levels[:, 0], levels[:, 1])
-    return key
+def _min_rate_lookup(b, p, rows):
+    """_pair_lookup of the Bin b's lower-edge min adapted rate at power p, up
+    to its largest count."""
+    def min_rate(qs, qw):
+        r_strong, r_weak = alloc.two_user_rates(alloc.equal_rate_split(qs, qw, p), qs, qw, p)
+        return np.minimum(r_strong, r_weak, out=r_strong)
+
+    return _pair_lookup(min_rate, b.delta, max(b.t_rate), rows)
 
 
-def _lower_edge_min_rate(fed, p, table):
-    """Min adapted rate per row of _pair_feedback(levels, d, table): the
-    table's entries, or with no table the split of each row's gains."""
-    return _quantized_min_rate(*fed, p) if table is None else table.take(fed)
+def _split_lookup(b, p, rows):
+    """_pair_lookup of the Bin b's upper-edge power split at power p: its
+    levels run to the largest count + 1."""
+    return _pair_lookup(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
+                        b.delta, max(b.t_outage) + 1, rows)
 
 
 def _vle_lookup(top, rows):
     """The codeword lengths of levels 0..top, as vle_lengths gives them:
-    the take of a table of all top + 1, built once per scan, or vle_lengths
-    itself where the table would hold more than PAIR_TABLE_MAX entries or
-    at least the scan's rows."""
-    if top + 1 > PAIR_TABLE_MAX or top + 1 >= rows:
-        return vle_lengths
-    return vle_lengths(np.arange(top + 1)).take
-
-
-def _rate_quantizers(bins, p, rows):
-    """(delta, counts, min-rate _pair_table) of each Bin's lower edge at power
-    p: one table per scan of `rows` trials and delta, up to the largest count."""
-    return [(b.delta, b.t_rate, _pair_table(lambda qs, qw: _quantized_min_rate(qs, qw, p),
-                                            b.delta, max(b.t_rate), rows)) for b in bins]
-
-
-def _outage_quantizers(bins, p, rows):
-    """(delta, counts, split _pair_table) of each Bin's upper edge at power p,
-    as _rate_quantizers: its levels run to the largest count + 1."""
-    return [(b.delta, b.t_outage, _pair_table(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
-                                              b.delta, max(b.t_outage) + 1, rows)) for b in bins]
+    the take of a table of all top + 1, built once per scan where
+    _table_pays, or vle_lengths itself."""
+    return vle_lengths(np.arange(top + 1)).take if _table_pays(top + 1, rows) else vle_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +497,14 @@ def _outage_quantizers(bins, p, rows):
 
 def run_min_rate(cfg, progress=None):
     def kernel_at(p, bins):
-        dts = _rate_quantizers(bins, p, cfg.trials)
+        lookups = [(b, _min_rate_lookup(b, p, cfg.trials)) for b in bins]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             yield "r_full", alloc.max_min_rate_two_user(h1, h2, p)
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            for d, t, table in dts:
-                yield "r_qr[delta=%s]" % _fmt(d), _lower_edge_min_rate(
-                    _pair_feedback(rate_levels(block, d, t), d, table), p, table)
+            for (d, t, _), (key, read) in lookups:
+                yield "r_qr[delta=%s]" % _fmt(d), read(key(rate_levels(block, d, t)))
 
         return kernel
 
@@ -528,29 +518,30 @@ def run_rate_loss(cfg, progress=None):
     def scans():
         points = cfg.points
         _, p, _ = points[0]
-        dts = _rate_quantizers([b for _, _, (b,) in points], p, cfg.trials)
-        vles = [_vle_lookup(max(t), cfg.trials) for _, t, _ in dts]
+        bins = [b for _, _, (b,) in points]
+        lookups = [_min_rate_lookup(b, p, cfg.trials) for b in bins]
+        vles = [_vle_lookup(max(b.t_rate), cfg.trials) for b in bins]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             rf = alloc.max_min_rate_two_user(h1, h2, p)
             yield "r_tdma", 0.5 * np.log2(1.0 + p * np.minimum(h1, h2))
-            for (d, t, table), lengths in zip(dts, vles):
+            for (d, t, _), (key, read), lengths in zip(bins, lookups, vles):
                 n = rate_levels(block, d, t)
                 yield ("vle_rx1", d), lengths(n[:, 0])
                 yield ("vle_rx2", d), lengths(n[:, 1])
                 # Each array goes once it is used, so none of them is alive
                 # through the split or the next delta's quantizer.
-                fed = _pair_feedback(n, d, table)
+                fed = key(n)
                 del n
-                rq = _lower_edge_min_rate(fed, p, table)
+                rq = read(fed)
                 del fed
                 yield ("r_qr", d), rq
                 yield ("rate_loss", d), rf - rq
                 del rq
 
         yield kernel, [(d, {"rate_loss_bound": rate_loss_bound(p, d, t[0], *cfg.variances)})
-                       for d, t, _ in dts]
+                       for d, t, _ in bins]
 
     return _sweep(cfg, "rateloss", scans(), progress, mins=VLE_MIN)
 
@@ -561,15 +552,15 @@ def run_outage(cfg, progress=None):
         beta_tdma = _snr_threshold(2.0 * cfg.r_th)
         labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
                   else "out_qo[policy=%s]" % cfg.policy for b in bins]
-        dts = _outage_quantizers(bins, p, cfg.trial_cap)
+        splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             yield "out_full", _full_csi_outage(h1, h2, p, beta)
             yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
-            for label, (d, t, table) in zip(labels, dts):
-                yield label, _quantized_outage(block, outage_levels(block, d, t), d, p, beta,
-                                               table)[0]
+            for label, (b, split) in zip(labels, splits):
+                yield label, _quantized_outage(block, outage_levels(block, b.delta, b.t_outage),
+                                               b, split, p, beta)[0]
 
         return kernel
 
@@ -579,16 +570,16 @@ def run_outage(cfg, progress=None):
 
 
 def run_outage_loss(cfg, progress=None):
-    def kernel_at(p, bins):
+    def kernel_at(p, b):
         beta = _snr_threshold(cfg.r_th)
-        ((d, t, table),) = _outage_quantizers(bins, p, cfg.trials)
-        lengths = _vle_lookup(max(t) + 1, cfg.trials)
+        split = _split_lookup(b, p, cfg.trials)
+        lengths = _vle_lookup(max(b.t_outage) + 1, cfg.trials)
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
             out_full = _full_csi_outage(h1, h2, p, beta)
-            m = outage_levels(block, d, t)
-            out_qo = _quantized_outage(block, m, d, p, beta, table)[0]
+            m = outage_levels(block, b.delta, b.t_outage)
+            out_qo = _quantized_outage(block, m, b, split, p, beta)[0]
             yield from (("out_full", out_full), ("out_qo", out_qo),
                         ("outage_loss", out_qo & ~out_full))
             yield "vle_rx1", lengths(m[:, 0])
@@ -596,7 +587,7 @@ def run_outage_loss(cfg, progress=None):
 
         return kernel
 
-    scans = ((kernel_at(p, (b,)), [(value, {"sqrt_delta": math.sqrt(b.delta)})])
+    scans = ((kernel_at(p, b), [(value, {"sqrt_delta": math.sqrt(b.delta)})])
              for value, p, (b,) in cfg.points)
     return _sweep(cfg, "outageloss", scans, progress, mins=VLE_MIN)
 
@@ -657,12 +648,12 @@ def run_diversity(cfg, progress=None):
 
     def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
-        dts = _outage_quantizers(bins, p, cfg.trial_cap)
+        splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
 
         def kernel(block):
             h1, h2 = block[:, 0], block[:, 1]
-            fixed, pol = (_quantized_outage(block, outage_levels(block, d, t), d, p, beta, table)
-                          for d, t, table in dts)
+            fixed, pol = (_quantized_outage(block, outage_levels(block, b.delta, b.t_outage), b,
+                                            split, p, beta) for b, split in splits)
             yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
                                    fixed[1], fixed[2]))
 
@@ -799,9 +790,8 @@ def run_k_user(cfg, progress=None):
 # policy: takes a delta policy, under which it sweeps p_db. one_delta: a p_db
 # sweep takes one delta. k_user: two or more receivers, not exactly two.
 # r_th_max: where its outage threshold 2^r_th or 2^(2 r_th) overflows.
-# job_chunks: chunks per scan job; more than one needs a row-local kernel.
-Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max job_chunks",
-                        defaults=(False, False, False, math.inf, JOB_CHUNKS))
+Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max",
+                        defaults=(False, False, False, math.inf))
 
 EXPERIMENTS = {
     "minrate": Experiment(run_min_rate, "p_db",
@@ -818,11 +808,8 @@ EXPERIMENTS = {
                            policy=True),
     "diversity": Experiment(run_diversity, "p_db", "outage curves vs P plus fitted high-P slopes",
                             policy=True, one_delta=True, r_th_max=1024.0),
-    # The K-user bisection reads the whole block (the largest r_ub sets its
-    # step count, the largest p g its Horner band, and it bisects distinct
-    # words), so a kuser job is one chunk.
     "kuser": Experiment(run_k_user, "delta", "rate and outage losses vs delta for K receivers",
-                        k_user=True, job_chunks=1),
+                        k_user=True),
 }
 KINDS = tuple(EXPERIMENTS)
 

@@ -580,7 +580,9 @@ class TestSelectFreeOutage:
         q = levels * 0.5
         assert q[0, 0] == q[0, 1] == 2.0**52
         want = _parent_outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], 1e-15, 1.0)
-        got = harness._quantized_outage(block, levels, 0.5, 1e-15, 1.0, None)  # no table this far
+        b = harness.Bin(0.5, (2**53,) * 2, (2**53,) * 2)  # levels to 2^53 + 1: no table
+        got = harness._quantized_outage(block, levels, b, harness._split_lookup(b, 1e-15, 1),
+                                        1e-15, 1.0)
         assert [g.tolist() for g in got] == [w.tolist() for w in want] == [[True], [True], [False]]
         a = alloc.equal_rate_split(q[:, 0], q[:, 1], 1e-15)
         by_int = alloc.outage_conditions(block[:, 0], block[:, 1], a, levels[:, 0] >= levels[:, 1],

@@ -380,39 +380,53 @@ class TestRateLossExamples:
             harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
 
 
-def pair_table(edge, d, t, p):
-    """The table a scan at power p builds for bin size d and level count t:
-    the min rate of every lower-edge pair, or the split of every upper-edge one."""
-    quantizers = harness._rate_quantizers if edge == "lower" else harness._outage_quantizers
-    return quantizers([harness.Bin(d, (t, t), (t, t))], p, math.inf)[0][2]
+def pair_lookup(edge, d, t, p, rows=math.inf):
+    """The (key, read) a scan of `rows` trials at power p builds for bin size
+    d and level count t: the min rate of every lower-edge pair, or the split
+    of every upper-edge one."""
+    thin = harness._min_rate_lookup if edge == "lower" else harness._split_lookup
+    return thin(harness.Bin(d, (t, t), (t, t)), p, rows)
+
+
+def table_of(lookup):
+    """The table a (key, read) lookup reads, or None where it splits per row."""
+    return getattr(lookup[1], "__self__", None)
+
+
+def forced(monkeypatch, rows):
+    """Make every level-pair lookup of a run as for a scan of `rows` trials."""
+    build = harness._pair_lookup
+    monkeypatch.setattr(harness, "_pair_lookup", lambda fn, d, t, _: build(fn, d, t, rows))
 
 
 def tracking_table_builds(monkeypatch):
-    """(builds, points): each _pair_table call of a run as (d, t, built), and
-    the power of each point that makes tables, in order. It fails if a point
+    """(builds, points): each _pair_lookup call of a run as (d, t, built), and
+    the power of each point that makes lookups, in order. It fails if a point
     makes its tables while an earlier point's are still alive."""
     import weakref
 
     builds, points, earlier = [], [], []
-    build = harness._pair_table
+    build = harness._pair_lookup
 
-    def table(fn, d, t, rows):
+    def lookup(fn, d, t, rows):
         made = build(fn, d, t, rows)
-        assert made is None or made.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
-        builds.append((d, t, made is not None))
-        if made is not None:
-            earlier.append(weakref.ref(made))
+        table = table_of(made)
+        assert table is None or table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
+        builds.append((d, t, table is not None))
+        if table is not None:
+            earlier.append(weakref.ref(table))
         return made
 
-    def at_point(quantizers):
-        def tracking(bins, p, rows):
-            assert all(ref() is None for ref in earlier), "point %d" % (len(points) + 1)
-            points.append(p)
-            return quantizers(bins, p, rows)
+    def at_point(thin):
+        def tracking(b, p, rows):
+            if not points or points[-1] != p:
+                assert all(ref() is None for ref in earlier), "point %d" % (len(points) + 1)
+                points.append(p)
+            return thin(b, p, rows)
         return tracking
 
-    monkeypatch.setattr(harness, "_pair_table", table)
-    for name in ("_rate_quantizers", "_outage_quantizers"):
+    monkeypatch.setattr(harness, "_pair_lookup", lookup)
+    for name in ("_min_rate_lookup", "_split_lookup"):
         monkeypatch.setattr(harness, name, at_point(getattr(harness, name)))
     return builds, points
 
@@ -430,13 +444,15 @@ class TestMinRateTable:
 
     @staticmethod
     def looked_up(levels, d, t, p):
-        table = pair_table("lower", d, t, p)
-        assert table is not None and table.size == (t + 1) * (t + 2) // 2
-        return harness._lower_edge_min_rate(harness._pair_feedback(levels, d, table), p, table)
+        key, read = lookup = pair_lookup("lower", d, t, p)
+        assert table_of(lookup).size == (t + 1) * (t + 2) // 2
+        return read(key(levels))
 
     @staticmethod
-    def per_row(levels, d, p):
-        return harness._quantized_min_rate(*harness._fed_back_gains(levels, d), p)
+    def per_row(levels, d, t, p):
+        key, read = lookup = pair_lookup("lower", d, t, p, rows=0)
+        assert table_of(lookup) is None
+        return read(key(levels))
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
     @pytest.mark.parametrize("d", [0.2, 0.05])
@@ -447,11 +463,11 @@ class TestMinRateTable:
         # Each pair with receiver 1 strong, then with receiver 2 strong.
         levels = np.asfortranarray(np.concatenate([np.column_stack([s, w]),
                                                    np.column_stack([w, s])]))
-        want = self.per_row(levels, d, p)
+        want = self.per_row(levels, d, t, p)
         got = self.looked_up(levels, d, t, p)
         assert got.dtype == np.float64
         assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert_array_equal(pair_table("lower", d, t, p).view(np.int64),
+        assert_array_equal(table_of(pair_lookup("lower", d, t, p)).view(np.int64),
                            want[:s.size].view(np.int64))
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
@@ -468,7 +484,7 @@ class TestMinRateTable:
         flip = rng.random(s.size) < 0.5  # either receiver the strong one
         levels = np.asfortranarray(np.column_stack([np.where(flip, w, s), np.where(flip, s, w)]))
         assert_array_equal(self.looked_up(levels, d, t, p).view(np.int64),
-                           self.per_row(levels, d, p).view(np.int64))
+                           self.per_row(levels, d, t, p).view(np.int64))
 
     def test_no_table_outgrows_its_cap(self):
         # (t+1)(t+2)/2 pairs fit 2^17 entries up to t = 510; a finer bin
@@ -477,7 +493,7 @@ class TestMinRateTable:
         assert harness.PAIR_TABLE_MAX == 1 << 17
         assert (default_t_rate(0.0092), default_t_rate(0.00919)) == (510, 511)
         for t in range(505, 516):
-            table = pair_table("lower", 1.0 / (t + 1), t, 10.0)
+            table = table_of(pair_lookup("lower", 1.0 / (t + 1), t, 10.0))
             if t <= 510:
                 assert table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
             else:
@@ -495,7 +511,7 @@ class TestMinRateTable:
         assert sorted(builds) == sorted((d, default_t_rate(d), d != 0.00919)
                                         for _ in points for d in deltas)
         # Split per row, every row, for the same metrics.
-        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t, rows: None)
+        forced(monkeypatch, rows=0)
         assert same_points(looked_up, harness.run_experiment(cfg))
 
     def test_a_points_tables_go_before_the_next_point_builds(self, monkeypatch):
@@ -517,12 +533,19 @@ class TestSplitTable:
     @staticmethod
     def masks(levels, d, t, p, seed):
         """_quantized_outage's three masks, looked up and split per row, on
-        true gains drawn inside each row's bins, at r_th = 1."""
+        true gains drawn inside each row's bins, at r_th = 1. The per-row
+        masks are those of the fed-back floats' split and roles."""
         u = np.random.default_rng(seed).random(levels.shape)
         block = np.asfortranarray((levels - u) * d)  # level m holds gains in ((m-1)d, md]
-        table = pair_table("upper", d, t, p)
-        assert table is not None and table.size == (t + 2) * (t + 3) // 2
-        return [harness._quantized_outage(block, levels, d, p, 1.0, tab) for tab in (table, None)]
+        b = harness.Bin(d, (t, t), (t, t))
+        table, per_row = (pair_lookup("upper", d, t, p, rows) for rows in (math.inf, 0))
+        assert table_of(table).size == (t + 2) * (t + 3) // 2 and table_of(per_row) is None
+        masks = [harness._quantized_outage(block, levels, b, split, p, 1.0)
+                 for split in (table, per_row)]
+        want = quantized_outage(block[:, 0], block[:, 1], levels[:, 0] * d, levels[:, 1] * d,
+                                p, 1.0)
+        assert all(np.array_equal(got, w) for got, w in zip(masks[1], want))
+        return masks
 
     @staticmethod
     def both_ways(s, w, flip):
@@ -536,7 +559,7 @@ class TestSplitTable:
         t = default_t_outage(d)
         # Every key, level 0 included, holds the split of its gains.
         s, w = np.tril_indices(t + 2)
-        assert_array_equal(pair_table("upper", d, t, p).view(np.int64),
+        assert_array_equal(table_of(pair_lookup("upper", d, t, p)).view(np.int64),
                            alloc.equal_rate_split(s * d, w * d, p).view(np.int64))
         # The levels a quantizer feeds back, 1 <= w <= s <= t + 1, each pair
         # with receiver 1 strong and then with receiver 2 strong.
@@ -571,7 +594,7 @@ class TestSplitTable:
         # 0.00517 (t = 510).
         assert (default_t_outage(0.00518), default_t_outage(0.00517)) == (509, 510)
         for t in range(504, 515):
-            table = pair_table("upper", 1.0 / (t + 2), t, 10.0)
+            table = table_of(pair_lookup("upper", 1.0 / (t + 2), t, 10.0))
             if t <= 509:
                 assert table.size == (t + 2) * (t + 3) // 2 <= harness.PAIR_TABLE_MAX
             else:
@@ -593,7 +616,7 @@ class TestSplitTable:
                 for _, _, bins in cfg.points for b in bins]
         assert sorted(builds) == sorted(want) and any(built for _, _, built in want)
         # Split per row, every row, for the same metrics.
-        monkeypatch.setattr(harness, "_pair_table", lambda fn, d, t, rows: None)
+        forced(monkeypatch, rows=0)
         assert same_points(looked_up, harness.run_experiment(cfg))
 
     @pytest.mark.parametrize("kind, fields", [
@@ -612,12 +635,17 @@ class TestSplitTable:
 class TestTableUse:
     """Where a scan reads a level-pair table, and what it may read from it."""
 
-    @pytest.mark.parametrize("d", [0.2, 0.05, 0.00518, 1.0 / 3.0, 0.9])
-    def test_role_mask_from_levels_at_the_table_cap(self, d):
-        # A table holds levels up to 510 on either edge, so _quantized_outage
-        # compares the levels as ints there: every pair gives its floats' mask.
-        s, w = np.meshgrid(np.arange(512), np.arange(512))
-        assert_array_equal(s >= w, s * d >= w * d)
+    @pytest.mark.parametrize("d", [0.9, 0.5, 1.0 / 3.0, 0.2, 0.1, 0.05, 0.00518, 2e-15])
+    def test_role_mask_is_the_fed_back_floats_mask(self, d):
+        # _quantized_outage compares levels below 2^52 as ints and from there
+        # on as floats: either way every pair gives its floats' mask, up to
+        # the table cap of 510 and on both sides of 2^52.
+        bounds = [(np.arange(511), 510)] + [(np.arange(2**52 - 2, top + 1), top)
+                                             for top in range(2**52 - 2, 2**52 + 3)]
+        for levels, top in bounds:
+            s, w = (x.ravel() for x in np.meshgrid(levels, levels))
+            got = harness._rx1_strong(np.asfortranarray(np.column_stack([s, w])), d, top)
+            assert_array_equal(got, s * d >= w * d)
 
     def test_a_table_needs_more_rows_than_entries(self):
         calls = []
@@ -629,10 +657,10 @@ class TestTableUse:
         t = 30
         size = (t + 1) * (t + 2) // 2
         for rows in (1, size - 1, size):
-            assert harness._pair_table(fn, 0.1, t, rows) is None
+            assert table_of(harness._pair_lookup(fn, 0.1, t, rows)) is None
         assert not calls
-        assert harness._pair_table(fn, 0.1, t, size + 1).size == size
-        assert harness._pair_table(fn, 0.1, t, math.inf).size == size
+        assert table_of(harness._pair_lookup(fn, 0.1, t, size + 1)).size == size
+        assert table_of(harness._pair_lookup(fn, 0.1, t, math.inf)).size == size
 
     @pytest.mark.parametrize("kind, fields", [
         ("minrate", dict(p_db=(0.0, 20.0), deltas=(0.01,), trials=1000)),
@@ -652,9 +680,7 @@ class TestTableUse:
         small = [built for d, _, built in builds if d == 0.2]
         assert small == [True] * len(small)  # 231 entries, fewer than 1,000 rows
         assert not any(built for d, _, built in builds if d == 0.01) and builds
-        build = harness._pair_table
-        monkeypatch.setattr(harness, "_pair_table",
-                            lambda fn, d, t, rows: build(fn, d, t, math.inf))
+        forced(monkeypatch, rows=math.inf)
         assert same_points(per_row, harness.run_experiment(cfg))
 
 
@@ -1024,13 +1050,13 @@ class TestBlockLayout:
 
 
 def scanned_kernels(cfg, monkeypatch):
-    """(params, kernel) of each scan a run of cfg makes, in order."""
+    """(params, kernel, job_chunks) of each scan a run of cfg makes, in order."""
     kernels = []
     scan = harness._scan
 
-    def recording(params, seed, workers, kernel, *args):
-        kernels.append((params, kernel))
-        return scan(params, seed, workers, kernel, *args)
+    def recording(params, seed, workers, kernel, trials, events, target, job_chunks):
+        kernels.append((params, kernel, job_chunks))
+        return scan(params, seed, workers, kernel, trials, events, target, job_chunks)
 
     monkeypatch.setattr(harness, "_scan", recording)
     harness.run_experiment(cfg)
@@ -1049,11 +1075,12 @@ class TestJobs:
     def test_two_user_kernels_are_row_local(self, name, tail, monkeypatch):
         cfg = harness.ExperimentConfig(kind=name.split("-")[0], trials=1000, trial_cap=1000,
                                        workers=1, **LAYOUT_CONFIGS[name])
-        assert harness.EXPERIMENTS[cfg.kind].job_chunks == harness.JOB_CHUNKS == 2
+        assert not harness.EXPERIMENTS[cfg.kind].k_user
         params = ChannelParams(cfg.variances)
         first, last = sample_block(params, 3, 0), sample_block(params, 3, 1, tail)
         stacked = np.asfortranarray(np.concatenate([first, last]))
-        for _, kernel in scanned_kernels(cfg, monkeypatch):
+        for _, kernel, job_chunks in scanned_kernels(cfg, monkeypatch):
+            assert job_chunks == harness.JOB_CHUNKS == 2  # as every kind but a K-user one
             alone = [dict(kernel(first)), dict(kernel(last))]
             together = list(kernel(stacked))
             assert [m for m, _ in together] == list(alone[0]) == list(alone[1])
@@ -1063,8 +1090,12 @@ class TestJobs:
 
     def test_kuser_bisects_one_chunk_at_a_time(self, monkeypatch):
         # Its bisection reads the whole block (the largest r_ub and p g), so
-        # stacking two chunks could change the bits; its jobs stay one chunk.
-        assert harness.EXPERIMENTS["kuser"].job_chunks == 1
+        # stacking two chunks could change the bits: a K-user kind's jobs
+        # stay one chunk.
+        cfg = harness.ExperimentConfig(kind="kuser", variances=(1.0, 0.5, 0.25), deltas=(0.2,),
+                                       trials=3 * CHUNK - 5, workers=2)
+        assert harness.EXPERIMENTS[cfg.kind].k_user
+        assert [chunks for _, _, chunks in scanned_kernels(cfg, monkeypatch)] == [1]
         rows = []
         bisect = alloc.batch_max_min_rate
 
@@ -1073,8 +1104,6 @@ class TestJobs:
             return bisect(g, *args)
 
         monkeypatch.setattr(alloc, "batch_max_min_rate", recording)
-        cfg = harness.ExperimentConfig(kind="kuser", variances=(1.0, 0.5, 0.25), deltas=(0.2,),
-                                       trials=3 * CHUNK - 5, workers=2)
         harness.run_k_user(cfg)
         # one true-gain bisection per chunk, and no call sees more rows
         assert max(rows) == CHUNK and rows.count(CHUNK) == 2 and len(rows) == 9
@@ -1138,8 +1167,8 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
     # The first point at the argv's own trial count and cap, which decide
     # whether its scan builds a level-pair table.
-    params, kernel = scanned_kernels(replace(cfg, p_db=cfg.p_db[:1], min_outage_events=1),
-                                     monkeypatch)[0]
+    params, kernel, _ = scanned_kernels(replace(cfg, p_db=cfg.p_db[:1], min_outage_events=1),
+                                        monkeypatch)[0]
     harness._scan(params, 1, 1, kernel, 2 * CHUNK)  # first calls set up numpy's caches
     tracemalloc.start()
     try:

@@ -6,7 +6,9 @@ only exceptions.
 """
 
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import nomafb
@@ -91,8 +93,8 @@ def test_hot_two_user_kernels_make_no_select():
     # mask; a select brought back would slow every scan without a trace.
     root = Path(nomafb.__file__).parent
     for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
-                         ("quantizer", "outage_levels"), ("harness", "_pair_feedback"),
-                         ("harness", "_lower_edge_min_rate"), ("harness", "_quantized_outage")):
+                         ("quantizer", "outage_levels"), ("harness", "_pair_lookup"),
+                         ("harness", "_rx1_strong"), ("harness", "_quantized_outage")):
         tree = ast.parse((root / ("%s.py" % module)).read_text())
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -123,36 +125,37 @@ def test_one_upper_edge_outage_path():
     # Both quantizers order the receivers by their fed-back gains and split
     # power by the same closed form; only the bin edge differs. The outage
     # kinds all test a quantized outage through _quantized_outage, which
-    # looks the split up by level pair or, past the table's cap, splits per
-    # row. The split is formed only in the two edges' table builders and
-    # their per-row fallbacks, so no second copy can pick the strong and
-    # weak gains some other way.
+    # reads the split of each row's level pair from its _split_lookup. The
+    # split is formed only in the two edges' lookups, so no second copy can
+    # pick the strong and weak gains some other way.
     assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
-    assert sorted(_call_sites("equal_rate_split")) == ["harness._outage_quantizers",
-                                                       "harness._quantized_min_rate",
-                                                       "harness._quantized_outage"]
-    assert sorted(_call_sites("_outage_quantizers")) == ["harness.run_diversity.kernel_at",
-                                                         "harness.run_outage.kernel_at",
-                                                         "harness.run_outage_loss.kernel_at"]
-    assert sorted(_call_sites("_quantized_outage")) == [
-        "harness.run_diversity.kernel_at.kernel", "harness.run_outage.kernel_at.kernel",
-        "harness.run_outage_loss.kernel_at.kernel"]
+    assert _call_sites("_rx1_strong") == ["harness._quantized_outage"]
+    assert sorted(_call_sites("equal_rate_split")) == ["harness._min_rate_lookup.min_rate",
+                                                       "harness._split_lookup"]
+    kernels = ["harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
+               "harness.run_outage_loss.kernel_at"]
+    assert sorted(_call_sites("_split_lookup")) == kernels
+    assert sorted(_call_sites("_quantized_outage")) == [k + ".kernel" for k in kernels]
 
 
 def test_one_lower_edge_min_rate_path():
-    # minrate and rateloss look the min adapted rate up by level pair, or
-    # split per row past the table's cap, through one pair of helpers; the
-    # table and the per-row split both run the one formula. One builder
-    # makes the tables of both edges, and one key serves both lookups.
-    assert sorted(_call_sites("_quantized_min_rate")) == ["harness._lower_edge_min_rate",
-                                                          "harness._rate_quantizers"]
-    assert sorted(_call_sites("_pair_feedback")) == ["harness._quantized_outage",
-                                                     "harness.run_min_rate.kernel_at.kernel",
-                                                     "harness.run_rate_loss.scans.kernel"]
-    assert sorted(_call_sites("_pair_table")) == ["harness._outage_quantizers",
-                                                  "harness._rate_quantizers"]
-    assert sorted(_call_sites("_rate_quantizers")) == ["harness.run_min_rate.kernel_at",
+    # minrate and rateloss read the min adapted rate of each row's level
+    # pair from its _min_rate_lookup. One builder, _pair_lookup, makes the
+    # lookups of both edges: it alone picks a table or a per-row fn, forms
+    # the key, and applies the budget rule _vle_lookup shares. So no driver
+    # and no outage helper handles a table.
+    assert sorted(_call_sites("two_user_rates")) == ["harness._min_rate_lookup.min_rate"]
+    assert sorted(_call_sites("_min_rate_lookup")) == ["harness.run_min_rate.kernel_at",
                                                        "harness.run_rate_loss.scans"]
+    assert sorted(_call_sites("_pair_lookup")) == ["harness._min_rate_lookup",
+                                                   "harness._split_lookup"]
+    assert sorted(_call_sites("_table_pays")) == ["harness._pair_lookup", "harness._vle_lookup"]
+    tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and (func.name.startswith("run_")
+                                                  or func.name == "_quantized_outage"):
+            names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
+            assert not {name for name in names if "table" in name}, func.name
 
 
 def test_only_the_scan_samples_blocks():
@@ -209,3 +212,30 @@ def test_one_power_rule_in_alloc():
         # once per call: directly, or through one public function that checks
         through = calls(func) & direct
         assert (name in direct) != bool(through), (name, through)
+
+
+def test_readme_names_resolve():
+    # README names module attributes (`harness._pair_lookup`,
+    # `alloc.sic_rates(...)`) and private helpers (`_sweep`) in backticks. A
+    # rename that missed the README would leave it pointing at code that is
+    # gone, so each must be an attribute of its nomafb module, or of some
+    # nomafb module when bare.
+    modules = {path.stem: importlib.import_module("nomafb." + path.stem)
+               for path in Path(nomafb.__file__).parent.glob("*.py") if path.stem != "__init__"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    checked, missing = 0, []
+    for span in re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S)):
+        named = re.fullmatch(r"(?:(\w+)\.)?(\w+)(?:\(.*\))?", span, re.S)
+        if named is None:
+            continue
+        module, name = named.groups()
+        if module in modules:
+            found = hasattr(modules[module], name)
+        elif module is None and name.startswith("_"):
+            found = any(hasattr(m, name) for m in modules.values())
+        else:
+            continue
+        checked += 1
+        if not found:
+            missing.append(span)
+    assert checked > 30 and missing == []
