@@ -20,6 +20,7 @@ from .harness import (
     EXPERIMENTS,
     MAX_RECEIVERS,
     POLICIES,
+    SHARED_OPTIONS,
     WORKERS_ENV,
     ExperimentConfig,
     run_experiment,
@@ -61,24 +62,17 @@ def parse_sweep(text):
     if (abs(b - a) + 1e-9) / abs(step) >= MAX_SWEEP_POINTS:
         raise argparse.ArgumentTypeError("sweep %r has more than %d points"
                                          % (s, MAX_SWEEP_POINTS))
+    sign = math.copysign(1.0, step)  # negating is exact, so both tests round alike
     out = []
-    i = 0
-    while True:
-        v = a + i * step
-        if (step > 0 and v > b + 1e-9) or (step < 0 and v < b - 1e-9):
-            break
+    while (v := a + len(out) * step) * sign <= b * sign + 1e-9:
         out.append(round(v, 12))
-        i += 1
     return tuple(out)
 
 
 def parse_count(text):
     """A nonnegative integer, written out or as a float such as 1e6."""
-    try:
-        f = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number, got %r" % text)
-    if not math.isfinite(f) or f < 0 or f != int(f):
+    f = parse_finite(text)
+    if f < 0 or f != int(f):
         raise argparse.ArgumentTypeError("expected a nonnegative integer, got %r" % text)
     try:
         return int(text)  # exact past 2**53, where f is rounded
@@ -104,7 +98,8 @@ def _joined(vals):
 # metavar, help). The converter also reads --config values, and
 # ExperimentConfig checks what it returns. The default is ExperimentConfig's
 # field of that name; --k, which render_args leaves out (it renders the
-# variances), defaults to K_DEFAULT.
+# variances), defaults to K_DEFAULT. harness.EXPERIMENTS says which kinds take
+# each.
 OPTIONS = {
     "p_db": ("--p-db", parse_sweep, _joined, "SWEEP",
              "power sweep in dB, start:stop:step or comma list; "
@@ -136,28 +131,30 @@ DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)} | {
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    kuser = argparse.ArgumentParser(add_help=False)
-    for dest, (flag, conv, render, metavar, text) in OPTIONS.items():
-        shown = render(DEFAULTS[dest]) if render else str(DEFAULTS[dest])
-        (kuser if dest == "k" else common).add_argument(
-            flag, dest=dest, type=conv, default=None, metavar=metavar,
-            help="%s (default %s)" % (text, shown))
-    common.add_argument("--out", default=None, help="write results to this file instead of stdout")
-    common.add_argument("--json", action="store_true", help="emit a JSON record array instead of CSV")
-    common.add_argument("--config", default=None,
-                        help="JSON file of option defaults; explicit flags win")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default=None, help="write results to this file instead of stdout")
+    io.add_argument("--json", action="store_true", help="emit a JSON record array instead of CSV")
+    io.add_argument("--config", default=None,
+                    help="JSON file of option defaults; explicit flags win")
 
     parser = argparse.ArgumentParser(
         prog="nomafb",
         description="Monte Carlo experiments for max-min NOMA with quantized channel feedback.")
     sub = parser.add_subparsers(dest="kind", required=True, metavar="EXPERIMENT")
     for kind, exp in EXPERIMENTS.items():
-        sub.add_parser(kind, parents=[common] + ([kuser] if exp.k_user else []), help=exp.help)
+        # A group's add_argument skips the parser's metavar check, which
+        # builds a help formatter per flag; OPTIONS' metavars are fixed.
+        group = sub.add_parser(kind, parents=[io], help=exp.help).add_argument_group(
+            "%s options" % kind)
+        for dest, (flag, conv, render, metavar, text) in OPTIONS.items():
+            if dest in SHARED_OPTIONS + exp.options:
+                shown = render(DEFAULTS[dest]) if render else str(DEFAULTS[dest])
+                group.add_argument(flag, dest=dest, type=conv, default=None, metavar=metavar,
+                                   help="%s (default %s)" % (text, shown))
     return parser
 
 
-def _load_config_file(parser, path):
+def _load_config_file(parser, path, kind):
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -168,8 +165,8 @@ def _load_config_file(parser, path):
     out = {}
     for key, value in raw.items():
         dest = key.replace("-", "_")
-        if dest not in OPTIONS:
-            parser.error("--config %s: unknown option %r" % (path, key))
+        if dest not in SHARED_OPTIONS + EXPERIMENTS[kind].options:
+            parser.error("--config %s: %s takes no option %r" % (path, kind, key))
         conv = OPTIONS[dest][1]
         try:
             if isinstance(value, (list, tuple)):
@@ -185,19 +182,15 @@ def parse_config(argv=None):
     """argv -> (ExperimentConfig, io options dict). Flags beat --config beats defaults."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-    values = _load_config_file(parser, ns.config) if ns.config else {}
+    values = _load_config_file(parser, ns.config, ns.kind) if ns.config else {}
     values.update((dest, v) for dest in OPTIONS if (v := getattr(ns, dest, None)) is not None)
     k = values.pop("k", None)
-    if not EXPERIMENTS[ns.kind].k_user and k is not None:
-        # Only --config can carry it here: --k is a kuser flag.
-        parser.error("--config %s: option 'k' is for kuser; %s runs exactly two receivers"
-                     % (ns.config, ns.kind))
     if EXPERIMENTS[ns.kind].k_user and "variances" not in values:
         k = K_DEFAULT if k is None else k
         if k > MAX_RECEIVERS:
             parser.error("--k %d: kuser needs 2 to %d receivers" % (k, MAX_RECEIVERS))
         values["variances"] = tuple(1.0 / (i + 1) for i in range(k))
-    if EXPERIMENTS[ns.kind].k_user and k not in (None, len(values["variances"])):
+    if k is not None and k != len(values["variances"]):
         parser.error("--k %d does not match --variances, which gives %d receivers"
                      % (k, len(values["variances"])))
     try:
@@ -213,7 +206,8 @@ def render_args(cfg):
     Values are glued on with '=' so negative sweep entries survive argparse.
     """
     return [cfg.kind] + ["%s=%s" % (flag, render(getattr(cfg, dest)))
-                         for dest, (flag, _, render, _, _) in OPTIONS.items() if render]
+                         for dest, (flag, _, render, _, _) in OPTIONS.items()
+                         if render and dest in cfg.options]
 
 
 def stats_rows(stats):
@@ -279,12 +273,8 @@ def main(argv=None):
     cfg, opts = parse_config(argv)
     fix_malloc_thresholds()
     started = time.time()
-
-    def progress(msg):
-        print(msg, file=sys.stderr)
-
     try:
-        stats = run_experiment(cfg, progress=progress)
+        stats = run_experiment(cfg, progress=functools.partial(print, file=sys.stderr))
         for note in stats.notes:
             print("note: %s" % note, file=sys.stderr)
         text = render_json(stats) if opts["json"] else render_csv(stats)

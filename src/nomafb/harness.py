@@ -14,7 +14,7 @@ import math
 import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .quantizer import (
 )
 
 POLICIES = ("fixed", "pcube", "min02-pcube")
+# The options every kind takes; each EXPERIMENTS entry names its others.
+SHARED_OPTIONS = ("variances", "p_db", "deltas", "seed", "workers")
 WORKERS_ENV = "NOMAFB_WORKERS"
 # More threads cannot run at once; in an adaptive scan they only widen the
 # waves that run past the stopping point.
@@ -71,6 +73,13 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENTS:
             raise ValueError("unknown experiment kind %r" % (self.kind,))
         exp = EXPERIMENTS[self.kind]
+        if self.delta_policy not in POLICIES:
+            raise ValueError("unknown delta policy %r; choose from %s"
+                             % (self.delta_policy, ", ".join(POLICIES)))
+        for f in fields(self)[1:]:
+            if f.name not in self.options and getattr(self, f.name) != f.default:
+                under = " under delta_policy " + self.policy if f.name in SHARED_OPTIONS else ""
+                raise ValueError("%s%s does not read %s" % (self.kind, under, f.name))
         rx = len(self.variances)
         if not 2 <= rx <= (MAX_RECEIVERS if exp.k_user else 2):
             raise ValueError("%s needs %s receivers, got %d" % (
@@ -87,11 +96,6 @@ class ExperimentConfig:
             raise ValueError("p_db sweep must be nonempty")
         if len(self.deltas) == 0 or any(not 0 < d < 1 for d in self.deltas):
             raise ValueError("every delta must lie in (0, 1)")
-        if self.delta_policy not in POLICIES:
-            raise ValueError("unknown delta policy %r; choose from %s"
-                             % (self.delta_policy, ", ".join(POLICIES)))
-        if self.delta_policy != "fixed" and not exp.policy:
-            raise ValueError("%s takes fixed deltas, not a delta policy" % self.kind)
         if self.sweep == "delta" and len(self.p_db) != 1:
             raise ValueError("%s sweeps delta; give exactly one p_db value" % self.kind)
         if self.sweep == "p_db" and exp.one_delta and len(self.deltas) != 1:
@@ -128,6 +132,13 @@ class ExperimentConfig:
         return "p_db" if self.policy != "fixed" else axis
 
     @property
+    def options(self):
+        """The options its run reads: SHARED_OPTIONS and its kind's, less
+        those its kind leaves unread under its policy."""
+        exp = EXPERIMENTS[self.kind]
+        return set(SHARED_OPTIONS + exp.options) - set(exp.unread[self.policy != "fixed"])
+
+    @property
     def policy(self):
         """The bin-size rule of a p_db sweep; diversity, which always adds a
         policy curve, defaults to min02-pcube."""
@@ -142,15 +153,14 @@ class ExperimentConfig:
         a p_db sweep runs the fixed deltas, or the bin the policy gives at
         that power (diversity runs its fixed delta and that bin)."""
         points = []
+        fixed = self.deltas if "deltas" in self.options else ()
         for pdb in self.p_db:
             p = 10.0 ** (pdb / 10.0)
             if self.sweep == "delta":
                 points += [(d, p, (d,)) for d in self.deltas]
-            elif self.policy == "fixed":
-                points.append((pdb, p, self.deltas))
             else:
-                fixed = self.deltas if self.kind == "diversity" else ()
-                points.append((pdb, p, fixed + (policy_delta(self.policy, p),)))
+                policy = () if self.policy == "fixed" else (policy_delta(self.policy, p),)
+                points.append((pdb, p, fixed + policy))
         return [(value, p, tuple(self._bin(d, value) for d in ds)) for value, p, ds in points]
 
     def _bin(self, d, value):
@@ -382,13 +392,15 @@ def _full_csi_outage(h1, h2, p, beta):
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
 
 
-def _rx1_strong(levels, d, top):
-    """Where receiver 1's fed-back gain is not below receiver 2's, for
-    two-user levels at most top. Below 2^52 levels order as their floats
-    level * d do (_fed_back_order), so the ints are compared; from there on
-    the floats are, as past 2^53 two levels can differ as ints and tie."""
-    return (levels[:, 0] >= levels[:, 1] if top < 1 << 52
-            else levels[:, 0] * d >= levels[:, 1] * d)
+def _order_keys(levels, d, top):
+    """Int keys of levels at most top that order and tie as the fed-back
+    gains levels * d do. Below 2^52 the levels are their own keys: level * d
+    is strictly increasing there, as neighbouring levels' products lie d
+    apart and each rounds by under d/2. From 2^52 on two levels can differ
+    as ints and tie as floats, so the ranks of the floats stand in."""
+    if top < 1 << 52:
+        return levels
+    return np.unique(levels * d, return_inverse=True)[1].reshape(levels.shape)
 
 
 def _quantized_outage(block, levels, b, split, p, beta):
@@ -397,7 +409,7 @@ def _quantized_outage(block, levels, b, split, p, beta):
     its _split_lookup. levels is dropped before the split: a caller that
     passes them as a temporary does not keep them alive through it.
     """
-    rx1_strong = _rx1_strong(levels, b.delta, max(b.t_outage) + 1)
+    rx1_strong = np.greater_equal(*_order_keys(levels, b.delta, max(b.t_outage) + 1).T)
     key, read = split
     fed = key(levels)
     del levels
@@ -706,18 +718,13 @@ def _sort_desc(a):
     return a
 
 
-def _fed_back_order(levels, d):
-    """Flat indices into the (K, n) array levels, each column in the stable
-    np.argsort order of -(levels * d): by fed-back gain, ties by receiver.
-
-    _sort_desc sorts keys level << 6 | 63 - i for receiver i < 64. Below
-    2^52, level * d is strictly increasing, as neighbouring levels' products
-    lie d apart and each rounds by under d/2; from 2^52 on, the ranks of the
-    floats stand in for the levels."""
+def _fed_back_order(levels, d, top):
+    """Flat indices into the (K, n) array levels, each at most top, each
+    column in the stable np.argsort order of -(levels * d): by fed-back gain,
+    ties by receiver. _sort_desc sorts keys _order_keys << 6 | 63 - i for
+    receiver i < 64."""
     k, n = levels.shape
-    key = levels if levels.max() < 1 << 52 else np.unique(
-        levels * d, return_inverse=True)[1].reshape(levels.shape)
-    key = _sort_desc(key << 6 | np.arange(63, 63 - k, -1)[:, None])
+    key = _sort_desc(_order_keys(levels, d, top) << 6 | np.arange(63, 63 - k, -1)[:, None])
     at = np.bitwise_and(key, 63, out=key)
     at *= -n
     at += np.arange(63 * n, 64 * n)  # (63 - i) n + column
@@ -769,7 +776,7 @@ def run_k_user(cfg, progress=None):
                 for i in range(k):
                     lv[i] = outage_levels(block[:, i], d, t_o[i])
                     yield "vle_o%d" % i, vle_o(lv[i])
-                at = _fed_back_order(lv, d)
+                at = _fed_back_order(lv, d, max(t_o) + 1)
                 alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
                 gains = np.ravel(block, order="F").take(at).T
                 out_q = _row_min(alloc.sic_rates(alphas, gains, p)) < cfg.r_th
@@ -785,33 +792,36 @@ def run_k_user(cfg, progress=None):
                   drop=sum(per_rx.values(), ()))
 
 
-# One experiment kind. axis is what it sweeps under the fixed policy ("either":
+# One experiment kind. axis: what it sweeps under the fixed policy ("either":
 # p_db when several are given, else delta); a delta sweep takes one p_db.
-# policy: takes a delta policy, under which it sweeps p_db. one_delta: a p_db
-# sweep takes one delta. k_user: two or more receivers, not exactly two.
-# r_th_max: where its outage threshold 2^r_th or 2^(2 r_th) overflows.
-Experiment = namedtuple("Experiment", "run axis help policy one_delta k_user r_th_max",
-                        defaults=(False, False, False, math.inf))
+# options: the options it takes beyond SHARED_OPTIONS; under a delta_policy it
+# sweeps p_db. unread: those it leaves unread under the fixed policy and under
+# any other, as a policy's p_db sweep runs the policy's bin alone and feedback
+# bits change with P only through it. one_delta: a p_db sweep takes one delta.
+# k_user: two or more receivers, not exactly two. r_th_max: where its outage
+# threshold 2^r_th or 2^(2 r_th) overflows.
+Experiment = namedtuple("Experiment", "run axis help options unread one_delta k_user r_th_max",
+                        defaults=(((), ()), False, False, math.inf))
+ADAPTIVE = ("delta_policy", "r_th", "min_outage_events", "trial_cap")
 
 EXPERIMENTS = {
     "minrate": Experiment(run_min_rate, "p_db",
-                          "mean min rate vs P: full CSI, quantized feedback, TDMA"),
+                          "mean min rate vs P: full CSI, quantized feedback, TDMA", ("trials",)),
     "rateloss": Experiment(run_rate_loss, "delta",
-                           "mean rate loss and feedback bits vs delta at fixed P"),
+                           "mean rate loss and feedback bits vs delta at fixed P", ("trials",)),
     "outage": Experiment(run_outage, "p_db", "outage probability vs P with adaptive stopping",
-                         policy=True, r_th_max=512.0),
+                         ADAPTIVE, ((), ("deltas",)), r_th_max=512.0),
     "outageloss": Experiment(run_outage_loss, "either",
                              "quantization-added outage probability vs delta or P",
-                             one_delta=True, r_th_max=1024.0),
+                             ("r_th", "trials"), one_delta=True, r_th_max=1024.0),
     "feedback": Experiment(run_feedback_rate, "delta",
                            "measured VLE/FLE feedback bits vs delta (or vs P under a policy)",
-                           policy=True),
+                           ("delta_policy", "trials"), (("p_db",), ("deltas",))),
     "diversity": Experiment(run_diversity, "p_db", "outage curves vs P plus fitted high-P slopes",
-                            policy=True, one_delta=True, r_th_max=1024.0),
+                            ADAPTIVE, one_delta=True, r_th_max=1024.0),
     "kuser": Experiment(run_k_user, "delta", "rate and outage losses vs delta for K receivers",
-                        k_user=True),
+                        ("r_th", "eps", "trials", "k"), k_user=True),
 }
-KINDS = tuple(EXPERIMENTS)
 
 
 def run_experiment(cfg, progress=None):

@@ -581,6 +581,7 @@ class TestSelectFreeOutage:
         assert q[0, 0] == q[0, 1] == 2.0**52
         want = _parent_outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], 1e-15, 1.0)
         b = harness.Bin(0.5, (2**53,) * 2, (2**53,) * 2)  # levels to 2^53 + 1: no table
+        assert harness._order_keys(levels, 0.5, 2**53 + 1).tolist() == [[0, 0]]
         got = harness._quantized_outage(block, levels, b, harness._split_lookup(b, 1e-15, 1),
                                         1e-15, 1.0)
         assert [g.tolist() for g in got] == [w.tolist() for w in want] == [[True], [True], [False]]

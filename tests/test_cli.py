@@ -20,9 +20,9 @@ import nomafb
 from nomafb import cli
 from nomafb.harness import (
     EXPERIMENTS,
-    KINDS,
     P_DB_MAX,
     POLICIES,
+    SHARED_OPTIONS,
     ExperimentConfig,
     RunStats,
     run_experiment,
@@ -32,6 +32,13 @@ from nomafb.harness import (
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def tiny(kind, n=1000):
+    """Flags that keep a run of `kind` to n trials: its trial count, or the
+    cap of its adaptive stopping."""
+    flag = "--trial-cap" if "trial_cap" in EXPERIMENTS[kind].options else "--trials"
+    return [flag, str(n)]
 
 
 class TestParseSweep:
@@ -172,7 +179,9 @@ class TestInputHoles:
 KIND_RULES = [
     (["rateloss", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
     (["kuser", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
-    (["feedback", "--p-db", "0,10"], {"p_db": (0.0, 10.0)}, "exactly one p_db"),
+    # fixed-bin feedback never reads P, so it takes none
+    (["feedback", "--p-db", "0,10"], {"p_db": (0.0, 10.0)},
+     "feedback under delta_policy fixed does not read p_db"),
     (["outageloss", "--p-db", "0,10", "--delta", "0.01,0.2"],
      {"p_db": (0.0, 10.0), "deltas": (0.01, 0.2)}, "exactly one delta"),
     (["diversity", "--delta", "0.1,0.2"], {"deltas": (0.1, 0.2)}, "exactly one delta"),
@@ -180,11 +189,6 @@ KIND_RULES = [
      "exactly two receivers"),
     (["outage", "--variances", "1"], {"variances": (1.0,)}, "exactly two receivers"),
     (["kuser", "--variances", "1"], {"variances": (1.0,)}, "2 to 64 receivers"),
-    (["minrate", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
-    (["rateloss", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
-    (["outageloss", "--delta-policy", "min02-pcube"], {"delta_policy": "min02-pcube"},
-     "delta policy"),
-    (["kuser", "--delta-policy", "pcube"], {"delta_policy": "pcube"}, "delta policy"),
     (["outage", "--r-th", "600"], {"r_th": 600.0}, "r_th below 512"),
     (["outage", "--r-th", "512"], {"r_th": 512.0}, "r_th below 512"),
     (["outageloss", "--r-th", "1100"], {"r_th": 1100.0}, "r_th below 1024"),
@@ -236,7 +240,7 @@ class TestKindRules:
 
     def assert_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"])
+            cli.main(argv + tiny(argv[0]))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -263,16 +267,19 @@ class TestKindRules:
                      ["diversity", "--delta-policy", "pcube", "--p-db", "10,20"],
                      ["outage", "--r-th", "511"], ["rateloss", "--delta", "1e-14"],
                      ["feedback", "--delta-policy", "pcube", "--p-db", "300"]):
-            assert cli.main(argv + ["--trials", "1000", "--trial-cap", "1000"]) == 0
+            assert cli.main(argv + tiny(argv[0])) == 0
         assert PROGRESS.search(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("kind", [*KINDS, "kuser --k 64", "kuser --variances 1,1e-300"])
+    @pytest.mark.parametrize("kind", [*EXPERIMENTS, "kuser --k 64", "kuser --variances 1,1e-300"])
     def test_every_kind_runs_at_the_power_limits(self, kind, capsys):
         # with fixed bins, and with RuntimeWarnings as errors; diversity's
-        # min02-pcube bin reaches 2^53 bins near 433 dB, so it stops at 400
+        # min02-pcube bin reaches 2^53 bins near 433 dB, so it stops at 400.
+        # Fixed-bin feedback reads no P, so it runs once, at the default.
         top = 400.0 if kind == "diversity" else P_DB_MAX
-        for p_db in (-P_DB_MAX, top):
-            argv = [*kind.split(), "--p-db=%r" % p_db, "--trials", "1000", "--trial-cap", "1000"]
+        name = kind.split()[0]
+        unread = "p_db" in EXPERIMENTS[name].unread[0]
+        for power in [[]] if unread else [["--p-db=%r" % p_db] for p_db in (-P_DB_MAX, top)]:
+            argv = [*kind.split(), *power, *tiny(name)]
             assert cli.main(argv + (["--delta", "0.2"] if kind == "diversity" else [])) == 0
         capsys.readouterr()
 
@@ -289,6 +296,110 @@ class TestKindRules:
         assert exc.value.code == 2
         assert "2 to 64 receivers" in capsys.readouterr().err
         assert peak < 10 << 20  # 10^9 variances would take gigabytes
+
+
+# A value off the default for each option: its flags, and the same value as a
+# --config entry (k has no ExperimentConfig field; it sets the variances).
+OFF_DEFAULT = {
+    "p_db": (["--p-db", "20"], [20.0]),
+    "deltas": (["--delta", "0.2"], [0.2]),
+    "delta_policy": (["--delta-policy", "pcube"], "pcube"),
+    "variances": (["--variances", "1,0.25"], [1.0, 0.25]),
+    "r_th": (["--r-th", "2"], 2.0),
+    "eps": (["--eps", "0.01"], 0.01),
+    "trials": (["--trials", "2000"], 2000),
+    "min_outage_events": (["--min-outage-events", "10"], 10),
+    "trial_cap": (["--trial-cap", "2000"], 2000),
+    "seed": (["--seed", "5"], 5),
+    "k": (["--k", "3"], 3),
+}
+TAKEN = [(kind, dest) for kind, exp in EXPERIMENTS.items() for dest in cli.OPTIONS
+         if dest in SHARED_OPTIONS + exp.options and dest != "workers"]
+NOT_TAKEN = [(kind, dest) for kind, exp in EXPERIMENTS.items() for dest in cli.OPTIONS
+             if dest not in SHARED_OPTIONS + exp.options]
+# Options a kind takes but leaves unread under one policy, with the policy
+# flags that select it.
+UNREAD = [
+    ("outage", ["--delta-policy", "pcube"], "deltas"),
+    ("feedback", ["--delta-policy", "pcube"], "deltas"),
+    ("feedback", [], "p_db"),
+]
+
+
+def pair_ids(pairs):
+    return ["%s-%s" % (kind, dest) for kind, dest in pairs]
+
+
+def run_csv(argv, capsys):
+    assert cli.main(argv + ["--workers", "1"]) == 0
+    return capsys.readouterr().out
+
+
+class TestOptionTable:
+    """harness.EXPERIMENTS names the options each kind takes. The parser,
+    --config and ExperimentConfig refuse every other one, and each one taken
+    moves the output."""
+
+    def assert_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not PROGRESS.search(captured.err)
+
+    @pytest.mark.parametrize("kind, dest", NOT_TAKEN, ids=pair_ids(NOT_TAKEN))
+    def test_an_option_not_taken_is_refused(self, kind, dest, tmp_path, capsys):
+        flags, value = OFF_DEFAULT[dest]
+        self.assert_usage_error([kind, *flags, *tiny(kind)],
+                                "unrecognized arguments: %s" % " ".join(flags), capsys)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({dest: value}))
+        self.assert_usage_error([kind, "--config", str(path), *tiny(kind)],
+                                "%s takes no option %r" % (kind, dest), capsys)
+        if dest != "k":
+            field = tuple(value) if isinstance(value, list) else value
+            with pytest.raises(ValueError, match="^%s does not read %s$" % (kind, dest)):
+                ExperimentConfig(kind=kind, **{dest: field})
+
+    @pytest.mark.parametrize("kind, policy, dest", UNREAD)
+    def test_an_option_the_policy_leaves_unread_is_refused(self, kind, policy, dest, tmp_path,
+                                                           capsys):
+        flags, value = OFF_DEFAULT[dest]
+        name = policy[-1] if policy else "fixed"
+        message = "%s under delta_policy %s does not read %s" % (kind, name, dest)
+        self.assert_usage_error([kind, *policy, *flags, *tiny(kind)], message, capsys)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({dest: value}))
+        self.assert_usage_error([kind, *policy, "--config", str(path), *tiny(kind)], message,
+                                capsys)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            ExperimentConfig(kind=kind, delta_policy=name, **{dest: tuple(value)})
+        # at its default value it is accepted, and the run is the one without it
+        default = cli.OPTIONS[dest][2](cli.DEFAULTS[dest])
+        assert (run_csv([kind, *policy, *tiny(kind), flags[0], default], capsys)
+                == run_csv([kind, *policy, *tiny(kind)], capsys))
+
+    @pytest.mark.parametrize("kind, dest", TAKEN, ids=pair_ids(TAKEN))
+    def test_every_option_taken_moves_the_output(self, kind, dest, capsys):
+        # Adaptive kinds run up to three chunks, so the event target also
+        # moves the trial count; an option unread under the fixed policy is
+        # changed under one. The worker count is the one exception: it never
+        # moves a byte (TestOutputFormats).
+        base = [kind, *tiny(kind, 3 * 16384 if "trial_cap" in EXPERIMENTS[kind].options else 1000)]
+        if dest in EXPERIMENTS[kind].unread[0]:
+            base += ["--delta-policy", "pcube"]
+        assert run_csv(base + OFF_DEFAULT[dest][0], capsys) != run_csv(base, capsys)
+
+    @pytest.mark.parametrize("kind", EXPERIMENTS)
+    def test_help_lists_exactly_the_options_taken(self, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([kind, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        taken = [flag for dest, (flag, *_) in cli.OPTIONS.items()
+                 if dest in SHARED_OPTIONS + EXPERIMENTS[kind].options]
+        assert sorted(listed) == sorted(taken + ["--help", "--out", "--json", "--config"])
 
 
 class TestParseSweepProperties:
@@ -311,31 +422,34 @@ class TestParseSweepProperties:
 def configs(draw):
     """Any config ExperimentConfig accepts; the shapes a kind rejects are dropped.
 
-    Only kinds that take a delta policy draw one. Mean gains and deltas lean
-    on typical values, since most of their float range needs 2^53 bins or
-    more; one_of keeps the whole range.
+    Each kind draws only the options it takes, less those its policy leaves
+    unread. Mean gains and deltas lean on typical values, since most of their
+    float range needs 2^53 bins or more; one_of keeps the whole range.
     """
-    kind = draw(st.sampled_from(KINDS))
-    variances = draw(st.lists(st.one_of(st.floats(1e-3, 1e3), positive),
-                              min_size=2, max_size=5 if kind == "kuser" else 2))
+    kind = draw(st.sampled_from(tuple(EXPERIMENTS)))
+    exp = EXPERIMENTS[kind]
     unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-    fields = dict(
-        kind=kind,
-        variances=tuple(sorted(variances, reverse=True)),
-        p_db=tuple(draw(st.lists(st.floats(-P_DB_MAX, P_DB_MAX), min_size=1, max_size=4))),
-        deltas=tuple(draw(st.lists(st.one_of(st.floats(1e-3, 0.999), unit),
-                                   min_size=1, max_size=4))),
-        delta_policy=draw(st.sampled_from(POLICIES if EXPERIMENTS[kind].policy else ("fixed",))),
-        r_th=draw(positive),
-        eps=draw(positive),
-        trials=draw(st.integers(1, 2**70)),
-        min_outage_events=draw(st.integers(1, 2**70)),
-        trial_cap=draw(st.integers(1, 2**70)),
-        seed=draw(st.integers(0, 2**70)),
-        workers=draw(st.integers(0, 64)),
+    options = dict(
+        variances=st.lists(st.one_of(st.floats(1e-3, 1e3), positive), min_size=2,
+                           max_size=5 if exp.k_user else 2).map(
+            lambda v: tuple(sorted(v, reverse=True))),
+        p_db=st.lists(st.floats(-P_DB_MAX, P_DB_MAX), min_size=1, max_size=4).map(tuple),
+        deltas=st.lists(st.one_of(st.floats(1e-3, 0.999), unit), min_size=1,
+                        max_size=4).map(tuple),
+        delta_policy=st.sampled_from(POLICIES),
+        r_th=positive,
+        eps=positive,
+        trials=st.integers(1, 2**70),
+        min_outage_events=st.integers(1, 2**70),
+        trial_cap=st.integers(1, 2**70),
+        seed=st.integers(0, 2**70),
+        workers=st.integers(0, 64),
     )
+    fields = {name: draw(options[name]) for name in options
+              if name in SHARED_OPTIONS + exp.options}
+    unread = exp.unread[fields.get("delta_policy", "fixed") != "fixed"]
     try:
-        return ExperimentConfig(**fields)
+        return ExperimentConfig(kind=kind, **{k: v for k, v in fields.items() if k not in unread})
     except ValueError:
         assume(False)
 
@@ -361,12 +475,10 @@ class TestParseConfig:
         assert opts == {"out": None, "json": False}
 
     def test_policy_example(self):
-        cfg, _ = cli.parse_config(
-            ["outage", "--p-db=-10:40:5", "--delta-policy", "min02-pcube", "--delta", "0.2"]
-        )
+        cfg, _ = cli.parse_config(["outage", "--p-db=-10:40:5", "--delta-policy", "min02-pcube"])
         assert cfg.delta_policy == "min02-pcube"
         assert cfg.p_db[0] == -10.0 and cfg.p_db[-1] == 40.0
-        assert cfg.deltas == (0.2,)
+        assert [bins[0].delta for _, _, bins in cfg.points[:3]] == [0.2] * 3
 
     def test_kuser_default_variances(self):
         cfg, _ = cli.parse_config(["kuser"])
@@ -402,7 +514,7 @@ class TestParseConfig:
         assert cli.main(["kuser", "--config", str(path), "--trials", "1000"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("kind", [k for k in KINDS if not EXPERIMENTS[k].k_user])
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENTS if not EXPERIMENTS[k].k_user])
     def test_k_in_config_is_refused_for_two_user_kinds(self, kind, tmp_path, capsys):
         # A two-user kind always runs two receivers; a "k" it dropped would
         # run something other than the file asks for.
@@ -410,11 +522,11 @@ class TestParseConfig:
         for k in (2, 3):
             path.write_text(json.dumps({"k": k}))
             with pytest.raises(SystemExit) as exc:
-                cli.main([kind, "--config", str(path), "--trials", "1000"])
+                cli.main([kind, "--config", str(path), *tiny(kind)])
             assert exc.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == "" and not PROGRESS.search(captured.err)
-            assert "option 'k' is for kuser; %s runs exactly two receivers" % kind in captured.err
+            assert "%s takes no option 'k'" % kind in captured.err
 
     def test_bad_delta_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

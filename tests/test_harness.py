@@ -20,6 +20,12 @@ from nomafb.quantizer import (
 )
 
 
+def tiny(kind, n=1000):
+    """The field that keeps a run of `kind` to n trials: its trial count, or
+    the cap of its adaptive stopping."""
+    return {"trial_cap" if "trial_cap" in harness.EXPERIMENTS[kind].options else "trials": n}
+
+
 def metrics_by_sweep(stats):
     out = {}
     for m in stats.points:
@@ -135,11 +141,7 @@ class TestConfigValidation:
             dict(kind="minrate", deltas=(0.0,)),
             dict(kind="minrate", deltas=(1.0,)),
             dict(kind="minrate", delta_policy="cube"),
-            dict(kind="minrate", r_th=0.0),
-            dict(kind="minrate", eps=0.0),
             dict(kind="minrate", trials=0),
-            dict(kind="minrate", min_outage_events=0),
-            dict(kind="minrate", trial_cap=0),
             dict(kind="minrate", seed=-1),
             dict(kind="minrate", workers=-2),
         ]
@@ -147,6 +149,17 @@ class TestConfigValidation:
         for kw in bad:
             with pytest.raises(ValueError):
                 harness.ExperimentConfig(**kw)
+
+    @pytest.mark.parametrize("kind, field, message", [
+        ("outage", "r_th", "r_th must be positive and finite"),
+        ("kuser", "eps", "eps must be positive and finite"),
+        ("outage", "min_outage_events", "min_outage_events must be at least 1"),
+        ("diversity", "trial_cap", "trial_cap must be at least 1"),
+    ])
+    def test_positivity_rules_hold_where_the_field_is_taken(self, kind, field, message):
+        # A kind that does not take the field refuses it before this rule.
+        with pytest.raises(ValueError, match=message):
+            harness.ExperimentConfig(kind=kind, **{field: 0})
 
 
 def _pcube(p_db, policy="pcube"):
@@ -637,15 +650,16 @@ class TestTableUse:
 
     @pytest.mark.parametrize("d", [0.9, 0.5, 1.0 / 3.0, 0.2, 0.1, 0.05, 0.00518, 2e-15])
     def test_role_mask_is_the_fed_back_floats_mask(self, d):
-        # _quantized_outage compares levels below 2^52 as ints and from there
-        # on as floats: either way every pair gives its floats' mask, up to
-        # the table cap of 510 and on both sides of 2^52.
+        # _quantized_outage compares the _order_keys of the levels: the
+        # levels themselves below 2^52 and the ranks of their floats from
+        # there on. Either way every pair gives its floats' mask, up to the
+        # table cap of 510 and on both sides of 2^52.
         bounds = [(np.arange(511), 510)] + [(np.arange(2**52 - 2, top + 1), top)
                                              for top in range(2**52 - 2, 2**52 + 3)]
         for levels, top in bounds:
             s, w = (x.ravel() for x in np.meshgrid(levels, levels))
-            got = harness._rx1_strong(np.asfortranarray(np.column_stack([s, w])), d, top)
-            assert_array_equal(got, s * d >= w * d)
+            keys = harness._order_keys(np.asfortranarray(np.column_stack([s, w])), d, top)
+            assert_array_equal(keys[:, 0] >= keys[:, 1], s * d >= w * d)
 
     def test_a_table_needs_more_rows_than_entries(self):
         calls = []
@@ -709,7 +723,7 @@ class TestVleTable:
         ("rateloss", dict(p_db=(10.0,), deltas=(0.2, 0.05, 0.001), trials=5000)),
         ("outageloss", dict(p_db=(10.0,), deltas=(0.05,), trials=5000)),
         ("feedback", dict(deltas=(0.2, 0.05), trials=5000)),
-        ("feedback", dict(p_db=(10.0, 30.0), deltas=(0.2,), delta_policy="pcube", trials=5000)),
+        ("feedback", dict(p_db=(10.0, 30.0), delta_policy="pcube", trials=5000)),
         ("kuser", dict(variances=(1.0, 0.5, 0.25), deltas=(0.1, 0.2), trials=3000)),
     ])
     def test_scans_give_the_per_row_lengths(self, kind, fields, monkeypatch):
@@ -806,7 +820,7 @@ class TestFeedbackExamples:
     def test_policy_curve_flat_then_rising(self):
         cfg = harness.ExperimentConfig(kind="feedback", delta_policy="min02-pcube",
                                        p_db=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                                       deltas=(0.2,), trials=100_000, seed=9)
+                                       trials=100_000, seed=9)
         stats = harness.run_feedback_rate(cfg)
         assert stats.sweep == "p_db"
         by = metrics_by_sweep(stats)
@@ -983,11 +997,12 @@ class TestSortingNetwork:
         assert all(i < j < k for k in self.SIZES for i, j in harness._network(k))
 
     @staticmethod
-    def argsort_order(levels, d):
-        """_fed_back_order as an (n, K) permutation, and the argsort it replaces."""
+    def argsort_order(levels, d, top):
+        """_fed_back_order of levels at most top as an (n, K) permutation, and
+        the argsort it replaces."""
         n = levels.shape[0]
         before = levels.copy()
-        at = harness._fed_back_order(np.array(levels.T), d)
+        at = harness._fed_back_order(np.array(levels.T), d, top)
         assert_array_equal(levels, before)
         assert_array_equal(at % n, np.broadcast_to(np.arange(n), at.shape))
         return (at // n).T, np.argsort(-(levels * d), axis=1, kind="stable")
@@ -999,8 +1014,10 @@ class TestSortingNetwork:
             levels = rng.integers(1, 6, (3000, k))  # ties in most rows
             levels[:100] = 1 << 51
             levels[100:200] = rng.integers((1 << 52) - 8, 1 << 52, (100, k))
-            got, want = self.argsort_order(levels, d)
-            assert_array_equal(got, want)
+            # the levels as their own keys, and the ranks of their floats
+            for top in (int(levels.max()), 1 << 53):
+                got, want = self.argsort_order(levels, d, top)
+                assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 9, 33, 64])
     def test_order_past_two_to_the_52_is_the_floats(self, k):
@@ -1016,7 +1033,7 @@ class TestSortingNetwork:
             ])
             f = levels * d  # some distinct ints tie as floats
             assert np.any((f[:, :1] == f) & (levels[:, :1] != levels))
-            got, want = self.argsort_order(levels, d)
+            got, want = self.argsort_order(levels, d, top)
             assert_array_equal(got, want)
 
 
@@ -1035,8 +1052,8 @@ class TestBlockLayout:
             return scan(params, seed, workers, kernel, *args)
 
         monkeypatch.setattr(harness, "_scan", recording)
-        cfg = harness.ExperimentConfig(kind=name.split("-")[0], trials=1000, trial_cap=1000,
-                                       workers=1, **LAYOUT_CONFIGS[name])
+        kind = name.split("-")[0]
+        cfg = harness.ExperimentConfig(kind=kind, workers=1, **tiny(kind), **LAYOUT_CONFIGS[name])
         harness.run_experiment(cfg)
         assert kernels
         block = sample_block(ChannelParams(cfg.variances), 3, 0)
@@ -1073,8 +1090,8 @@ class TestJobs:
     @pytest.mark.parametrize("tail", [1, 7, 576, 7232, CHUNK])
     @pytest.mark.parametrize("name", sorted(set(LAYOUT_CONFIGS) - {"kuser"}))
     def test_two_user_kernels_are_row_local(self, name, tail, monkeypatch):
-        cfg = harness.ExperimentConfig(kind=name.split("-")[0], trials=1000, trial_cap=1000,
-                                       workers=1, **LAYOUT_CONFIGS[name])
+        kind = name.split("-")[0]
+        cfg = harness.ExperimentConfig(kind=kind, workers=1, **tiny(kind), **LAYOUT_CONFIGS[name])
         assert not harness.EXPERIMENTS[cfg.kind].k_user
         params = ChannelParams(cfg.variances)
         first, last = sample_block(params, 3, 0), sample_block(params, 3, 1, tail)
@@ -1167,8 +1184,9 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
     # The first point at the argv's own trial count and cap, which decide
     # whether its scan builds a level-pair table.
-    params, kernel, _ = scanned_kernels(replace(cfg, p_db=cfg.p_db[:1], min_outage_events=1),
-                                        monkeypatch)[0]
+    adaptive = {"min_outage_events": 1} if "min_outage_events" in cfg.options else {}
+    first = replace(cfg, p_db=cfg.p_db[:1], **adaptive)
+    params, kernel, _ = scanned_kernels(first, monkeypatch)[0]
     harness._scan(params, 1, 1, kernel, 2 * CHUNK)  # first calls set up numpy's caches
     tracemalloc.start()
     try:

@@ -94,7 +94,7 @@ def test_hot_two_user_kernels_make_no_select():
     root = Path(nomafb.__file__).parent
     for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
                          ("quantizer", "outage_levels"), ("harness", "_pair_lookup"),
-                         ("harness", "_rx1_strong"), ("harness", "_quantized_outage")):
+                         ("harness", "_order_keys"), ("harness", "_quantized_outage")):
         tree = ast.parse((root / ("%s.py" % module)).read_text())
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -127,9 +127,12 @@ def test_one_upper_edge_outage_path():
     # kinds all test a quantized outage through _quantized_outage, which
     # reads the split of each row's level pair from its _split_lookup. The
     # split is formed only in the two edges' lookups, so no second copy can
-    # pick the strong and weak gains some other way.
+    # pick the strong and weak gains some other way. The two-user role mask
+    # and kuser's fed-back order both order levels by _order_keys, so one
+    # rule decides where the levels stop ordering as their floats do.
     assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
-    assert _call_sites("_rx1_strong") == ["harness._quantized_outage"]
+    assert sorted(_call_sites("_order_keys")) == ["harness._fed_back_order",
+                                                  "harness._quantized_outage"]
     assert sorted(_call_sites("equal_rate_split")) == ["harness._min_rate_lookup.min_rate",
                                                        "harness._split_lookup"]
     kernels = ["harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
@@ -239,3 +242,27 @@ def test_readme_names_resolve():
         if not found:
             missing.append(span)
     assert checked > 30 and missing == []
+
+
+def test_readme_kinds_table_lists_each_kinds_options():
+    # README's kinds table has an options column for what each kind takes
+    # beyond harness.SHARED_OPTIONS. harness.EXPERIMENTS is the one place
+    # that decides it, so the column must list exactly each entry's options.
+    from nomafb.cli import OPTIONS
+    from nomafb.harness import EXPERIMENTS
+
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("| kind |"))
+
+    def cells(line):
+        return [c.strip() for c in line.strip().strip("|").split("|")]
+
+    at = cells(lines[header]).index("options")
+    listed = {}
+    for line in lines[header + 2:]:
+        if not line.startswith("|"):
+            break
+        row = cells(line)
+        listed[row[0].strip("`")] = sorted(re.findall(r"`(--[\w-]+)`", row[at]))
+    assert listed == {kind: sorted(OPTIONS[dest][0] for dest in exp.options)
+                      for kind, exp in EXPERIMENTS.items()}
