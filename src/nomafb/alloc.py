@@ -145,6 +145,68 @@ def outage_conditions(h1, h2, a, rx1_strong, p, beta):
     return out_rx1 | out_rx2, out_rx1, out_rx2
 
 
+def outage_floor(p, beta, delta=None, top=None):
+    """A gain c such that a row whose smaller true gain is at least c has no
+    outage at power p and SINR threshold beta: no full-CSI outage
+    (p * sic_snr < beta) with delta None, else no mask of outage_conditions
+    set when both receivers feed back upper-edge levels of bin size delta,
+    at most the top level `top`, with the split of their level pair. inf
+    where no floor is certified: every row must then be tested.
+
+    Let S(x, y) = p * sic_snr(x, y), the equal SINR of the split. It solves
+    S^2 + S (x/y + 1) = p x, so it increases in both gains, and S(c, c) =
+    sqrt(1 + p c) - 1.
+      - Full CSI: both gains are at least c, so S >= S(c, c); c solves
+        S(c, c) = beta (1 + 1e-6).
+      - Fed-back gains. Level m feeds back q = m delta, and q >= max(delta,
+        min(h, top delta)) and q < h + delta: below the top level ceil keeps
+        (m - 1) delta < h <= q, and the top level's q = top delta lies
+        under h + delta, as the level below it caps below h. For h >= c,
+        q >= c' = max(delta, min(c, top delta)) and h/q > c/(c + delta).
+      - The split of (q_s, q_w) gives both receivers SINR S_q = S(q_s, q_w)
+        >= S(c', c') at their fed-back gains. The strong test reads
+        p a h_s = S_q h_s/q_s. The weak SINR f(h) = p h (1 - a)/(p h a + 1)
+        has f(h)/h decreasing and f(q_w) = S_q, so f(h) >= S_q min(1, h/q_w).
+        Both are at least S(c', c') c/(c + delta), and c is the least gain
+        where that reaches beta (1 + 1e-6), found by bisection on this
+        nondecreasing function of c.
+      - The strong receiver's SIC step, its SINR f(h_s) for the weak
+        message, is covered too: where the levels differ, h_s > (m_s - 1)
+        delta >= q_w, so f(h_s) >= S_q; where they tie, q_w = q_s and
+        h_s/q_w > c/(c + delta).
+    Every bound above holds for the floats the kernels form, up to a few
+    ulps: q = fl(m delta), and the tests round each SINR by a few eps. The
+    1e-6 margin is far wider than that rounding.
+    """
+    _check_power(p)
+    if not beta >= 0:
+        raise ValueError("beta must be nonnegative")
+    target = beta * (1.0 + 1e-6)
+
+    def snr(c):  # S(c, c) = sqrt(1 + p c) - 1, free of cancellation at small p c
+        pc = p * c
+        return pc / (math.sqrt(1.0 + pc) + 1.0)
+
+    if delta is None:
+        return target * (2.0 + target) / p  # S(c, c) = target; inf past float64
+    if not (0 < delta < math.inf and top >= 1):
+        raise ValueError("need delta > 0 and top >= 1")
+    cap = top * delta
+    if not snr(cap) > target:
+        return math.inf
+
+    def safe(c):
+        return snr(max(delta, min(c, cap))) * c / (c + delta) >= target
+
+    lo, hi = 0.0, delta
+    while not safe(hi):  # ends: the bound tends to snr(cap) > target
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if safe(mid) else (mid, hi)
+    return hi
+
+
 def max_min_rate_two_user(h1, h2, p):
     """Largest achievable min rate over all power splits, either ordering."""
     h1 = np.asarray(h1, dtype=np.float64)

@@ -149,6 +149,9 @@ def build_parser():
         for dest, (flag, conv, render, metavar, text) in OPTIONS.items():
             if dest in SHARED_OPTIONS + exp.options:
                 shown = render(DEFAULTS[dest]) if render else str(DEFAULTS[dest])
+                if dest == "delta_policy":  # what the default runs: diversity's is a policy
+                    runs = ExperimentConfig(kind).policy
+                    shown += "" if runs == shown else ": its policy curve runs %s" % runs
                 group.add_argument(flag, dest=dest, type=conv, default=None, metavar=metavar,
                                    help="%s (default %s)" % (text, shown))
     return parser

@@ -77,7 +77,8 @@ class ExperimentConfig:
             raise ValueError("unknown delta policy %r; choose from %s"
                              % (self.delta_policy, ", ".join(POLICIES)))
         for f in fields(self)[1:]:
-            if f.name not in self.options and getattr(self, f.name) != f.default:
+            # array_equal, as an array's != is an array, whose truth numpy refuses
+            if f.name not in self.options and not np.array_equal(getattr(self, f.name), f.default):
                 under = " under delta_policy " + self.policy if f.name in SHARED_OPTIONS else ""
                 raise ValueError("%s%s does not read %s" % (self.kind, under, f.name))
         rx = len(self.variances)
@@ -387,9 +388,44 @@ def _snr_threshold(rate):
     return 2.0**rate - 1.0
 
 
-def _full_csi_outage(h1, h2, p, beta):
-    """Outage event of full-CSI max-min NOMA: its SIC SNR falls below beta."""
+def _full_csi_outage(block, p, beta):
+    """Outage event of full-CSI max-min NOMA on a two-user block of gains:
+    its SIC SNR falls below beta."""
+    h1, h2 = block[:, 0], block[:, 1]
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
+
+
+def _selected(rows):
+    """What indexes the rows of a block that the bool mask `rows` marks: the
+    indices of those rows where they are at most half the block, else
+    slice(None), a view of the whole block. A gather and scatter by indices
+    cost a fraction of those by a bool mask, but past about half the block
+    they cost more than the test saves on the rows left out; and a test run
+    on rows its floor clears gives them False all the same."""
+    return np.flatnonzero(rows) if 2 * np.count_nonzero(rows) <= rows.size else slice(None)
+
+
+def _take(x, sel):
+    """The rows of the (n, k) array x that sel (from _selected) picks, taken
+    a column at a time into an F-ordered array, as the scan's blocks are:
+    x.take(sel, axis=0) on an F-ordered block costs several times as much."""
+    if isinstance(sel, slice):
+        return x
+    out = np.empty((sel.size, x.shape[1]), dtype=x.dtype, order="F")
+    for j in range(x.shape[1]):
+        x[:, j].take(sel, out=out[:, j])
+    return out
+
+
+def _scatter(sel, mask, n):
+    """A row-local outage test's mask on the rows sel picks, as a mask of all
+    n rows that is False on the others: their floor rules outage out. A
+    row-local test gives each row the bits it gives it in the whole block."""
+    if isinstance(sel, slice):
+        return mask
+    full = np.zeros(n, dtype=bool)
+    full[sel] = mask
+    return full
 
 
 def _order_keys(levels, d, top):
@@ -565,14 +601,25 @@ def run_outage(cfg, progress=None):
         labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
                   else "out_qo[policy=%s]" % cfg.policy for b in bins]
         splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
+        floors = [alloc.outage_floor(p, beta)] + [
+            alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
 
         def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            yield "out_full", _full_csi_outage(h1, h2, p, beta)
-            yield "out_tdma", p * np.minimum(h1, h2) < beta_tdma
-            for label, (b, split) in zip(labels, splits):
-                yield label, _quantized_outage(block, outage_levels(block, b.delta, b.t_outage),
-                                               b, split, p, beta)[0]
+            n = block.shape[0]
+            hmin = np.minimum(block[:, 0], block[:, 1])
+            full, *rows = (hmin < c for c in floors)  # the rows each test must run on
+            out_tdma = p * hmin < beta_tdma
+            del hmin
+            sel = _selected(full)
+            yield "out_full", _scatter(sel, _full_csi_outage(_take(block, sel), p, beta), n)
+            yield "out_tdma", out_tdma
+            for label, (b, split), r in zip(labels, splits, rows):
+                sel = _selected(r)
+                g = _take(block, sel)
+                out_qo = _quantized_outage(g, outage_levels(g, b.delta, b.t_outage), b, split,
+                                           p, beta)[0]
+                del g
+                yield label, _scatter(sel, out_qo, n)
 
         return kernel
 
@@ -586,16 +633,25 @@ def run_outage_loss(cfg, progress=None):
         beta = _snr_threshold(cfg.r_th)
         split = _split_lookup(b, p, cfg.trials)
         lengths = _vle_lookup(max(b.t_outage) + 1, cfg.trials)
+        floors = alloc.outage_floor(p, beta), alloc.outage_floor(p, beta, b.delta,
+                                                                  min(b.t_outage) + 1)
 
         def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            out_full = _full_csi_outage(h1, h2, p, beta)
+            n = block.shape[0]
+            hmin = np.minimum(block[:, 0], block[:, 1])
+            full, rows = (_selected(hmin < c) for c in floors)  # the rows each test must run on
+            del hmin
+            out_full = _scatter(full, _full_csi_outage(_take(block, full), p, beta), n)
+            # every row's levels, for the VLE lengths; the outage test reads its rows'
             m = outage_levels(block, b.delta, b.t_outage)
-            out_qo = _quantized_outage(block, m, b, split, p, beta)[0]
-            yield from (("out_full", out_full), ("out_qo", out_qo),
-                        ("outage_loss", out_qo & ~out_full))
             yield "vle_rx1", lengths(m[:, 0])
             yield "vle_rx2", lengths(m[:, 1])
+            levels = _take(m, rows)
+            del m
+            out_qo = _scatter(rows, _quantized_outage(_take(block, rows), levels, b, split, p,
+                                                      beta)[0], n)
+            yield from (("out_full", out_full), ("out_qo", out_qo),
+                        ("outage_loss", out_qo & ~out_full))
 
         return kernel
 
@@ -661,13 +717,25 @@ def run_diversity(cfg, progress=None):
     def kernel_at(p, bins):
         beta = _snr_threshold(cfg.r_th)
         splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
+        floors = [alloc.outage_floor(p, beta)] + [
+            alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
 
         def kernel(block):
-            h1, h2 = block[:, 0], block[:, 1]
-            fixed, pol = (_quantized_outage(block, outage_levels(block, b.delta, b.t_outage), b,
-                                            split, p, beta) for b, split in splits)
-            yield from zip(names, (_full_csi_outage(h1, h2, p, beta), fixed[0], pol[0],
-                                   fixed[1], fixed[2]))
+            n = block.shape[0]
+            hmin = np.minimum(block[:, 0], block[:, 1])
+            full, *rows = (hmin < c for c in floors)  # the rows each test must run on
+            del hmin
+            sel = _selected(full)
+            masks = [_scatter(sel, _full_csi_outage(_take(block, sel), p, beta), n)]
+            for r, (b, split) in zip(rows, splits):
+                sel = _selected(r)
+                g = _take(block, sel)
+                out = _quantized_outage(g, outage_levels(g, b.delta, b.t_outage), b, split,
+                                        p, beta)
+                del g
+                masks += [_scatter(sel, x, n) for x in out]
+            # full, the fixed bin's system, the policy's system, the fixed bin's rx1 and rx2
+            yield from zip(names, [masks[i] for i in (0, 1, 4, 2, 3)])
 
         return kernel
 

@@ -94,6 +94,7 @@ POWER_CALLS = {
     "sic_rates": lambda p: alloc.sic_rates([0.3, 0.7], [1.0, 0.5], p),
     "alloc_from_rate": lambda p: alloc.alloc_from_rate(1.0, [1.0, 0.5], p),
     "batch_max_min_rate": lambda p: alloc.batch_max_min_rate(np.array([[1.0, 0.5]]), p, 1e-4),
+    "outage_floor": lambda p: alloc.outage_floor(p, 1.0, 0.01, 100),
 }
 # The two-user kernels take an array p elementwise, as random_triples draws it.
 ARRAY_POWER = ("sic_snr", "equal_rate_split", "two_user_rates", "outage_conditions",
@@ -589,6 +590,98 @@ class TestSelectFreeOutage:
         by_int = alloc.outage_conditions(block[:, 0], block[:, 1], a, levels[:, 0] >= levels[:, 1],
                                          1e-15, 1.0)
         assert by_int[2].tolist() == [True]
+
+
+def _floor_bound(c, p, delta, top):
+    """The bound alloc.outage_floor inverts, formed here by sic_snr: the
+    equal SINR at the least fed-back gains max(delta, min(c, top delta)),
+    times the least h/q, c/(c + delta)."""
+    q = max(delta, min(c, top * delta))
+    return p * float(alloc.sic_snr(q, q, p)) * c / (c + delta)
+
+
+class TestOutageFloor:
+    """alloc.outage_floor(p, beta[, delta, top]): a row whose smaller gain is
+    at or above it is in no outage, so the outage kernels test only the rows
+    below it."""
+
+    @PROPERTY
+    @given(st.floats(-100.0, 100.0), st.floats(0.0, 512.0, exclude_min=True, exclude_max=True),
+           st.floats(1e-4, 0.9), st.integers(0, 3), st.floats(1.0, 1e6))
+    def test_rows_at_the_floor_are_in_no_outage(self, p_db, r_th, delta, ulps, spread):
+        p = 10.0 ** (p_db / 10.0)
+        beta = 2.0**r_th - 1.0
+        t = quantizer.default_t_outage(delta)
+        b = harness.Bin(delta, (t, t), (t, t))
+
+        def at_floor(c):
+            # the floor and a few ulps above it, never 0: gains are positive
+            h = max(c, 5e-324)
+            for _ in range(ulps):
+                h = np.nextafter(h, math.inf)
+            return h
+
+        def both_orders(h, partners):
+            rows = [(h, x) for x in partners if x >= h]
+            return np.array(rows + [(x, y) for y, x in rows], order="F")
+
+        c = alloc.outage_floor(p, beta)
+        if c < 1e50:  # past it, sic_snr's own products overflow on these rows
+            h = at_floor(c)
+            block = both_orders(h, [h, np.nextafter(h, math.inf), h * (1 + 1e-9), h * spread])
+            assert not harness._full_csi_outage(block, p, beta).any()
+
+        c = alloc.outage_floor(p, beta, delta, t + 1)
+        if c == math.inf:
+            return
+        h = at_floor(c)
+        m = math.ceil(h / delta)
+        # a level tie (h and its bin's upper edge), neighbouring bins, the
+        # saturated top bin (a tie when h is in it too), and a spread of gains
+        top = (t + 1) * delta
+        block = both_orders(h, [h, m * delta, h + 0.5 * delta, h + delta, h * spread,
+                                top, 2.0 * top, top * spread])
+        levels = quantizer.outage_levels(block, delta, b.t_outage)
+        masks = harness._quantized_outage(block, levels, b, harness._split_lookup(b, p, 1),
+                                          p, beta)
+        assert not any(mask.any() for mask in masks)
+        # The strong receiver's SIC step, its SINR for the weak message, is
+        # in no outage either, as the floor's docstring shows.
+        q = levels * delta
+        strong = (q[:, 1] > q[:, 0]).astype(int)[:, None]  # receiver 1 on a tie
+        qs, qw = np.take_along_axis(q, strong, 1), np.take_along_axis(q, strong ^ 1, 1)
+        a = alloc.equal_rate_split(qs, qw, p)
+        hs = np.take_along_axis(block, strong, 1)
+        assert not (p * hs * (1.0 - a) < beta * (p * hs * a + 1.0)).any()
+
+    @PROPERTY
+    @given(st.floats(-100.0, 100.0), st.floats(0.0, 512.0, exclude_min=True, exclude_max=True),
+           st.floats(1e-4, 0.9))
+    def test_the_floor_is_the_least_gain_its_bound_clears(self, p_db, r_th, delta):
+        # The bound reaches beta (1 + 1e-6) at the floor and not below it, so
+        # the floor is neither looser (its margin or a lower edge lost) nor
+        # tighter (a constant lost) than its proof.
+        p = 10.0 ** (p_db / 10.0)
+        beta = 2.0**r_th - 1.0
+        target = beta * (1.0 + 1e-6)
+        c = alloc.outage_floor(p, beta)
+        if 0 < c < 1e50:  # past it, sic_snr's own products overflow
+            assert p * float(alloc.sic_snr(c, c, p)) == pytest.approx(target, rel=1e-12)
+        top = quantizer.default_t_outage(delta) + 1
+        c = alloc.outage_floor(p, beta, delta, top)
+        if c == math.inf:
+            # no gain clears it: the bound's supremum, at the top level, does not
+            assert p * float(alloc.sic_snr(top * delta, top * delta, p)) <= target * (1 + 1e-12)
+            return
+        assert _floor_bound(c, p, delta, top) >= target * (1.0 - 1e-12)
+        if beta > 0 and c < 1e6 * delta:  # where the bound moves more than its rounding
+            assert _floor_bound(c * (1.0 - 1e-7), p, delta, top) < target
+
+    def test_refuses_what_it_cannot_bound(self):
+        for args in ((math.nan,), (-1.0,), (1.0, 0.0, 10), (1.0, 0.1, 0)):
+            with pytest.raises(ValueError):
+                alloc.outage_floor(10.0, *args)
+        assert alloc.outage_floor(1e-10, 1.0, 0.1, 10) == math.inf
 
 
 class TestHornerGuard:

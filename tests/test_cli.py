@@ -375,6 +375,10 @@ class TestOptionTable:
                                 capsys)
         with pytest.raises(ValueError, match="^%s$" % message):
             ExperimentConfig(kind=kind, delta_policy=name, **{dest: tuple(value)})
+        # and as a numpy array of several values, whose != has no one truth value
+        with pytest.raises(ValueError, match="^%s$" % message):
+            ExperimentConfig(kind=kind, delta_policy=name,
+                             **{dest: np.array([value[0], 2.0 * value[0]])})
         # at its default value it is accepted, and the run is the one without it
         default = cli.OPTIONS[dest][2](cli.DEFAULTS[dest])
         assert (run_csv([kind, *policy, *tiny(kind), flags[0], default], capsys)
@@ -400,6 +404,20 @@ class TestOptionTable:
         taken = [flag for dest, (flag, *_) in cli.OPTIONS.items()
                  if dest in SHARED_OPTIONS + EXPERIMENTS[kind].options]
         assert sorted(listed) == sorted(taken + ["--help", "--out", "--json", "--config"])
+
+    @pytest.mark.parametrize("kind", [k for k, exp in EXPERIMENTS.items()
+                                      if "delta_policy" in exp.options])
+    def test_help_names_the_policy_the_default_runs(self, kind, capsys):
+        # Under the default fixed, diversity still draws a policy curve, by
+        # the config's policy; the help says which, not just "fixed".
+        with pytest.raises(SystemExit):
+            cli.main([kind, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        runs = ExperimentConfig(kind=kind).policy
+        default = ("(default fixed)" if runs == "fixed"
+                   else "(default fixed: its policy curve runs %s)" % runs)
+        assert "bin-size rule over the power sweep " + default in text
+        assert (runs != "fixed") == (kind == "diversity")
 
 
 class TestParseSweepProperties:

@@ -1146,6 +1146,57 @@ def test_outage_kinds_share_one_quantized_outage():
     assert 0 < outage["out_full"].value < outage["out_qo[delta=0.1]"].value
 
 
+# The upper-edge kinds, each at points from -10 to 60 dB: at the low end
+# most rows lie below a floor, at the top almost none.
+FLOOR_P_DB = (-10.0, 0.0, 10.0, 15.0, 20.0, 30.0, 40.0, 60.0)
+FLOOR_CONFIGS = {
+    "outage": dict(deltas=(0.01, 0.2)),
+    "outageloss": dict(deltas=(0.05,)),
+    "diversity": dict(deltas=(0.1,)),  # beside its min02-pcube curve
+}
+
+
+@pytest.mark.parametrize("r_th", [0.01, 1.0, 8.0])
+@pytest.mark.parametrize("kind", sorted(FLOOR_CONFIGS))
+def test_floored_kernels_give_the_masks_of_every_row(kind, r_th, monkeypatch):
+    # Each upper-edge kernel runs an outage test only on the rows below its
+    # alloc.outage_floor, or on the whole block where those are more than
+    # half of it. Every mask must be the one the test gives on every row, as
+    # the kernels ran it before the floor.
+    cfg = harness.ExperimentConfig(kind=kind, p_db=FLOOR_P_DB, r_th=r_th, seed=11,
+                                   **tiny(kind, CHUNK), **FLOOR_CONFIGS[kind])
+    params = ChannelParams(cfg.variances)
+    block = np.asfortranarray(np.concatenate([sample_block(params, 11, i) for i in range(2)]))
+    h1, h2 = block[:, 0], block[:, 1]
+    beta = 2.0**r_th - 1.0
+    paths = set()
+    for (value, p, bins), (_, kernel, _) in zip(cfg.points, scanned_kernels(cfg, monkeypatch)):
+        full = p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
+        q = [harness._quantized_outage(block, outage_levels(block, b.delta, b.t_outage), b,
+                                       harness._split_lookup(b, p, 2 * CHUNK), p, beta)
+             for b in bins]
+        if kind == "outage":
+            want = {"out_full": full,
+                    "out_tdma": p * np.minimum(h1, h2) < 2.0**(2.0 * r_th) - 1.0}
+            want.update(("out_qo[delta=%g]" % b.delta, x[0]) for b, x in zip(bins, q))
+        elif kind == "outageloss":
+            want = {"out_full": full, "out_qo": q[0][0], "outage_loss": q[0][0] & ~full}
+        else:
+            want = {"out_full": full, "out_qo_fixed[delta=0.1]": q[0][0],
+                    "out_qo_policy[min02-pcube]": q[1][0], "out_rx1_fixed[delta=0.1]": q[0][1],
+                    "out_rx2_fixed[delta=0.1]": q[0][2]}
+        got = dict(kernel(block))
+        for name, mask in want.items():
+            assert got[name].dtype == bool
+            assert_array_equal(got[name], mask, err_msg="%s at %g dB" % (name, value))
+        hmin = np.minimum(h1, h2)
+        floors = [alloc.outage_floor(p, beta)] + [
+            alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
+        paths.update(2 * np.count_nonzero(hmin < c) <= hmin.size for c in floors)
+    # the gathered rows ran and, at all but the lowest r_th, the whole block
+    assert True in paths and (False in paths or r_th < 1.0)
+
+
 # The benchmark's two-user argvs, as the CLI parses them, and outageloss,
 # the third upper-edge kind.
 JOB_PEAK_ARGV = {

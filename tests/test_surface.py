@@ -141,6 +141,18 @@ def test_one_upper_edge_outage_path():
     assert sorted(_call_sites("_quantized_outage")) == [k + ".kernel" for k in kernels]
 
 
+def test_only_the_upper_edge_kernels_floor_their_outage_tests():
+    # alloc.outage_floor certifies rows in no outage for one test: the
+    # full-CSI test, or the upper-edge quantized test of one bin. Each of the
+    # three upper-edge kinds takes the floors of its point, one call for the
+    # full-CSI test and one for its bins, beside its level-pair splits; a
+    # floor taken elsewhere could skip the rows of a test it was not derived
+    # for.
+    kernels = ["harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
+               "harness.run_outage_loss.kernel_at"]
+    assert sorted(_call_sites("outage_floor")) == sorted(kernels * 2)
+
+
 def test_one_lower_edge_min_rate_path():
     # minrate and rateloss read the min adapted rate of each row's level
     # pair from its _min_rate_lookup. One builder, _pair_lookup, makes the
@@ -209,7 +221,7 @@ def test_one_power_rule_in_alloc():
 
     public = {name: func for name, func in funcs.items() if not name.startswith("_")
               and "p" in [a.arg for a in func.args.args]}
-    assert len(public) == 8
+    assert len(public) == 9
     direct = {name for name, func in public.items() if "_check_power" in calls(func)}
     for name, func in public.items():
         # once per call: directly, or through one public function that checks
