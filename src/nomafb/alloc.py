@@ -162,18 +162,21 @@ def outage_floor(p, beta, delta=None, top=None):
         min(h, top delta)) and q < h + delta: below the top level ceil keeps
         (m - 1) delta < h <= q, and the top level's q = top delta lies
         under h + delta, as the level below it caps below h. For h >= c,
-        q >= c' = max(delta, min(c, top delta)) and h/q > c/(c + delta).
+        q >= c' = max(delta, min(c, top delta)) and h/q > c/(c + delta);
+        for c >= top delta every row is in the top bin, with h/q >= 1.
       - The split of (q_s, q_w) gives both receivers SINR S_q = S(q_s, q_w)
         >= S(c', c') at their fed-back gains. The strong test reads
         p a h_s = S_q h_s/q_s. The weak SINR f(h) = p h (1 - a)/(p h a + 1)
         has f(h)/h decreasing and f(q_w) = S_q, so f(h) >= S_q min(1, h/q_w).
-        Both are at least S(c', c') c/(c + delta), and c is the least gain
-        where that reaches beta (1 + 1e-6), found by bisection on this
-        nondecreasing function of c.
+        Both are at least S(c', c') min(1, h/q). From c = top delta on that
+        is S(top delta, top delta), which any floor needs above beta (1 +
+        1e-6), so the floor is at most top delta; below it, it is the least
+        c where S(c', c') c/(c + delta) reaches beta (1 + 1e-6), found by
+        bisection on this nondecreasing function of c.
       - The strong receiver's SIC step, its SINR f(h_s) for the weak
         message, is covered too: where the levels differ, h_s > (m_s - 1)
         delta >= q_w, so f(h_s) >= S_q; where they tie, q_w = q_s and
-        h_s/q_w > c/(c + delta).
+        h_s/q_w > c/(c + delta), or h_s/q_w >= 1 in the top bin.
     Every bound above holds for the floats the kernels form, up to a few
     ulps: q = fl(m delta), and the tests round each SINR by a few eps. The
     1e-6 margin is far wider than that rounding.
@@ -195,12 +198,10 @@ def outage_floor(p, beta, delta=None, top=None):
     if not snr(cap) > target:
         return math.inf
 
-    def safe(c):
-        return snr(max(delta, min(c, cap))) * c / (c + delta) >= target
+    def safe(c):  # for c <= cap; cap itself is safe
+        return snr(max(delta, c)) * c / (c + delta) >= target
 
-    lo, hi = 0.0, delta
-    while not safe(hi):  # ends: the bound tends to snr(cap) > target
-        lo, hi = hi, 2.0 * hi
+    lo, hi = 0.0, cap
     while hi - lo > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if safe(mid) else (mid, hi)

@@ -395,37 +395,30 @@ def _full_csi_outage(block, p, beta):
     return p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
 
 
-def _selected(rows):
-    """What indexes the rows of a block that the bool mask `rows` marks: the
-    indices of those rows where they are at most half the block, else
-    slice(None), a view of the whole block. A gather and scatter by indices
-    cost a fraction of those by a bool mask, but past about half the block
-    they cost more than the test saves on the rows left out; and a test run
-    on rows its floor clears gives them False all the same."""
-    return np.flatnonzero(rows) if 2 * np.count_nonzero(rows) <= rows.size else slice(None)
+def _floored(test, rows, *arrays):
+    """An iterator over the masks of test(*arrays), a row-local outage test
+    run only on the block rows the bool mask `rows` marks, those below its
+    floor: the others are in no outage, so False either way. Up to half the
+    block, those rows are gathered by index a column at a time (a take along
+    axis 0 of an F-ordered block costs several times as much) and a mask is
+    scattered back when taken; past half, where that costs more than it
+    saves, the test runs on the whole block."""
+    if 2 * np.count_nonzero(rows) > rows.size:
+        return iter(test(*arrays))
+    at = np.flatnonzero(rows)
 
+    def gather(x):
+        out = np.empty((at.size, x.shape[1]), dtype=x.dtype, order="F")
+        for j in range(x.shape[1]):
+            x[:, j].take(at, out=out[:, j])
+        return out
 
-def _take(x, sel):
-    """The rows of the (n, k) array x that sel (from _selected) picks, taken
-    a column at a time into an F-ordered array, as the scan's blocks are:
-    x.take(sel, axis=0) on an F-ordered block costs several times as much."""
-    if isinstance(sel, slice):
-        return x
-    out = np.empty((sel.size, x.shape[1]), dtype=x.dtype, order="F")
-    for j in range(x.shape[1]):
-        x[:, j].take(sel, out=out[:, j])
-    return out
+    def scatter(mask):
+        full = np.zeros(rows.size, dtype=bool)
+        full[at] = mask
+        return full
 
-
-def _scatter(sel, mask, n):
-    """A row-local outage test's mask on the rows sel picks, as a mask of all
-    n rows that is False on the others: their floor rules outage out. A
-    row-local test gives each row the bits it gives it in the whole block."""
-    if isinstance(sel, slice):
-        return mask
-    full = np.zeros(n, dtype=bool)
-    full[sel] = mask
-    return full
+    return map(scatter, test(*map(gather, arrays)))
 
 
 def _order_keys(levels, d, top):
@@ -442,8 +435,9 @@ def _order_keys(levels, d, top):
 def _quantized_outage(block, levels, b, split, p, beta):
     """outage_conditions on a two-user block of true gains when both receivers
     feed back upper-edge levels of the Bin b, with power split by `split`,
-    its _split_lookup. levels is dropped before the split: a caller that
-    passes them as a temporary does not keep them alive through it.
+    its _split_lookup. levels is dropped before the split, so a caller
+    passes them as a temporary: a local or the args tuple of f(*args) would
+    keep them alive through it, 512 KiB more at a two-chunk job's peak.
     """
     rx1_strong = np.greater_equal(*_order_keys(levels, b.delta, max(b.t_outage) + 1).T)
     key, read = split
@@ -452,6 +446,32 @@ def _quantized_outage(block, levels, b, split, p, beta):
     a = read(fed)
     del fed
     return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
+
+
+def _outage_masks(p, beta, bins, rows):
+    """masks(block, hmin[, levels]): a generator of a two-user block's
+    full-CSI outage mask at power p and SINR threshold beta, then for each
+    upper-edge Bin an iterator of its (system, rx1, rx2) masks of
+    _quantized_outage, for a scan of `rows` trials. The splits and floors
+    are made once per point. masks forms each alloc.outage_floor's row mask
+    from hmin, the smaller gain of each row, and drops hmin before its first
+    test; each test runs through _floored. levels, where given, are every
+    row's levels at the one bin; else each test quantizes its own rows.
+    """
+    splits = [_split_lookup(b, p, rows) for b in bins]
+    floors = [alloc.outage_floor(p, beta)] + [
+        alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
+
+    def masks(block, hmin, *levels):
+        full, *below = [hmin < c for c in floors]  # the rows each test must run on
+        del hmin
+        yield from _floored(lambda g: (_full_csi_outage(g, p, beta),), full, block)
+        for b, split, r in zip(bins, splits, below):
+            yield _floored(lambda g, m=None: _quantized_outage(
+                g, outage_levels(g, b.delta, b.t_outage) if m is None else m, b, split, p, beta),
+                r, block, *levels)
+
+    return masks
 
 
 # Most entries of a level-pair table: 1 MiB of float64, which holds every
@@ -596,30 +616,20 @@ def run_rate_loss(cfg, progress=None):
 
 def run_outage(cfg, progress=None):
     def kernel_at(p, bins):
-        beta = _snr_threshold(cfg.r_th)
         beta_tdma = _snr_threshold(2.0 * cfg.r_th)
         labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
                   else "out_qo[policy=%s]" % cfg.policy for b in bins]
-        splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
-        floors = [alloc.outage_floor(p, beta)] + [
-            alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins, cfg.trial_cap)
 
         def kernel(block):
-            n = block.shape[0]
             hmin = np.minimum(block[:, 0], block[:, 1])
-            full, *rows = (hmin < c for c in floors)  # the rows each test must run on
             out_tdma = p * hmin < beta_tdma
+            found = masks(block, hmin)
             del hmin
-            sel = _selected(full)
-            yield "out_full", _scatter(sel, _full_csi_outage(_take(block, sel), p, beta), n)
+            yield "out_full", next(found)
             yield "out_tdma", out_tdma
-            for label, (b, split), r in zip(labels, splits, rows):
-                sel = _selected(r)
-                g = _take(block, sel)
-                out_qo = _quantized_outage(g, outage_levels(g, b.delta, b.t_outage), b, split,
-                                           p, beta)[0]
-                del g
-                yield label, _scatter(sel, out_qo, n)
+            for label in labels:
+                yield label, next(next(found))  # the system mask
 
         return kernel
 
@@ -630,26 +640,16 @@ def run_outage(cfg, progress=None):
 
 def run_outage_loss(cfg, progress=None):
     def kernel_at(p, b):
-        beta = _snr_threshold(cfg.r_th)
-        split = _split_lookup(b, p, cfg.trials)
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), (b,), cfg.trials)
         lengths = _vle_lookup(max(b.t_outage) + 1, cfg.trials)
-        floors = alloc.outage_floor(p, beta), alloc.outage_floor(p, beta, b.delta,
-                                                                  min(b.t_outage) + 1)
 
         def kernel(block):
-            n = block.shape[0]
-            hmin = np.minimum(block[:, 0], block[:, 1])
-            full, rows = (_selected(hmin < c) for c in floors)  # the rows each test must run on
-            del hmin
-            out_full = _scatter(full, _full_csi_outage(_take(block, full), p, beta), n)
             # every row's levels, for the VLE lengths; the outage test reads its rows'
-            m = outage_levels(block, b.delta, b.t_outage)
-            yield "vle_rx1", lengths(m[:, 0])
-            yield "vle_rx2", lengths(m[:, 1])
-            levels = _take(m, rows)
-            del m
-            out_qo = _scatter(rows, _quantized_outage(_take(block, rows), levels, b, split, p,
-                                                      beta)[0], n)
+            levels = outage_levels(block, b.delta, b.t_outage)
+            yield "vle_rx1", lengths(levels[:, 0])
+            yield "vle_rx2", lengths(levels[:, 1])
+            out_full, found = masks(block, np.minimum(block[:, 0], block[:, 1]), levels)
+            out_qo = next(found)
             yield from (("out_full", out_full), ("out_qo", out_qo),
                         ("outage_loss", out_qo & ~out_full))
 
@@ -715,27 +715,11 @@ def run_diversity(cfg, progress=None):
     )
 
     def kernel_at(p, bins):
-        beta = _snr_threshold(cfg.r_th)
-        splits = [(b, _split_lookup(b, p, cfg.trial_cap)) for b in bins]
-        floors = [alloc.outage_floor(p, beta)] + [
-            alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins, cfg.trial_cap)
 
         def kernel(block):
-            n = block.shape[0]
-            hmin = np.minimum(block[:, 0], block[:, 1])
-            full, *rows = (hmin < c for c in floors)  # the rows each test must run on
-            del hmin
-            sel = _selected(full)
-            masks = [_scatter(sel, _full_csi_outage(_take(block, sel), p, beta), n)]
-            for r, (b, split) in zip(rows, splits):
-                sel = _selected(r)
-                g = _take(block, sel)
-                out = _quantized_outage(g, outage_levels(g, b.delta, b.t_outage), b, split,
-                                        p, beta)
-                del g
-                masks += [_scatter(sel, x, n) for x in out]
-            # full, the fixed bin's system, the policy's system, the fixed bin's rx1 and rx2
-            yield from zip(names, [masks[i] for i in (0, 1, 4, 2, 3)])
+            full, (fixed, rx1, rx2), policy = masks(block, np.minimum(block[:, 0], block[:, 1]))
+            yield from zip(names, (full, fixed, next(policy), rx1, rx2))
 
         return kernel
 

@@ -595,9 +595,10 @@ class TestSelectFreeOutage:
 def _floor_bound(c, p, delta, top):
     """The bound alloc.outage_floor inverts, formed here by sic_snr: the
     equal SINR at the least fed-back gains max(delta, min(c, top delta)),
-    times the least h/q, c/(c + delta)."""
+    times the least h/q: c/(c + delta), or 1 from top delta on, where every
+    row is in the top bin."""
     q = max(delta, min(c, top * delta))
-    return p * float(alloc.sic_snr(q, q, p)) * c / (c + delta)
+    return p * float(alloc.sic_snr(q, q, p)) * (1.0 if c >= top * delta else c / (c + delta))
 
 
 class TestOutageFloor:

@@ -1197,8 +1197,34 @@ def test_floored_kernels_give_the_masks_of_every_row(kind, r_th, monkeypatch):
     assert True in paths and (False in paths or r_th < 1.0)
 
 
-# The benchmark's two-user argvs, as the CLI parses them, and outageloss,
-# the third upper-edge kind.
+def test_floored_runs_its_test_on_the_marked_rows_alone():
+    # The masks of every row are checked above; here, that _floored skips
+    # the unmarked rows where they are at least half the block, and hands
+    # the test the marked rows of each array, F-ordered as the scan's blocks
+    # are. Past half it runs the test on the block itself.
+    block = np.asfortranarray(np.arange(20.0).reshape(10, 2))
+    levels = np.asfortranarray(np.arange(20).reshape(10, 2))
+    seen = []
+
+    def test(g, m):
+        seen.append((g, m))
+        return g[:, 0] > 5, m[:, 1] < 15
+
+    few = np.isin(np.arange(10), [1, 4, 7, 8, 9])
+    masks = list(harness._floored(test, few, block, levels))
+    (g, m), = seen
+    assert_array_equal(g, block[few])
+    assert_array_equal(m, levels[few])
+    assert g.flags.f_contiguous and m.flags.f_contiguous
+    assert_array_equal(masks[0], few & (block[:, 0] > 5))
+    assert_array_equal(masks[1], few & (levels[:, 1] < 15))
+    masks = list(harness._floored(test, np.arange(10) > 3, block, levels))
+    assert seen[-1][0] is block and seen[-1][1] is levels
+    assert_array_equal(masks[0], block[:, 0] > 5)
+
+
+# The benchmark's two-user argvs, as the CLI parses them, and outageloss
+# and diversity, the other upper-edge kinds.
 JOB_PEAK_ARGV = {
     "minrate": ["minrate", "--p-db", "0:30:5", "--delta", "0.01,0.05", "--trials", "1e6"],
     "rateloss": ["rateloss", "--delta", "0.2,0.1,0.05,0.02,0.01,0.005", "--p-db", "10",
@@ -1206,6 +1232,8 @@ JOB_PEAK_ARGV = {
     "outage": ["outage", "--p-db", "10:30:5", "--delta", "0.01,0.2",
                "--min-outage-events", "10000"],
     "outageloss": ["outageloss", "--delta", "0.05", "--p-db", "10"],
+    "diversity": ["diversity", "--p-db", "10:30:5", "--delta", "0.05",
+                  "--min-outage-events", "10000"],
 }
 # Traced peak, in KiB, of one two-chunk job of the first sweep point at one
 # worker: what the in-place kernels reach (1,860, 2,120, 2,117 and 2,116)
@@ -1222,8 +1250,12 @@ JOB_PEAK_ARGV = {
 # looked up by level pair, outage peaks at 1,667 and outageloss at 2,052,
 # under the pins set for the per-row split, which are kept. With the
 # certified quantizers, whose fraction buffer goes before the int cast,
-# minrate peaks at 1,540 and outage at 1,571.
-JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222}
+# minrate peaks at 1,540 and outage at 1,571. With the outage tests run
+# only below their floors, through one mask factory, outage peaks at 1,699,
+# outageloss at 2,117 and diversity, which tests its fixed bin and its
+# policy's, at 1,796; diversity's pin is that plus 5 %.
+JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222,
+                "diversity": 1886}
 
 
 @pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))

@@ -87,14 +87,17 @@ def test_only_the_config_resolves_sweep_points():
 
 
 def test_hot_two_user_kernels_make_no_select():
-    # The outage test and the level quantizers run on every chunk. A
-    # per-element np.where there costs more than the arithmetic around it, so
-    # they pick by np.maximum and np.minimum, boolean & and |, or by adding a
-    # mask; a select brought back would slow every scan without a trace.
+    # The outage test and the level quantizers run on every chunk, as do the
+    # outage mask factory and its floored gather on every chunk of every
+    # outage scan. A per-element np.where there costs more than the
+    # arithmetic around it, so they pick by np.maximum and np.minimum,
+    # boolean & and |, or by adding a mask; a select brought back would slow
+    # every scan without a trace.
     root = Path(nomafb.__file__).parent
     for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
                          ("quantizer", "outage_levels"), ("harness", "_pair_lookup"),
-                         ("harness", "_order_keys"), ("harness", "_quantized_outage")):
+                         ("harness", "_order_keys"), ("harness", "_quantized_outage"),
+                         ("harness", "_floored"), ("harness", "_outage_masks")):
         tree = ast.parse((root / ("%s.py" % module)).read_text())
         func = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == name)
@@ -124,8 +127,9 @@ def _call_sites(name):
 def test_one_upper_edge_outage_path():
     # Both quantizers order the receivers by their fed-back gains and split
     # power by the same closed form; only the bin edge differs. The outage
-    # kinds all test a quantized outage through _quantized_outage, which
-    # reads the split of each row's level pair from its _split_lookup. The
+    # kinds all take their outage masks from one factory, _outage_masks. Its
+    # masks run the full-CSI test and _quantized_outage, which reads the
+    # split of each row's level pair from the factory's _split_lookup. The
     # split is formed only in the two edges' lookups, so no second copy can
     # pick the strong and weak gains some other way. The two-user role mask
     # and kuser's fed-back order both order levels by _order_keys, so one
@@ -135,22 +139,25 @@ def test_one_upper_edge_outage_path():
                                                   "harness._quantized_outage"]
     assert sorted(_call_sites("equal_rate_split")) == ["harness._min_rate_lookup.min_rate",
                                                        "harness._split_lookup"]
-    kernels = ["harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
-               "harness.run_outage_loss.kernel_at"]
-    assert sorted(_call_sites("_split_lookup")) == kernels
-    assert sorted(_call_sites("_quantized_outage")) == [k + ".kernel" for k in kernels]
+    assert _call_sites("_split_lookup") == ["harness._outage_masks"]
+    assert _call_sites("_quantized_outage") == ["harness._outage_masks.masks"]
+    assert _call_sites("_full_csi_outage") == ["harness._outage_masks.masks"]
+    assert sorted(_call_sites("_outage_masks")) == [
+        "harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
+        "harness.run_outage_loss.kernel_at"]
 
 
 def test_only_the_upper_edge_kernels_floor_their_outage_tests():
     # alloc.outage_floor certifies rows in no outage for one test: the
-    # full-CSI test, or the upper-edge quantized test of one bin. Each of the
-    # three upper-edge kinds takes the floors of its point, one call for the
-    # full-CSI test and one for its bins, beside its level-pair splits; a
-    # floor taken elsewhere could skip the rows of a test it was not derived
-    # for.
-    kernels = ["harness.run_diversity.kernel_at", "harness.run_outage.kernel_at",
-               "harness.run_outage_loss.kernel_at"]
-    assert sorted(_call_sites("outage_floor")) == sorted(kernels * 2)
+    # full-CSI test, or the upper-edge quantized test of one bin. The outage
+    # mask factory takes the floors of a point, one call for the full-CSI
+    # test and one for its bins, beside its level-pair splits; a floor taken
+    # elsewhere could skip the rows of a test it was not derived for. Its
+    # tests gather the rows below a floor in _floored alone, so every floored
+    # test picks, gathers and scatters its rows one way.
+    assert _call_sites("outage_floor") == ["harness._outage_masks"] * 2
+    assert [site for site in _call_sites("flatnonzero")
+            if site.startswith("harness.")] == ["harness._floored"]
 
 
 def test_one_lower_edge_min_rate_path():
