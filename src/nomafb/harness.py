@@ -1,15 +1,17 @@
 """Monte Carlo experiment drivers.
 
-Each driver sweeps one variable and runs a vectorized per-chunk kernel over
-the trial stream. A kernel names its metrics, each a per-trial array or an
-event mask; one scan reduces them per chunk and with math.fsum in fixed
-chunk order. Chunks are keyed by index, so the worker count changes nothing
-but wall time; adaptive stopping picks the shortest chunk prefix meeting the
-event target, which is again a property of the ordered chunks alone.
+Each driver sweeps one variable and runs a vectorized per-chunk kernel for
+each sweep point over the trial stream. A kernel names its metrics, each a
+per-trial array or an event mask; a scan reduces them per chunk and with
+math.fsum in fixed chunk order. Chunks are keyed by index, so the worker
+count changes nothing but wall time; adaptive stopping keeps one prefix per
+point, the shortest whose own chunks meet its event target, so the points
+of a sweep can share a scan that samples each block once.
 """
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from collections import namedtuple
@@ -36,7 +38,7 @@ POLICIES = ("fixed", "pcube", "min02-pcube")
 SHARED_OPTIONS = ("variances", "p_db", "deltas", "seed", "workers")
 WORKERS_ENV = "NOMAFB_WORKERS"
 # More threads cannot run at once; in an adaptive scan they only widen the
-# waves that run past the stopping point.
+# waves that run past the stopping point of its last live sweep point.
 MAX_WORKERS_PER_CPU = 4
 # Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
 P_DB_MAX = 1000.0
@@ -237,30 +239,32 @@ def _moments(x):
     return x.sum(), (x * x).sum()
 
 
-def _scan(params, seed, workers, kernel, trials, events=(), target=0, job_chunks=JOB_CHUNKS):
-    """Reduce the kernel's metrics over the first `trials` trials, chunk by chunk.
+def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunks=JOB_CHUNKS):
+    """Reduce each kernel's metrics over the first `trials` trials, chunk by chunk.
 
-    kernel yields (metric, per-trial array or event mask) pairs for a block of
-    gains; each is reduced as it comes, so a job holds few arrays at once. A
-    job stacks job_chunks consecutive chunks into one block, runs the kernel
-    once on it and reduces each metric per chunk, on that chunk's rows: a
-    kernel that reads each trial's row alone gives every chunk the bits it
-    gives the chunk by itself.
+    Each kernel (an adaptive sweep passes one per point) yields (metric,
+    per-trial array or event mask) pairs for a block of gains; each is
+    reduced as it comes, so a job holds few arrays at once. A job stacks
+    job_chunks consecutive chunks into one block, sampled once for every
+    kernel, runs each live kernel on it in turn and reduces each metric per
+    chunk, on that chunk's rows: a kernel that reads each trial's row alone
+    gives every chunk the bits it gives the chunk by itself.
     Without events every job runs in one wave. With events the scan grows
-    wave by wave (one job per worker) and keeps the shortest chunk prefix in
-    which every named event count reaches target; that prefix follows from
-    the per-chunk counts in index order, so the wave width cannot change it.
-    Every wave runs on one pool of min(workers, jobs) threads, opened once
-    per scan.
-    Returns (moments, n, capped): moments maps each metric to its fsum-reduced
-    (sum, sum of squares) over the n kept trials, and capped says the target
-    was not reached within `trials`.
+    wave by wave (one job per worker) and each kernel keeps the shortest
+    chunk prefix in which every named event count of its own reaches target;
+    that prefix follows from its per-chunk counts in index order, so neither
+    the wave width nor the other kernels can change it. A kernel retires in
+    the wave that settles its prefix, and later jobs skip it. Every wave
+    runs on one pool of min(workers, jobs) threads, opened once per scan.
+    Returns one (moments, n, capped) per kernel: moments maps each metric to
+    its fsum-reduced (sum, sum of squares) over the n kept trials, and capped
+    says the target was not reached within `trials`.
     """
     n_chunks = (trials + CHUNK - 1) // CHUNK
     n_jobs = (n_chunks + job_chunks - 1) // job_chunks
     wave = max(1, workers) if events else n_jobs
 
-    def job(ji):
+    def job(ji, live):
         chunks = range(ji * job_chunks, min((ji + 1) * job_chunks, n_chunks))
         rows = [min(CHUNK, trials - ci * CHUNK) for ci in chunks]
         if len(rows) == 1:
@@ -269,36 +273,39 @@ def _scan(params, seed, workers, kernel, trials, events=(), target=0, job_chunks
             block = np.empty((sum(rows), len(params.variances)), order="F")
             for i, (ci, n) in enumerate(zip(chunks, rows)):
                 block[i * CHUNK:i * CHUNK + n] = sample_block(params, seed, ci, n)
-        parts = [{} for _ in rows]
-        for metric, x in kernel(block):
-            for i, part in enumerate(parts):
-                part[metric] = _moments(x[i * CHUNK:(i + 1) * CHUNK])
-            del x  # so the kernel computes its next metric without this one
+        parts = {k: [{} for _ in rows] for k in live}
+        for k in live:
+            for metric, x in kernels[k](block):
+                for i, part in enumerate(parts[k]):
+                    part[metric] = _moments(x[i * CHUNK:(i + 1) * CHUNK])
+                del x  # so the kernel computes its next metric without this one
         return parts
 
-    partials = []
-    counts = dict.fromkeys(events, 0.0)
-    keep = None
+    partials = [[] for _ in kernels]
+    counts = [[0.0] * len(events) for _ in kernels]
+    keep = [None] * len(kernels)
+    live, scanned = range(len(kernels)), 0
     width = min(workers, n_jobs)
     with ThreadPoolExecutor(width) if width > 1 else contextlib.nullcontext() as pool:
         run = pool.map if pool else map
-        while keep is None and len(partials) < n_chunks:
-            lo = len(partials)
-            first = lo // job_chunks  # every job but the last has job_chunks chunks
-            for parts in run(job, range(first, min(first + wave, n_jobs))):
-                partials.extend(parts)
-            for ci in range(lo, len(partials)):
-                for e in events:
-                    counts[e] += partials[ci][e][0]
-                if events and all(c >= target for c in counts.values()):
-                    keep = ci + 1
-                    break
-    capped = keep is None and bool(events)
-    kept = partials[:keep]
-    moments = {metric: (math.fsum(part[metric][0] for part in kept),
-                        math.fsum(part[metric][1] for part in kept))
-               for metric in kept[0]}
-    return moments, min(len(kept) * CHUNK, trials), capped
+        while live and scanned < n_chunks:
+            first = scanned // job_chunks  # every job but the last has job_chunks chunks
+            for parts in run(job, range(first, min(first + wave, n_jobs)), itertools.repeat(live)):
+                for k, chunk_parts in parts.items():
+                    partials[k].extend(chunk_parts)
+            lo, scanned = scanned, len(partials[live[0]])
+            for k in live:
+                for ci in range(lo, scanned):
+                    counts[k] = [c + partials[k][ci][e][0] for c, e in zip(counts[k], events)]
+                    if events and min(counts[k]) >= target:
+                        keep[k] = ci + 1
+                        break
+            live = [k for k in live if keep[k] is None]
+    kept = [parts[:stop] for parts, stop in zip(partials, keep)]
+    return [({metric: (math.fsum(part[metric][0] for part in parts),
+                       math.fsum(part[metric][1] for part in parts)) for metric in parts[0]},
+             min(len(parts) * CHUNK, trials), stop is None and bool(events))
+            for parts, stop in zip(kept, keep)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +344,12 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     keys (name, value) belongs to that sweep value alone, a plain name to
     every one. constants maps metric names to exact values, mins maps a
     metric to the metrics it is the lowest of (the first on ties), and drop
-    names metrics that are not reported. With events, each scan stops at
-    the first chunk where every named event count reaches
-    cfg.min_outage_events, or at cfg.trial_cap trials.
+    names metrics that are not reported. Without events each kernel is
+    scanned alone, made once the one before it is dropped. With events a
+    point's kernel stops at the first chunk where each named event count of
+    its own reaches cfg.min_outage_events, or at cfg.trial_cap trials; the
+    points share scans in order, as many as SHARED_TABLES_MAX holds the
+    split tables of in each, made and dropped together.
     """
     if cfg.kind != kind:
         raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
@@ -348,32 +358,47 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     trials = cfg.trial_cap if events else cfg.trials
     stats = RunStats(experiment=kind, sweep=cfg.sweep, seed=cfg.seed)
     job_chunks = 1 if EXPERIMENTS[kind].k_user else JOB_CHUNKS
-    for kernel, views in scans:
-        moments, n, capped = _scan(params, cfg.seed, workers, kernel, trials, events,
-                                   cfg.min_outage_events, job_chunks)
-        del kernel  # what it holds, such as minrate's tables, goes before the next is made
-        fewest = min((int(moments[e][0]) for e in events), default=None)
-        for value, constants in views:
-            own = {}
-            for key, m in moments.items():
-                name, at = key if isinstance(key, tuple) else (key, value)
-                if at == value:
-                    own[name] = m
-            pts = _points(value, own, n)
-            for name, c in constants.items():
-                pts[name] = MetricPoint(value, name, float(c), 0.0, n)
-            for name, of in (mins or {}).items():
-                pts[name] = replace(min((pts[s] for s in of), key=lambda m: m.value), metric=name)
-            stats.points.extend(sorted((m for m in pts.values() if m.metric not in drop),
-                                       key=lambda m: m.metric))
-            # The exact value: points %g prints alike get their own labels.
-            where = "%s=%r" % (stats.sweep, float(value))
-            if capped:
-                stats.notes.append("%s: trial cap %d reached with %d/%d events"
-                                   % (where, n, fewest, cfg.min_outage_events))
-            if progress:
-                progress("%s %s: %d trials" % (kind, where, n)
-                         + (", %d events" % fewest if events else ""))
+    scans, groups = iter(scans), itertools.repeat(1)
+    if events:
+        sizes, total = [], 0
+        for _, _, bins in cfg.points:  # the tables _split_lookup builds
+            tops = (max(b.t_outage) + 2 for b in bins)
+            entries = sum(s for s in (t * (t + 1) // 2 for t in tops) if _table_pays(s, trials))
+            if sizes and total + entries <= SHARED_TABLES_MAX:
+                sizes[-1], total = sizes[-1] + 1, total + entries
+            else:
+                sizes, total = sizes + [1], entries
+        groups = iter(sizes)
+
+    while batch := list(itertools.islice(scans, next(groups, 0))):
+        kernels, group = zip(*batch)
+        found = _scan(params, cfg.seed, workers, kernels, trials, events,
+                      cfg.min_outage_events, job_chunks)
+        del batch, kernels  # what they hold, such as tables, goes before the next are made
+        for (moments, n, capped), views in zip(found, group):
+            fewest = min((int(moments[e][0]) for e in events), default=None)
+            for value, constants in views:
+                own = {}
+                for key, m in moments.items():
+                    name, at = key if isinstance(key, tuple) else (key, value)
+                    if at == value:
+                        own[name] = m
+                pts = _points(value, own, n)
+                for name, c in constants.items():
+                    pts[name] = MetricPoint(value, name, float(c), 0.0, n)
+                for name, of in (mins or {}).items():
+                    low = min((pts[s] for s in of), key=lambda m: m.value)
+                    pts[name] = replace(low, metric=name)
+                stats.points.extend(sorted((m for m in pts.values() if m.metric not in drop),
+                                           key=lambda m: m.metric))
+                # The exact value: points %g prints alike get their own labels.
+                where = "%s=%r" % (stats.sweep, float(value))
+                if capped:
+                    stats.notes.append("%s: trial cap %d reached with %d/%d events"
+                                       % (where, n, fewest, cfg.min_outage_events))
+                if progress:
+                    progress("%s %s: %d trials" % (kind, where, n)
+                             + (", %d events" % fewest if events else ""))
     return stats
 
 
@@ -480,6 +505,8 @@ def _outage_masks(p, beta, bins, rows):
 # would outweigh a job's arrays (on the lower edge 563,391 entries at delta =
 # 0.005, 191 MB at 1e-3).
 PAIR_TABLE_MAX = 1 << 17
+# Most level-pair table entries an adaptive sweep's shared scan holds: 4 MiB.
+SHARED_TABLES_MAX = 4 * PAIR_TABLE_MAX
 # Most entries a table is built on at once. The main thread builds it, on a
 # heap the worker threads do not share, so its temporaries add to a run's
 # peak RSS: +1.1 MB at 32,768 entries and +0.5 MB at 16,384 on minrate_psweep.
@@ -633,7 +660,6 @@ def run_outage(cfg, progress=None):
 
         return kernel
 
-    # Only _sweep holds a point's kernel, so its tables go after its scan.
     scans = ((kernel_at(p, bins), [(value, {})]) for value, p, bins in cfg.points)
     return _sweep(cfg, "outage", scans, progress, events=("out_full",))
 
@@ -661,25 +687,28 @@ def run_outage_loss(cfg, progress=None):
 
 
 def run_feedback_rate(cfg, progress=None):
+    fixed = cfg.policy == "fixed"
+    # the adaptive-bin-size story is an outage design, so use q_o bins (1..t+1)
+    level_fn, top = (rate_levels, 0) if fixed else (outage_levels, 1)
+
+    def kernel_at(d, ts):
+        lengths = _vle_lookup(max(ts) + top, cfg.trials)
+
+        def kernel(block):
+            levels = level_fn(block, d, ts)
+            yield "vle_rx1", lengths(levels[:, 0])
+            yield "vle_rx2", lengths(levels[:, 1])
+
+        return kernel
+
     def scans():
-        fixed = cfg.policy == "fixed"
-        # the adaptive-bin-size story is an outage design, so use q_o bins (1..t+1)
-        level_fn, top = (rate_levels, 0) if fixed else (outage_levels, 1)
         for value, _, (b,) in cfg.points:
-            d, ts = b.delta, b.t_rate if fixed else b.t_outage
-            lengths = _vle_lookup(max(ts) + top, cfg.trials)
+            ts = b.t_rate if fixed else b.t_outage
+            constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0], "delta_used": b.delta}
+            yield kernel_at(b.delta, ts), [(value, constants)]
 
-            def kernel(block):
-                levels = level_fn(block, d, ts)
-                yield "vle_rx1", lengths(levels[:, 0])
-                yield "vle_rx2", lengths(levels[:, 1])
-
-            constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0]}
-            if not fixed:
-                constants["delta_used"] = d
-            yield kernel, [(value, constants)]
-
-    return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN)
+    return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN,
+                  drop=("delta_used",) if fixed else ())
 
 
 def _in_slope_window(p_db, top):
@@ -804,43 +833,43 @@ def _quantized_max_min(levels_desc, d, p, eps, split=False):
 def run_k_user(cfg, progress=None):
     k = len(cfg.variances)
 
-    def scans():
-        for value, p, ((d, t_r, t_o),) in cfg.points:
-            vle_r = _vle_lookup(max(t_r), cfg.trials)
-            vle_o = _vle_lookup(max(t_o) + 1, cfg.trials)
+    def kernel_at(p, d, t_r, t_o):
+        vle_r = _vle_lookup(max(t_r), cfg.trials)
+        vle_o = _vle_lookup(max(t_o) + 1, cfg.trials)
 
-            def kernel(block):
-                n = block.shape[0]
-                # F-ordered (n, K), so the solver's (p * g).T is a view
-                r_true, _ = alloc.batch_max_min_rate(_sort_desc(np.array(block.T)).T, p, cfg.eps)
-                out_full = r_true < cfg.r_th
+        def kernel(block):
+            n = block.shape[0]
+            # F-ordered (n, K), so the solver's (p * g).T is a view
+            r_true, _ = alloc.batch_max_min_rate(_sort_desc(np.array(block.T)).T, p, cfg.eps)
+            out_full = r_true < cfg.r_th
 
-                lv = np.empty((k, n), dtype=np.int64)
-                for i in range(k):
-                    lv[i] = rate_levels(block[:, i], d, t_r[i])
-                    yield "vle_r%d" % i, vle_r(lv[i])
-                _sort_desc(lv)
-                live = lv[-1] > 0
-                r_q = np.zeros(n)
-                if live.any():
-                    r_q[live] = _quantized_max_min(lv[:, live].T, d, p, cfg.eps)
+            lv = np.empty((k, n), dtype=np.int64)
+            for i in range(k):
+                lv[i] = rate_levels(block[:, i], d, t_r[i])
+                yield "vle_r%d" % i, vle_r(lv[i])
+            _sort_desc(lv)
+            live = lv[-1] > 0
+            r_q = np.zeros(n)
+            if live.any():
+                r_q[live] = _quantized_max_min(lv[:, live].T, d, p, cfg.eps)
 
-                for i in range(k):
-                    lv[i] = outage_levels(block[:, i], d, t_o[i])
-                    yield "vle_o%d" % i, vle_o(lv[i])
-                at = _fed_back_order(lv, d, max(t_o) + 1)
-                alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
-                gains = np.ravel(block, order="F").take(at).T
-                out_q = _row_min(alloc.sic_rates(alphas, gains, p)) < cfg.r_th
+            for i in range(k):
+                lv[i] = outage_levels(block[:, i], d, t_o[i])
+                yield "vle_o%d" % i, vle_o(lv[i])
+            at = _fed_back_order(lv, d, max(t_o) + 1)
+            alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
+            gains = np.ravel(block, order="F").take(at).T
+            out_q = _row_min(alloc.sic_rates(alphas, gains, p)) < cfg.r_th
 
-                yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
-                            ("out_qo", out_q), ("outage_loss", out_q & ~out_full))
+            yield from (("rate_loss", r_true - r_q), ("out_full", out_full),
+                        ("out_qo", out_q), ("outage_loss", out_q & ~out_full))
 
-            yield kernel, [(value, {})]
+        return kernel
 
+    scans = ((kernel_at(p, *b), [(value, {})]) for value, p, (b,) in cfg.points)
     # Only the lowest receiver's feedback cost of each quantizer is reported.
     per_rx = {"vle_%s_min" % q: tuple("vle_%s%d" % (q, i) for i in range(k)) for q in "ro"}
-    return _sweep(cfg, "kuser", scans(), progress, mins=per_rx,
+    return _sweep(cfg, "kuser", scans, progress, mins=per_rx,
                   drop=sum(per_rx.values(), ()))
 
 

@@ -76,7 +76,7 @@ class TestDeterminism:
 
         for workers in (1, 3):
             last.clear()
-            harness._scan(PARAMS, 13, workers, kernel, trial + 1)
+            harness._scan(PARAMS, 13, workers, [kernel], trial + 1)
             assert sorted(last) == [channel.CHUNK + 58, 2 * channel.CHUNK]
             assert_array_equal(last[channel.CHUNK + 58], channel.sample_block(PARAMS, 13, 3)[57])
 

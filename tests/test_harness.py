@@ -77,7 +77,7 @@ class TestWorkerResolution:
         monkeypatch.delattr(harness.os, "sched_getaffinity")
         assert harness.usable_cpus() == 64
 
-    def test_adaptive_scan_keeps_one_pool_per_sweep_point(self, monkeypatch):
+    def test_adaptive_scan_keeps_one_pool_per_shared_scan(self, monkeypatch):
         pools = []  # [width, waves] of each pool built
 
         class RecordingPool(harness.ThreadPoolExecutor):
@@ -94,11 +94,12 @@ class TestWorkerResolution:
         # A job is two chunks and a wave one job per worker. At 0 dB almost
         # every trial is a full-CSI outage, so 60,000 events take 4 chunks,
         # inside the first wave of three jobs; at 10 dB about 38 % are, and
-        # the cap of 8 chunks (4 jobs) stops the point after two waves.
+        # the cap of 8 chunks (4 jobs) stops the point after two waves. Both
+        # points share one scan, so one pool runs both waves.
         cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 10.0), deltas=(0.2,),
                                        min_outage_events=60_000, trial_cap=8 * CHUNK, workers=3)
         stats = harness.run_outage(cfg)
-        assert pools == [[3, 1], [3, 2]]
+        assert pools == [[3, 2]]
         assert [m.n for m in stats.points if m.metric == "out_full"] == [4 * CHUNK, 8 * CHUNK]
         # A pool is no wider than the scan has jobs, and a one-job scan needs
         # no pool at all.
@@ -106,7 +107,7 @@ class TestWorkerResolution:
         harness.run_outage(replace(cfg, trial_cap=4 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=2 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=CHUNK))
-        assert pools == [[2, 1], [2, 1]]
+        assert pools == [[2, 1]]
         # kuser jobs are one chunk each: three chunks take three workers.
         pools.clear()
         harness.run_k_user(harness.ExperimentConfig(
@@ -413,35 +414,49 @@ def forced(monkeypatch, rows):
 
 
 def tracking_table_builds(monkeypatch):
-    """(builds, points): each _pair_lookup call of a run as (d, t, built), and
-    the power of each point that makes lookups, in order. It fails if a point
-    makes its tables while an earlier point's are still alive."""
+    """(builds, points, scans): each _pair_lookup call of a run as (d, t,
+    built), the power of each point that makes lookups, in order, and the
+    kernel count of each scan. It fails if a table is built during a scan,
+    or if a point makes its tables while a table an earlier scan read is
+    still alive: a fixed kind's point is a scan of its own, and the points
+    of an adaptive kind's group share one."""
     import weakref
 
-    builds, points, earlier = [], [], []
-    build = harness._pair_lookup
+    builds, points, scans, pending, scanned = [], [], [], [], []
+    build, scan = harness._pair_lookup, harness._scan
 
     def lookup(fn, d, t, rows):
+        assert not scans or scans[-1] is not None, "a table built during a scan"
         made = build(fn, d, t, rows)
         table = table_of(made)
         assert table is None or table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
         builds.append((d, t, table is not None))
         if table is not None:
-            earlier.append(weakref.ref(table))
+            pending.append(weakref.ref(table))
         return made
 
     def at_point(thin):
         def tracking(b, p, rows):
             if not points or points[-1] != p:
-                assert all(ref() is None for ref in earlier), "point %d" % (len(points) + 1)
+                assert all(ref() is None for ref in scanned), "point %d" % (len(points) + 1)
                 points.append(p)
             return thin(b, p, rows)
         return tracking
 
+    def recording(params, seed, workers, kernels, *args):
+        scanned.extend(pending)
+        pending.clear()
+        scans.append(None)
+        try:
+            return scan(params, seed, workers, kernels, *args)
+        finally:
+            scans[-1] = len(kernels)
+
     monkeypatch.setattr(harness, "_pair_lookup", lookup)
+    monkeypatch.setattr(harness, "_scan", recording)
     for name in ("_min_rate_lookup", "_split_lookup"):
         monkeypatch.setattr(harness, name, at_point(getattr(harness, name)))
-    return builds, points
+    return builds, points, scans
 
 
 def same_points(a, b):
@@ -517,10 +532,10 @@ class TestMinRateTable:
         deltas, p_db = (0.2, 0.05, 0.00919), (0.0, 10.0, 20.0)
         cfg = harness.ExperimentConfig(kind=kind, p_db=p_db if kind == "minrate" else (10.0,),
                                        deltas=deltas, trials=5 * CHUNK - 3, seed=4, workers=2)
-        builds, points = tracking_table_builds(monkeypatch)
+        builds, points, scans = tracking_table_builds(monkeypatch)
         looked_up = harness.run_experiment(cfg)
         # Every scan builds each delta's table once, whatever its job count.
-        assert points == [10.0 ** (v / 10.0) for v in cfg.p_db]
+        assert points == [10.0 ** (v / 10.0) for v in cfg.p_db] and scans == [1] * len(points)
         assert sorted(builds) == sorted((d, default_t_rate(d), d != 0.00919)
                                         for _ in points for d in deltas)
         # Split per row, every row, for the same metrics.
@@ -532,9 +547,9 @@ class TestMinRateTable:
         # kept past their scan would add to the run's peak memory.
         cfg = harness.ExperimentConfig(kind="minrate", p_db=(0.0, 10.0, 20.0),
                                        deltas=(0.2, 0.05), trials=3 * CHUNK, workers=2)
-        builds, points = tracking_table_builds(monkeypatch)
+        builds, points, scans = tracking_table_builds(monkeypatch)
         harness.run_experiment(cfg)
-        assert len(points) == 3 and len(builds) == 6
+        assert len(points) == 3 and len(builds) == 6 and scans == [1, 1, 1]
 
 
 class TestSplitTable:
@@ -621,7 +636,7 @@ class TestSplitTable:
     ])
     def test_one_table_per_scan_and_bin(self, kind, fields, monkeypatch):
         cfg = harness.ExperimentConfig(kind=kind, seed=4, workers=2, **fields)
-        builds, _ = tracking_table_builds(monkeypatch)
+        builds, _, _ = tracking_table_builds(monkeypatch)
         looked_up = harness.run_experiment(cfg)
         # Every scan builds each bin's table once, whatever its job count,
         # up to its largest level t + 1; the finest bin is split per row.
@@ -638,11 +653,19 @@ class TestSplitTable:
         ("diversity", dict(deltas=(0.05,), min_outage_events=500)),
     ])
     def test_a_points_tables_go_before_the_next_point_builds(self, kind, fields, monkeypatch):
-        # As on the lower edge: a point's tables are freed after its scan.
+        # As on the lower edge: a scan's tables are freed after it, before
+        # the next scan's are built. outageloss scans each point alone;
+        # outage and diversity scan their points together, in groups whose
+        # tables fit SHARED_TABLES_MAX, here cut to two points' tables.
         cfg = harness.ExperimentConfig(kind=kind, p_db=(0.0, 10.0, 20.0), workers=2, **fields)
-        builds, points = tracking_table_builds(monkeypatch)
+        point = sum((max(b.t_outage) + 2) * (max(b.t_outage) + 3) // 2
+                    for b in cfg.points[0][2])
+        assert all(bins == cfg.points[0][2] for _, _, bins in cfg.points)
+        monkeypatch.setattr(harness, "SHARED_TABLES_MAX", 2 * point)
+        builds, points, scans = tracking_table_builds(monkeypatch)
         harness.run_experiment(cfg)
         assert len(points) == 3 and len(builds) == 3 * (2 if kind != "outageloss" else 1)
+        assert scans == ([1, 1, 1] if kind == "outageloss" else [2, 1])
 
 
 class TestTableUse:
@@ -689,7 +712,7 @@ class TestTableUse:
         # minrate --trials 1000 --delta 0.01 would build 106,953 entries to
         # read 1,000 rows; it splits them per row, to the same bits.
         cfg = harness.ExperimentConfig(kind=kind, seed=6, workers=2, **fields)
-        builds, _ = tracking_table_builds(monkeypatch)
+        builds, _, _ = tracking_table_builds(monkeypatch)
         per_row = harness.run_experiment(cfg)
         small = [built for d, _, built in builds if d == 0.2]
         assert small == [True] * len(small)  # 231 entries, fewer than 1,000 rows
@@ -1047,9 +1070,9 @@ class TestBlockLayout:
         kernels = []
         scan = harness._scan
 
-        def recording(params, seed, workers, kernel, *args):
-            kernels.append(kernel)
-            return scan(params, seed, workers, kernel, *args)
+        def recording(params, seed, workers, scanned, *args):
+            kernels.extend(scanned)
+            return scan(params, seed, workers, scanned, *args)
 
         monkeypatch.setattr(harness, "_scan", recording)
         kind = name.split("-")[0]
@@ -1067,13 +1090,13 @@ class TestBlockLayout:
 
 
 def scanned_kernels(cfg, monkeypatch):
-    """(params, kernel, job_chunks) of each scan a run of cfg makes, in order."""
+    """(params, kernels, job_chunks) of each scan a run of cfg makes, in order."""
     kernels = []
     scan = harness._scan
 
-    def recording(params, seed, workers, kernel, trials, events, target, job_chunks):
-        kernels.append((params, kernel, job_chunks))
-        return scan(params, seed, workers, kernel, trials, events, target, job_chunks)
+    def recording(params, seed, workers, scanned, trials, events, target, job_chunks):
+        kernels.append((params, scanned, job_chunks))
+        return scan(params, seed, workers, scanned, trials, events, target, job_chunks)
 
     monkeypatch.setattr(harness, "_scan", recording)
     harness.run_experiment(cfg)
@@ -1096,14 +1119,17 @@ class TestJobs:
         params = ChannelParams(cfg.variances)
         first, last = sample_block(params, 3, 0), sample_block(params, 3, 1, tail)
         stacked = np.asfortranarray(np.concatenate([first, last]))
-        for _, kernel, job_chunks in scanned_kernels(cfg, monkeypatch):
+        for _, kernels, job_chunks in scanned_kernels(cfg, monkeypatch):
             assert job_chunks == harness.JOB_CHUNKS == 2  # as every kind but a K-user one
-            alone = [dict(kernel(first)), dict(kernel(last))]
-            together = list(kernel(stacked))
-            assert [m for m, _ in together] == list(alone[0]) == list(alone[1])
-            for metric, x in together:
-                for part, want in zip((x[:CHUNK], x[CHUNK:]), (alone[0][metric], alone[1][metric])):
-                    assert part.dtype == want.dtype and np.array_equal(part, want), (name, metric)
+            for kernel in kernels:
+                alone = [dict(kernel(first)), dict(kernel(last))]
+                together = list(kernel(stacked))
+                assert [m for m, _ in together] == list(alone[0]) == list(alone[1])
+                for metric, x in together:
+                    for part, want in zip((x[:CHUNK], x[CHUNK:]),
+                                          (alone[0][metric], alone[1][metric])):
+                        assert part.dtype == want.dtype and np.array_equal(part, want), \
+                            (name, metric)
 
     def test_kuser_bisects_one_chunk_at_a_time(self, monkeypatch):
         # Its bisection reads the whole block (the largest r_ub and p g), so
@@ -1124,6 +1150,118 @@ class TestJobs:
         harness.run_k_user(cfg)
         # one true-gain bisection per chunk, and no call sees more rows
         assert max(rows) == CHUNK and rows.count(CHUNK) == 2 and len(rows) == 9
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_CONFIGS))
+def test_kernels_can_all_be_held_at_once(name, monkeypatch):
+    # Every driver makes each point's kernel in a factory, so no kernel
+    # reads a loop variable late: kernels all made before any scan report
+    # what kernels made one at a time report.
+    kind = name.split("-")[0]
+    cfg = harness.ExperimentConfig(kind=kind, seed=3, workers=2, **tiny(kind, 3000),
+                                   **LAYOUT_CONFIGS[name])
+    lazy = harness.run_experiment(cfg)
+    sweep = harness._sweep
+    monkeypatch.setattr(harness, "_sweep", lambda cfg, kind, scans, *args, **kwargs: sweep(
+        cfg, kind, list(scans), *args, **kwargs))
+    held = harness.run_experiment(cfg)
+    assert same_points(lazy, held) and lazy.notes == held.notes
+
+
+class TestSharedScan:
+    """An adaptive sweep scans its points together: each job samples its
+    block once and runs every live point's kernel on it. A point keeps the
+    shortest chunk prefix its own counts settle, so it reports what it
+    reports when run alone."""
+
+    FIELDS = {
+        "outage": dict(deltas=(0.2, 0.05), min_outage_events=2000),
+        "diversity": dict(deltas=(0.05,), min_outage_events=500),
+    }
+
+    @staticmethod
+    def own(stats):
+        """The points and notes of each sweep point, without the slope fits
+        a diversity run makes over them."""
+        return ([m for m in stats.points if not m.metric.startswith("slope[")],
+                [note for note in stats.notes if not note.startswith("slope[")])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("p_db", [(0.0, 5.0, 10.0, 20.0, 30.0), (30.0, 20.0, 10.0, 5.0, 0.0)])
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_each_point_reads_as_run_alone(self, kind, p_db, workers):
+        # The cap of 5 chunks and 100 trials ends the scan in a one-job
+        # wave at 2 workers; 30 dB reaches it, and 0 to 10 dB retire
+        # together in the first wave.
+        cfg = harness.ExperimentConfig(kind=kind, p_db=p_db, trial_cap=5 * CHUNK + 100, seed=5,
+                                       workers=workers, **self.FIELDS[kind])
+        shared = self.own(harness.run_experiment(cfg))
+        alone = [self.own(harness.run_experiment(replace(cfg, p_db=(v,)))) for v in p_db]
+        assert shared == ([m for points, _ in alone for m in points],
+                          [note for _, notes in alone for note in notes])
+        n = {m.sweep_value: m.n for m in shared[0] if m.metric == "out_full"}
+        assert n[30.0] == cfg.trial_cap and "p_db=30.0: trial cap" in shared[1][0]
+        wave = workers * harness.JOB_CHUNKS * CHUNK
+        assert len({-(-n[v] // wave) for v in (0.0, 5.0, 10.0)}) == 1 and n[10.0] < n[30.0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_block_is_sampled_once(self, workers, monkeypatch):
+        calls, runs = [], []
+        sample, scan = harness.sample_block, harness._scan
+
+        def counting(params, master, block_index, count=CHUNK):
+            calls.append(block_index)
+            return sample(params, master, block_index, count)
+
+        def counted(point, kernel):
+            def run(block):
+                runs.append(point)
+                return kernel(block)
+            return run
+
+        def recording(params, seed, workers, kernels, *args):
+            return scan(params, seed, workers, [counted(*k) for k in enumerate(kernels)], *args)
+
+        monkeypatch.setattr(harness, "sample_block", counting)
+        monkeypatch.setattr(harness, "_scan", recording)
+        cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 20.0, 10.0, 25.0), deltas=(0.2,),
+                                       min_outage_events=3000, trial_cap=11 * CHUNK - 9, seed=8,
+                                       workers=workers)
+        stats = harness.run_outage(cfg)
+        # A point scans whole waves of workers jobs, up to the cap's 11
+        # chunks, and no job after that runs its kernel.
+        wave = workers * harness.JOB_CHUNKS
+        scanned = [min(11, -(-m.n // (wave * CHUNK)) * wave)
+                   for m in stats.points if m.metric == "out_full"]
+        assert len(set(scanned)) > 1
+        assert sorted(calls) == list(range(max(scanned)))
+        assert [runs.count(k) for k in range(4)] == [-(-c // harness.JOB_CHUNKS) for c in scanned]
+
+    def test_tables_past_the_budget_split_the_sweep(self, monkeypatch):
+        # delta = 0.00518 (t = 509) gives each point a 130,816-entry split
+        # table beside its policy bin's (28 to 666 entries), so 13 points
+        # would hold about 13 MiB of tables at once. A shared scan holds at
+        # most SHARED_TABLES_MAX entries: four of these points.
+        cfg = harness.ExperimentConfig(kind="diversity", deltas=(0.00518,),
+                                       p_db=tuple(10.0 + 2.5 * i for i in range(13)),
+                                       min_outage_events=1, trial_cap=9 * CHUNK, seed=2,
+                                       workers=2)
+        builds, points, scans = tracking_table_builds(monkeypatch)
+        grouped = harness.run_experiment(cfg)
+        assert len(points) == 13 and len(scans) > 1 and sum(scans) == 13
+        # Each point builds its fixed bin's table and then its policy bin's.
+        tables = [sum((t + 1) * (t + 2) // 2 for _, t, built in builds[i:i + 2] if built)
+                  for i in range(0, len(builds), 2)]
+        assert tables[0] > harness.PAIR_TABLE_MAX // 2 and len(tables) == 13
+        first = 0
+        for n in scans:  # each group as large as the budget allows
+            assert sum(tables[first:first + n]) <= harness.SHARED_TABLES_MAX
+            assert first + n == 13 or sum(tables[first:first + n + 1]) > harness.SHARED_TABLES_MAX
+            first += n
+        # One scan of every point, past the budget, reads the same bits.
+        monkeypatch.setattr(harness, "SHARED_TABLES_MAX", math.inf)
+        groups = len(scans)
+        assert same_points(grouped, harness.run_experiment(cfg)) and scans[groups:] == [13]
 
 
 def test_outage_kinds_share_one_quantized_outage():
@@ -1170,7 +1308,9 @@ def test_floored_kernels_give_the_masks_of_every_row(kind, r_th, monkeypatch):
     h1, h2 = block[:, 0], block[:, 1]
     beta = 2.0**r_th - 1.0
     paths = set()
-    for (value, p, bins), (_, kernel, _) in zip(cfg.points, scanned_kernels(cfg, monkeypatch)):
+    kernels = [k for _, scanned, _ in scanned_kernels(cfg, monkeypatch) for k in scanned]
+    assert len(kernels) == len(cfg.points)
+    for (value, p, bins), kernel in zip(cfg.points, kernels):
         full = p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
         q = [harness._quantized_outage(block, outage_levels(block, b.delta, b.t_outage), b,
                                        harness._split_lookup(b, p, 2 * CHUNK), p, beta)
@@ -1253,7 +1393,9 @@ JOB_PEAK_ARGV = {
 # minrate peaks at 1,540 and outage at 1,571. With the outage tests run
 # only below their floors, through one mask factory, outage peaks at 1,699,
 # outageloss at 2,117 and diversity, which tests its fixed bin and its
-# policy's, at 1,796; diversity's pin is that plus 5 %.
+# policy's, at 1,796; diversity's pin is that plus 5 %. Since an adaptive
+# kind's points share one scan, its first job runs all five points' kernels:
+# outage peaks at 1,701 and diversity at 1,825, under the pins kept.
 JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222,
                 "diversity": 1886}
 
@@ -1265,15 +1407,18 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     from nomafb import cli
 
     cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
-    # The first point at the argv's own trial count and cap, which decide
-    # whether its scan builds a level-pair table.
-    adaptive = {"min_outage_events": 1} if "min_outage_events" in cfg.options else {}
-    first = replace(cfg, p_db=cfg.p_db[:1], **adaptive)
-    params, kernel, _ = scanned_kernels(first, monkeypatch)[0]
-    harness._scan(params, 1, 1, kernel, 2 * CHUNK)  # first calls set up numpy's caches
+    # The first scan at the argv's own trial count and cap, which decide
+    # whether it builds level-pair tables: a fixed kind's first point, or
+    # every point of an adaptive kind, which share one scan, so their
+    # kernels all run in turn on the job's block.
+    adaptive = "min_outage_events" in cfg.options
+    first = replace(cfg, min_outage_events=1) if adaptive else replace(cfg, p_db=cfg.p_db[:1])
+    params, kernels, _ = scanned_kernels(first, monkeypatch)[0]
+    assert len(kernels) == (len(cfg.points) if adaptive else 1)
+    harness._scan(params, 1, 1, kernels, 2 * CHUNK)  # first calls set up numpy's caches
     tracemalloc.start()
     try:
-        harness._scan(params, 1, 1, kernel, 2 * CHUNK)
+        harness._scan(params, 1, 1, kernels, 2 * CHUNK)
         peak = tracemalloc.get_traced_memory()[1] / 1024
     finally:
         tracemalloc.stop()
