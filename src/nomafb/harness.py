@@ -9,13 +9,13 @@ point, the shortest whose own chunks meet its event target, so the points
 of a sweep can share a scan that samples each block once.
 """
 
-import contextlib
 import functools
 import itertools
 import math
 import os
-from collections import namedtuple
+from collections import deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -37,17 +37,18 @@ POLICIES = ("fixed", "pcube", "min02-pcube")
 # The options every kind takes; each EXPERIMENTS entry names its others.
 SHARED_OPTIONS = ("variances", "p_db", "deltas", "seed", "workers")
 WORKERS_ENV = "NOMAFB_WORKERS"
-# More threads cannot run at once; in an adaptive scan they only widen the
-# waves that run past the stopping point of its last live sweep point.
+# More threads cannot run at once. A fixed scan's pool threads run whole jobs;
+# an adaptive scan's only draw blocks, and the calling thread runs its kernels.
 MAX_WORKERS_PER_CPU = 4
 # Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
 P_DB_MAX = 1000.0
 # Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 119 MB RSS.
 MAX_RECEIVERS = 64
-# Chunks per scan job of a row-local kernel. Two worker threads overlap
-# numpy calls on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably
-# than on 16,384-element ones (x1.0 to x1.8), so a job runs the kernel on two
-# chunks at once. A K-user job is one chunk: its bisection reads the whole
+# Chunks per scan job of a row-local kernel. Two threads overlap numpy calls
+# on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably than on
+# 16,384-element ones (x1.0 to x1.8), so a job draws two chunks as one block,
+# and a fixed scan's pool thread or an adaptive scan's calling thread runs
+# its kernels on it. A K-user job is one chunk: its bisection reads the whole
 # block (the largest r_ub sets its step count, the largest p g its Horner
 # band, and it bisects distinct words).
 JOB_CHUNKS = 2
@@ -243,37 +244,39 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
     """Reduce each kernel's metrics over the first `trials` trials, chunk by chunk.
 
     Each kernel (an adaptive sweep passes one per point) yields (metric,
-    per-trial array or event mask) pairs for a block of gains; each is
-    reduced as it comes, so a job holds few arrays at once. A job stacks
-    job_chunks consecutive chunks into one block, sampled once for every
-    kernel, runs each live kernel on it in turn and reduces each metric per
-    chunk, on that chunk's rows: a kernel that reads each trial's row alone
-    gives every chunk the bits it gives the chunk by itself.
-    Without events every job runs in one wave. With events the scan grows
-    wave by wave (one job per worker) and each kernel keeps the shortest
-    chunk prefix in which every named event count of its own reaches target;
-    that prefix follows from its per-chunk counts in index order, so neither
-    the wave width nor the other kernels can change it. A kernel retires in
-    the wave that settles its prefix, and later jobs skip it. Every wave
-    runs on one pool of min(workers, jobs) threads, opened once per scan.
-    Returns one (moments, n, capped) per kernel: moments maps each metric to
-    its fsum-reduced (sum, sum of squares) over the n kept trials, and capped
-    says the target was not reached within `trials`.
+    per-trial array or event mask) pairs for a block, each reduced as it
+    comes. A job draws job_chunks consecutive chunks as one block, sampled
+    once for every kernel, runs each live kernel on it and reduces each
+    metric per chunk, on its rows, so a row-local kernel gives each chunk
+    the bits it gives the chunk alone. Jobs are consumed in index order;
+    without events each runs whole on a pool of min(workers, jobs) threads.
+    With events each kernel keeps the shortest chunk prefix in which every
+    named event count of its own reaches target, which its own per-chunk
+    counts settle, and retires after the job that settles it. Then
+    L = min(workers, jobs) - 1 pool threads only draw, job j + L as job j
+    is consumed, and the calling thread runs every kernel: on small floored
+    tests two threads trade the interpreter lock at each numpy call. Only a
+    failed scan cancels a draw: the blocks of the first
+    min(jobs, last job consumed + 1 + L) jobs are drawn, each once and read,
+    at most L + 1 alive at a time. Returns one (moments, n, capped) per
+    kernel: moments maps each metric to its fsum-reduced (sum, sum of
+    squares) over the n kept trials; capped says the target was not reached.
     """
     n_chunks = (trials + CHUNK - 1) // CHUNK
     n_jobs = (n_chunks + job_chunks - 1) // job_chunks
-    wave = max(1, workers) if events else n_jobs
 
-    def job(ji, live):
+    def draw(ji):
         chunks = range(ji * job_chunks, min((ji + 1) * job_chunks, n_chunks))
         rows = [min(CHUNK, trials - ci * CHUNK) for ci in chunks]
         if len(rows) == 1:
-            block = sample_block(params, seed, chunks[0], rows[0])
-        else:
-            block = np.empty((sum(rows), len(params.variances)), order="F")
-            for i, (ci, n) in enumerate(zip(chunks, rows)):
-                block[i * CHUNK:i * CHUNK + n] = sample_block(params, seed, ci, n)
-        parts = {k: [{} for _ in rows] for k in live}
+            return sample_block(params, seed, chunks[0], rows[0])
+        block = np.empty((sum(rows), len(params.variances)), order="F")
+        for i, (ci, n) in enumerate(zip(chunks, rows)):
+            block[i * CHUNK:i * CHUNK + n] = sample_block(params, seed, ci, n)
+        return block
+
+    def step(block, live):
+        parts = {k: [{} for _ in range(0, len(block), CHUNK)] for k in live}
         for k in live:
             for metric, x in kernels[k](block):
                 for i, part in enumerate(parts[k]):
@@ -281,31 +284,38 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
                 del x  # so the kernel computes its next metric without this one
         return parts
 
-    partials = [[] for _ in kernels]
+    partials, keep, live = [[] for _ in kernels], [None] * len(kernels), range(len(kernels))
     counts = [[0.0] * len(events) for _ in kernels]
-    keep = [None] * len(kernels)
-    live, scanned = range(len(kernels)), 0
     width = min(workers, n_jobs)
-    with ThreadPoolExecutor(width) if width > 1 else contextlib.nullcontext() as pool:
-        run = pool.map if pool else map
-        while live and scanned < n_chunks:
-            first = scanned // job_chunks  # every job but the last has job_chunks chunks
-            for parts in run(job, range(first, min(first + wave, n_jobs)), itertools.repeat(live)):
-                for k, chunk_parts in parts.items():
-                    partials[k].extend(chunk_parts)
-            lo, scanned = scanned, len(partials[live[0]])
-            for k in live:
-                for ci in range(lo, scanned):
-                    counts[k] = [c + partials[k][ci][e][0] for c, e in zip(counts[k], events)]
-                    if events and min(counts[k]) >= target:
-                        keep[k] = ci + 1
-                        break
-            live = [k for k in live if keep[k] is None]
-    kept = [parts[:stop] for parts, stop in zip(partials, keep)]
+    ahead = max(width - 1, 1) if events else n_jobs  # jobs submitted past the one consumed
+    task = draw if events else lambda ji: step(draw(ji), live)
+    with ThreadPoolExecutor(width - bool(events)) if width > 1 else nullcontext() as pool:
+        def submit(ji):  # a call that gives job ji's result; inline, it runs the job
+            return pool.submit(task, ji).result if pool else functools.partial(task, ji)
+        window = deque(map(submit, range(min(ahead, n_jobs))))
+        try:
+            for ji in range(n_jobs):
+                job = window.popleft()  # drops the last job's block before the next draw
+                if ji + ahead < n_jobs:
+                    window.append(submit(ji + ahead))
+                for k, chunk_parts in (step(job(), live) if events else job()).items():
+                    for part in chunk_parts:
+                        partials[k].append(part)
+                        counts[k] = [c + part[e][0] for c, e in zip(counts[k], events)]
+                        if events and min(counts[k]) >= target:
+                            keep[k] = len(partials[k])
+                            break
+                if not (live := [k for k in live if keep[k] is None]):
+                    break
+            for job in window if pool else ():
+                job()  # a draw past the last job, read so that its error is raised
+        finally:  # a failed or interrupted scan drops its queued jobs
+            if pool:
+                pool.shutdown(cancel_futures=True)
     return [({metric: (math.fsum(part[metric][0] for part in parts),
                        math.fsum(part[metric][1] for part in parts)) for metric in parts[0]},
              min(len(parts) * CHUNK, trials), stop is None and bool(events))
-            for parts, stop in zip(kept, keep)]
+            for parts, stop in zip(partials, keep)]
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class TestWorkerResolution:
         assert harness.usable_cpus() == 64
 
     def test_adaptive_scan_keeps_one_pool_per_shared_scan(self, monkeypatch):
-        pools = []  # [width, waves] of each pool built
+        pools = []  # [width, jobs submitted] of each pool built
 
         class RecordingPool(harness.ThreadPoolExecutor):
             def __init__(self, max_workers):
@@ -86,33 +86,34 @@ class TestWorkerResolution:
                 pools.append(self.record)
                 super().__init__(max_workers)
 
-            def map(self, fn, *iterables):
+            def submit(self, fn, *args, **kwargs):
                 self.record[1] += 1
-                return super().map(fn, *iterables)
+                return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
-        # A job is two chunks and a wave one job per worker. At 0 dB almost
-        # every trial is a full-CSI outage, so 60,000 events take 4 chunks,
-        # inside the first wave of three jobs; at 10 dB about 38 % are, and
-        # the cap of 8 chunks (4 jobs) stops the point after two waves. Both
-        # points share one scan, so one pool runs both waves.
+        # A job is two chunks. At 0 dB almost every trial is a full-CSI
+        # outage, so 60,000 events take 4 chunks (2 jobs); at 10 dB about
+        # 38 % are, and the cap of 8 chunks (4 jobs) stops the point. Both
+        # points share one scan, so one pool draws all four jobs, on
+        # workers - 1 threads: the calling thread runs the kernels.
         cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 10.0), deltas=(0.2,),
                                        min_outage_events=60_000, trial_cap=8 * CHUNK, workers=3)
         stats = harness.run_outage(cfg)
-        assert pools == [[3, 2]]
+        assert pools == [[2, 4]]
         assert [m.n for m in stats.points if m.metric == "out_full"] == [4 * CHUNK, 8 * CHUNK]
-        # A pool is no wider than the scan has jobs, and a one-job scan needs
-        # no pool at all.
+        # A pool is no wider than the scan has jobs, less the calling
+        # thread, and a one-job scan needs no pool at all.
         pools.clear()
         harness.run_outage(replace(cfg, trial_cap=4 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=2 * CHUNK))
         harness.run_outage(replace(cfg, trial_cap=CHUNK))
-        assert pools == [[2, 1]]
-        # kuser jobs are one chunk each: three chunks take three workers.
+        assert pools == [[1, 2]]
+        # kuser runs fixed scans, whose jobs run whole on the pool, and its
+        # jobs are one chunk each: three chunks take three workers.
         pools.clear()
         harness.run_k_user(harness.ExperimentConfig(
             kind="kuser", variances=(1.0, 0.5, 0.25), trials=3 * CHUNK, workers=3))
-        assert pools == [[3, 1]]
+        assert pools == [[3, 3]]
 
 
 class TestPolicyDelta:
@@ -1224,18 +1225,105 @@ class TestSharedScan:
 
         monkeypatch.setattr(harness, "sample_block", counting)
         monkeypatch.setattr(harness, "_scan", recording)
-        cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 20.0, 10.0, 25.0), deltas=(0.2,),
+        # The cap's 11 chunks are 6 jobs; 25 dB reaches it, and without that
+        # point the scan stops at the third job, 20 dB's last.
+        for p_db in ((0.0, 20.0, 10.0, 25.0), (0.0, 20.0, 10.0)):
+            calls.clear()
+            runs.clear()
+            cfg = harness.ExperimentConfig(kind="outage", p_db=p_db, deltas=(0.2,),
+                                           min_outage_events=3000, trial_cap=11 * CHUNK - 9,
+                                           seed=8, workers=workers)
+            stats = harness.run_outage(cfg)
+            # A point's kernel runs on the jobs of its own kept prefix, and
+            # on no job after that.
+            jobs = [-(-m.n // (harness.JOB_CHUNKS * CHUNK))
+                    for m in stats.points if m.metric == "out_full"]
+            assert jobs[:3] == [1, 3, 1]
+            assert [runs.count(k) for k in range(len(p_db))] == jobs
+            # The pool's workers - 1 threads keep that many jobs drawn ahead
+            # of the one whose kernels run, and no draw is cancelled, so the
+            # scan draws the blocks of that many jobs past its last, each once.
+            drawn = min(6, max(jobs) + workers - 1) * harness.JOB_CHUNKS
+            assert sorted(calls) == list(range(min(11, drawn)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", sorted(FIELDS) + ["minrate"])
+    def test_pool_threads_draw_and_the_caller_runs_adaptive_kernels(self, kind, workers,
+                                                                     monkeypatch):
+        # Two threads running the floored outage tests at once, numpy calls
+        # on a few thousand rows, hand the interpreter lock back and forth on
+        # every call; so an adaptive scan's pool threads only draw, and the
+        # calling thread runs every kernel. A fixed kind's kernels read whole
+        # blocks, which do overlap, and run on the pool beside their draws.
+        import threading
+
+        drew, ran = set(), set()
+        sample, scan = harness.sample_block, harness._scan
+
+        def drawing(*args):
+            drew.add(threading.get_ident())
+            return sample(*args)
+
+        def running(kernel):
+            def run(block):
+                ran.add(threading.get_ident())
+                yield from kernel(block)
+            return run
+
+        def recording(params, seed, workers, kernels, *args):
+            return scan(params, seed, workers, [running(k) for k in kernels], *args)
+
+        monkeypatch.setattr(harness, "sample_block", drawing)
+        monkeypatch.setattr(harness, "_scan", recording)
+        fields = self.FIELDS.get(kind, dict(deltas=(0.05,)))
+        cfg = harness.ExperimentConfig(kind=kind, p_db=(0.0, 10.0, 30.0), workers=workers,
+                                       **tiny(kind, 5 * CHUNK + 100), **fields)
+        harness.run_experiment(cfg)
+        caller = {threading.get_ident()}
+        if workers == 1:
+            assert drew == ran == caller
+        elif kind in self.FIELDS:
+            assert ran == caller and drew and not drew & caller
+        else:
+            assert drew == ran and not ran & caller
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_draws_repeat_and_few_blocks_are_alive(self, workers, monkeypatch):
+        # bench/run.py checks that traced runs count the same sample_block
+        # calls, so the draws past a scan's last job must not depend on how
+        # the threads interleave. With one chunk a job, each draw is one
+        # sample_block array, and weak references to them count the blocks
+        # alive when one is made: the one whose kernels run, and at most
+        # L = workers - 1 drawn ahead of it.
+        import threading
+        import weakref
+
+        lock, alive, most = threading.Lock(), [], [0]
+        sample, scan = harness.sample_block, harness._scan
+
+        def tracking(params, master, block_index, count=CHUNK):
+            block = sample(params, master, block_index, count)
+            with lock:
+                calls.append(block_index)
+                alive.append(weakref.ref(block))
+                most[0] = max(most[0], sum(ref() is not None for ref in alive))
+            return block
+
+        monkeypatch.setattr(harness, "sample_block", tracking)
+        cfg = harness.ExperimentConfig(kind="outage", p_db=(0.0, 20.0, 10.0), deltas=(0.2,),
                                        min_outage_events=3000, trial_cap=11 * CHUNK - 9, seed=8,
                                        workers=workers)
-        stats = harness.run_outage(cfg)
-        # A point scans whole waves of workers jobs, up to the cap's 11
-        # chunks, and no job after that runs its kernel.
-        wave = workers * harness.JOB_CHUNKS
-        scanned = [min(11, -(-m.n // (wave * CHUNK)) * wave)
-                   for m in stats.points if m.metric == "out_full"]
-        assert len(set(scanned)) > 1
-        assert sorted(calls) == list(range(max(scanned)))
-        assert [runs.count(k) for k in range(4)] == [-(-c // harness.JOB_CHUNKS) for c in scanned]
+        for job_chunks in (harness.JOB_CHUNKS, 1):
+            monkeypatch.setattr(harness, "_scan", lambda *args: scan(*args[:-1], job_chunks))
+            seen = []
+            for _ in range(5):
+                calls = []
+                harness.run_outage(cfg)
+                seen.append(sorted(calls))
+            assert seen == [list(range(len(seen[0])))] * 5
+        # One-chunk jobs: 20 dB keeps 6 chunks, so 6 + L jobs are drawn.
+        assert len(seen[0]) == 6 + workers - 1
+        assert 1 <= most[0] <= workers
 
     def test_tables_past_the_budget_split_the_sweep(self, monkeypatch):
         # delta = 0.00518 (t = 509) gives each point a 130,816-entry split

@@ -184,9 +184,9 @@ def test_one_lower_edge_min_rate_path():
 
 def test_only_the_scan_samples_blocks():
     # _scan is the one path that turns chunk indices into blocks of gains:
-    # its jobs stack their chunks and slice each chunk's metrics back out. A
-    # second caller could draw or stack blocks some other way.
-    assert set(_call_sites("sample_block")) == {"harness._scan.job"}
+    # its draws stack their chunks, and its steps slice each chunk's metrics
+    # back out. A second caller could draw or stack blocks some other way.
+    assert set(_call_sites("sample_block")) == {"harness._scan.draw"}
 
 
 def test_sample_block_keeps_the_traced_signature():
