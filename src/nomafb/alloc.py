@@ -159,9 +159,10 @@ def outage_floor(p, beta, delta=None, top=None):
       - Full CSI: both gains are at least c, so S >= S(c, c); c solves
         S(c, c) = beta (1 + 1e-6).
       - Fed-back gains. Level m feeds back q = m delta, and q >= max(delta,
-        min(h, top delta)) and q < h + delta: below the top level ceil keeps
-        (m - 1) delta < h <= q, and the top level's q = top delta lies
-        under h + delta, as the level below it caps below h. For h >= c,
+        min(h, top delta)) and q < h + delta: below the top level m is the
+        least level with m delta >= h, the lower edge's level plus the edge
+        test, so (m - 1) delta < h <= q, and the top level's q = top delta
+        lies under h + delta, as the level below it caps below h. For h >= c,
         q >= c' = max(delta, min(c, top delta)) and h/q > c/(c + delta);
         for c >= top delta every row is in the top bin, with h/q >= 1.
       - The split of (q_s, q_w) gives both receivers SINR S_q = S(q_s, q_w)

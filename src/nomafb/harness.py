@@ -714,11 +714,12 @@ def run_feedback_rate(cfg, progress=None):
     def scans():
         for value, _, (b,) in cfg.points:
             ts = b.t_rate if fixed else b.t_outage
-            constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0], "delta_used": b.delta}
+            constants = {"fle_bits": fle_bits(ts[0] + top), "t_bins": ts[0]}
+            if not fixed:
+                constants["delta_used"] = b.delta
             yield kernel_at(b.delta, ts), [(value, constants)]
 
-    return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN,
-                  drop=("delta_used",) if fixed else ())
+    return _sweep(cfg, "feedback", scans(), progress, mins=VLE_MIN)
 
 
 def _in_slope_window(p_db, top):

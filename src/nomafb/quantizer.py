@@ -21,24 +21,20 @@ def _certified_floor(x, delta, t):
     does every row once t_max >= 2^49, where M >= 1/2.
       - Errors. An uncapped row (q < t + 1/2) has n <= t_max and
         q >= f > M, so q is a normal float: q = (x/delta)(1 + e), |e| <= u.
-        Each fl(k delta), k >= 1, errs by at most u k delta: k delta >=
-        delta is normal for a normal delta, and for a subnormal one a
-        subnormal k delta is a multiple of 2^-1074, so exact. An overflow
-        to +inf only raises fl((n+1) delta).
+        Each fl(k delta), k >= 1, errs by at most u k delta: k delta >= delta
+        is normal for a normal delta, and a subnormal k delta is an exact
+        multiple of 2^-1074. An overflow to +inf only raises fl((n+1) delta).
       - Uncapped rows. fl(n delta) <= n delta (1 + u) < x needs
         f > n (2u + u^2), and fl((n+1) delta) >= (n+1) delta (1 - u) > x
         needs 1 - f > (n+1) 2u. M > 2u (t_max + 1) (1 + u) gives both, so
-        fl(n delta) < x < fl((n+1) delta): no nudge of either edge fires,
-        the lower level is n and the upper ceil(q) = n + 1, as f > 0.
-      - Capped rows. The capped q is t + 1/2 exactly (t < 2^49), so
-        f = 1/2 and n = t. The uncapped q >= t + 1/2 puts x above
-        fl(t delta) <= t delta (1 + u) while t (2u + u^2) < 1/2. Each nudge
-        moves a level by one, and one that took it below t (below t + 1 on
-        the upper edge) would need fl(t delta) > x (>= x). So the nudged
-        level is at least t (t + 1), and the clips give t (t + 1).
-    Where x/delta underflows (subnormal or zero q) f = q <= M, and from
-    q = 2^52 on every f is 0: both fall back. M is four times the bound,
-    which covers its own rounding.
+        fl(n delta) < x < fl((n+1) delta): no nudge fires, the level is n.
+      - Capped rows. The capped q is t + 1/2 exactly (t < 2^49), so f = 1/2
+        and n = t; the uncapped q >= t + 1/2 puts x above fl(t delta) <=
+        t delta (1 + u), as t (2u + u^2) < 1/2. A nudge moves a level by
+        one, and below t it would need fl(t delta) > x: the level is t.
+    Every row thus has fl(n delta) < x, so the upper edge is n + 1. Blocks
+    fall back where x/delta underflows (f = q <= M) and from q = 2^52 on
+    (f = 0). M is four times the bound, which covers its own rounding.
     """
     q = np.asarray(x / delta)
     np.minimum(q, t + 0.5, out=q)
@@ -51,68 +47,63 @@ def _certified_floor(x, delta, t):
     return None
 
 
-def rate_levels(x, delta, t):
-    """Bin indices under the lower-edge quantizer, saturating at t (or t[j] in column j).
+def _lower_edge(x, delta, t):
+    """The lower-edge levels of x as float64, capped at t (t[j] in column j),
+    and whether _certified_floor gave them.
 
-    Float division can land floor(x/delta) one bin off when x sits on a bin
-    boundary (0.3/0.1 -> 2.9999...), so the index is nudged up once where
-    (n+1)*delta <= x, then down once where n*delta > x, which leaves
-    n*delta <= x < (n+1)*delta in floats. Once each way is enough: below
-    2^51 bins, fl(x/delta) and every float edge fl(n*delta) err by under a
-    quarter bin, so floor(fl(x/delta)) is n* - 1, n* or n* + 1 for the
-    true level n*. Most blocks skip the nudges: _certified_floor proves
-    that none of them would fire.
+    floor(fl(x/delta)) can land one bin off on a bin edge (0.3/0.1 ->
+    2.9999...), so it is nudged up once where (n+1)*delta <= x, then down
+    once where n*delta > x, leaving n*delta <= x < (n+1)*delta in floats.
+    Once each way is enough: below 2^51 bins, fl(x/delta) and every
+    fl(n*delta) err by under a quarter bin, so the floor is n* - 1, n* or
+    n* + 1 for the true level n*; most blocks skip them (_certified_floor).
     """
+    t = np.asarray(t, dtype=np.float64)
+    n = _certified_floor(x, delta, t)
+    if n is not None:
+        return n, True
+    # In place: one edge buffer and one mask serve both nudges (np.asarray
+    # keeps 0-d an array for out=), and a mask adds an exact 1.0 or 0.0.
+    n = np.asarray(x / delta)
+    np.floor(n, out=n)
+    edge = np.asarray(n + 1.0)
+    edge *= delta
+    mask = np.asarray(edge <= x)
+    n += mask
+    np.multiply(n, delta, out=edge)
+    np.greater(edge, x, out=mask)
+    n -= mask
+    del edge, mask
+    np.minimum(n, t, out=n)
+    return n, False
+
+
+def rate_levels(x, delta, t):
+    """Lower-edge bin indices: the largest n <= t (t[j] in column j) with fl(n*delta) <= x."""
     x = np.asarray(x, dtype=np.float64)
     # One pass that skips NaN, as np.any(x < 0) does; empty x reads as +inf.
     if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
         raise ValueError("gain must be nonnegative")
-    t = np.asarray(t, dtype=np.float64)
-    n = _certified_floor(x, delta, t)
-    if n is None:
-        # In place where it can be: one edge buffer and one mask serve both
-        # nudges. np.asarray keeps a 0-d result an array, which out= needs.
-        n = np.asarray(x / delta)
-        np.floor(n, out=n)
-        # Adding a mask adds 1.0 or 0.0, both exact, so no select is needed.
-        edge = np.asarray(n + 1.0)
-        edge *= delta
-        mask = np.asarray(edge <= x)
-        n += mask
-        np.multiply(n, delta, out=edge)
-        np.greater(edge, x, out=mask)
-        n -= mask
-        del edge, mask
-        np.minimum(n, t, out=n)
-    return n.astype(np.int64)[()]
+    return _lower_edge(x, delta, t)[0].astype(np.int64)[()]
 
 
 def outage_levels(x, delta, t):
     """Bin indices under the upper-edge quantizer: 1..t+1 (t[j]+1 in column j), never zero.
 
-    As rate_levels: ceil(x/delta), nudged at most once down and once up, or
-    one more than _certified_floor's level where that certifies the block.
+    The least m with fl(m*delta) >= x, capped at t + 1: up to 2^52 the edges
+    fl(k*delta) strictly increase with k (their spacing is below delta), and
+    the lower edge n is the largest level <= t with fl(n*delta) <= x, so m
+    is n + [fl(n*delta) < x]. A capped n = t has x >= fl((t+1)*delta) >
+    fl(t*delta), and x > 0 gives m >= 1. A config's t_outage is at most 2^52
+    (ExperimentConfig._bin refuses t_rate >= 2^53). Past it, where only a
+    direct call goes, two edges can tie as floats: this picks the larger
+    tied level, ceil with nudges the smaller; both feed back the same float.
     """
     x = np.asarray(x, dtype=np.float64)
     if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
         raise ValueError("gain must be positive; zero would quantize to zero")
-    t = np.asarray(t, dtype=np.float64)
-    m = _certified_floor(x, delta, t)
-    if m is None:
-        m = np.asarray(x / delta)
-        np.ceil(m, out=m)
-        edge = np.asarray(m - 1.0)
-        edge *= delta
-        mask = np.asarray(edge >= x)
-        m -= mask
-        np.multiply(m, delta, out=edge)
-        np.less(edge, x, out=mask)
-        m += mask
-        del edge, mask
-        # in float64: an int64 t + 1 would wrap at the top of its range
-        np.clip(m, 1.0, t + 1.0, out=m)
-    else:
-        m += 1.0
+    m, certified = _lower_edge(x, delta, t)
+    m += 1.0 if certified else m * delta < x  # see _certified_floor
     return m.astype(np.int64)[()]
 
 

@@ -311,6 +311,67 @@ class TestCertifiedLevels:
                 agrees_row_by_row(levels, x[:, j], delta, t)
 
 
+def _parent_outage_levels(x, delta, t):
+    """The upper edge as it was written before it became the lower edge plus
+    an edge test: ceil(x/delta), nudged once down and once up, then clipped."""
+    m = np.asarray(x / delta)
+    np.ceil(m, out=m)
+    edge = np.asarray(m - 1.0)
+    edge *= delta
+    mask = np.asarray(edge >= x)
+    m -= mask
+    np.multiply(m, delta, out=edge)
+    np.less(edge, x, out=mask)
+    m += mask
+    np.clip(m, 1.0, np.asarray(t, dtype=np.float64) + 1.0, out=m)
+    return m.astype(np.int64)[()]
+
+
+class TestUpperEdgeFromLowerEdge:
+    """outage_levels is rate_levels' level plus the edge test fl(n delta) < x;
+    up to 2^52 levels, every count a config can reach, that is the ceil with
+    its own nudges, bit for bit, on the certified path and on the nudges."""
+
+    DELTAS = TestCertifiedLevels.DELTAS + (1e-9, 1e-12, 3.7e-15)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_every_edge_and_exponential_gains(self, delta):
+        t = quantizer.default_t_outage(delta)
+        assert t <= 2**52
+        rng = np.random.default_rng(29)
+        if t < 20_000:
+            k = np.arange(0.0, t + 3)
+        else:  # the first and last 1,000 edges and a sample between
+            k = np.concatenate([np.arange(0.0, 1000), np.arange(t - 1000.0, t + 3),
+                                rng.integers(0, t + 3, 20_000).astype(np.float64)])
+        x = np.concatenate([*around(k * delta, 2),
+                            *(s * rng.exponential(1.0, 50_000) for s in (1.0, 8.0, 30.0))])
+        x = x[x > 0]
+        want = _parent_outage_levels(x, delta, t)
+        assert_array_equal(quantizer.outage_levels(x, delta, t), want)
+        assert_array_equal(nudged(quantizer.outage_levels, x, delta, t), want)
+        # The rows that certify on their own make a block that certifies.
+        q = np.minimum(x / delta, t + 0.5)
+        q -= np.floor(q)
+        margin = 4.0 * 2.0**-52 * (t + 2.0)
+        ok = (q > margin) & (q < 1.0 - margin)
+        assert ok.any() == (t < 2**49 - 2)
+        assert certifies(x[ok], delta, t)
+        assert_array_equal(quantizer.outage_levels(x[ok], delta, t), want[ok])
+
+    def test_tied_edges_past_two_to_the_52_take_the_larger_level(self):
+        # Past 2^52 levels the float spacing exceeds delta: k and k + 1 share
+        # one float edge. The lower edge is the larger tied level, so the
+        # upper edge is too; the ceil with nudges took the smaller. Both
+        # feed back the same float.
+        delta, k, t = 0.1, 3 * 2**51, 2**53
+        x = k * delta
+        assert x == (k + 1) * delta
+        assert quantizer.rate_levels(x, delta, t) == k + 1
+        assert quantizer.outage_levels(x, delta, t) == k + 1
+        assert _parent_outage_levels(x, delta, t) == k
+
+
 class TestDefaultBinCounts:
     def test_reference_values(self):
         assert quantizer.default_t_rate(0.01) == 461

@@ -94,7 +94,8 @@ def test_hot_two_user_kernels_make_no_select():
     # boolean & and |, or by adding a mask; a select brought back would slow
     # every scan without a trace.
     root = Path(nomafb.__file__).parent
-    for module, name in (("alloc", "outage_conditions"), ("quantizer", "rate_levels"),
+    for module, name in (("alloc", "outage_conditions"), ("quantizer", "_lower_edge"),
+                         ("quantizer", "rate_levels"),
                          ("quantizer", "outage_levels"), ("harness", "_pair_lookup"),
                          ("harness", "_order_keys"), ("harness", "_quantized_outage"),
                          ("harness", "_floored"), ("harness", "_outage_masks")):
