@@ -37,8 +37,7 @@ POLICIES = ("fixed", "pcube", "min02-pcube")
 # The options every kind takes; each EXPERIMENTS entry names its others.
 SHARED_OPTIONS = ("variances", "p_db", "deltas", "seed", "workers")
 WORKERS_ENV = "NOMAFB_WORKERS"
-# More threads cannot run at once. A fixed scan's pool threads run whole jobs;
-# an adaptive scan's only draw blocks, and the calling thread runs its kernels.
+# More threads cannot run at once (_scan says which threads draw and which run kernels).
 MAX_WORKERS_PER_CPU = 4
 # Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
 P_DB_MAX = 1000.0
@@ -46,10 +45,9 @@ P_DB_MAX = 1000.0
 MAX_RECEIVERS = 64
 # Chunks per scan job of a row-local kernel. Two threads overlap numpy calls
 # on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably than on
-# 16,384-element ones (x1.0 to x1.8), so a job draws two chunks as one block,
-# and a fixed scan's pool thread or an adaptive scan's calling thread runs
-# its kernels on it. A K-user job is one chunk: its bisection reads the whole
-# block (the largest r_ub sets its step count, the largest p g its Horner
+# 16,384-element ones (x1.0 to x1.8), so a job draws two chunks as one block
+# and runs its kernels on it. A K-user job is one chunk: its bisection reads the
+# whole block (the largest r_ub sets its step count, the largest p g its Horner
 # band, and it bisects distinct words).
 JOB_CHUNKS = 2
 # A bin size and, for each edge's quantizer, its level count at each receiver.
@@ -232,8 +230,7 @@ def policy_delta(policy, p):
 # chunk scanning
 
 def _moments(x):
-    """(sum, sum of squares) of one chunk of a metric; an event mask is 0/1 data,
-    so both are its count."""
+    """(sum, sum of squares) of one chunk of a metric; of a 0/1 event mask, both its count."""
     if x.dtype == bool:
         count = float(np.count_nonzero(x))
         return count, count
@@ -248,19 +245,20 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
     comes. A job draws job_chunks consecutive chunks as one block, sampled
     once for every kernel, runs each live kernel on it and reduces each
     metric per chunk, on its rows, so a row-local kernel gives each chunk
-    the bits it gives the chunk alone. Jobs are consumed in index order;
-    without events each runs whole on a pool of min(workers, jobs) threads.
-    With events each kernel keeps the shortest chunk prefix in which every
-    named event count of its own reaches target, which its own per-chunk
-    counts settle, and retires after the job that settles it. Then
-    L = min(workers, jobs) - 1 pool threads only draw, job j + L as job j
-    is consumed, and the calling thread runs every kernel: on small floored
-    tests two threads trade the interpreter lock at each numpy call. Only a
-    failed scan cancels a draw: the blocks of the first
-    min(jobs, last job consumed + 1 + L) jobs are drawn, each once and read,
-    at most L + 1 alive at a time. Returns one (moments, n, capped) per
-    kernel: moments maps each metric to its fsum-reduced (sum, sum of
-    squares) over the n kept trials; capped says the target was not reached.
+    the bits it gives the chunk alone. Jobs are consumed in index order, at
+    most T = max(pool threads, 1) submitted past the one consumed: at most
+    T + 1 are in flight, whatever the trial count. Of W = min(workers,
+    jobs), a scan without events runs whole jobs on W pool threads. With
+    events each kernel keeps the shortest chunk prefix in which every named
+    event count of its own reaches target, which its own per-chunk counts
+    settle, and retires after the job that settles it; W - 1 pool threads
+    only draw, and the calling thread runs every kernel: on small floored
+    tests two threads trade the interpreter lock at each numpy call. At W = 1
+    each job runs inline. Only a failed scan cancels a job: an adaptive scan
+    draws its first min(jobs, last job consumed + W) jobs, each once. Returns
+    one (moments, n, capped) per kernel: moments maps each metric to its
+    fsum-reduced (sum, sum of squares) over the n kept trials; capped says
+    the target was not reached.
     """
     n_chunks = (trials + CHUNK - 1) // CHUNK
     n_jobs = (n_chunks + job_chunks - 1) // job_chunks
@@ -287,9 +285,10 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
     partials, keep, live = [[] for _ in kernels], [None] * len(kernels), range(len(kernels))
     counts = [[0.0] * len(events) for _ in kernels]
     width = min(workers, n_jobs)
-    ahead = max(width - 1, 1) if events else n_jobs  # jobs submitted past the one consumed
+    threads = width - bool(events) if width > 1 else 0  # an adaptive scan's caller runs kernels
+    ahead = max(threads, 1)  # T, the jobs submitted past the one consumed
     task = draw if events else lambda ji: step(draw(ji), live)
-    with ThreadPoolExecutor(width - bool(events)) if width > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(threads) if threads else nullcontext() as pool:
         def submit(ji):  # a call that gives job ji's result; inline, it runs the job
             return pool.submit(task, ji).result if pool else functools.partial(task, ji)
         window = deque(map(submit, range(min(ahead, n_jobs))))
@@ -372,8 +371,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     if events:
         sizes, total = [], 0
         for _, _, bins in cfg.points:  # the tables _split_lookup builds
-            tops = (max(b.t_outage) + 2 for b in bins)
-            entries = sum(s for s in (t * (t + 1) // 2 for t in tops) if _table_pays(s, trials))
+            entries = sum(_pair_entries(max(b.t_outage) + 1, trials) for b in bins)
             if sizes and total + entries <= SHARED_TABLES_MAX:
                 sizes[-1], total = sizes[-1] + 1, total + entries
             else:
@@ -517,9 +515,8 @@ def _outage_masks(p, beta, bins, rows):
 PAIR_TABLE_MAX = 1 << 17
 # Most level-pair table entries an adaptive sweep's shared scan holds: 4 MiB.
 SHARED_TABLES_MAX = 4 * PAIR_TABLE_MAX
-# Most entries a table is built on at once. The main thread builds it, on a
-# heap the worker threads do not share, so its temporaries add to a run's
-# peak RSS: +1.1 MB at 32,768 entries and +0.5 MB at 16,384 on minrate_psweep.
+# Most entries a table is built on at once: the main thread builds it, on a heap
+# the worker threads do not share, so its temporaries add to a run's peak RSS.
 PAIR_SLAB = 1 << 13
 
 
@@ -530,21 +527,26 @@ def _table_pays(size, rows):
     return size <= PAIR_TABLE_MAX and size < rows
 
 
+def _pair_entries(t, rows):
+    """Entries in the level-pair table for levels 0..t and `rows` trials; 0 to split per row."""
+    size = (t + 1) * (t + 2) // 2
+    return size if _table_pays(size, rows) else 0
+
+
 def _pair_lookup(fn, d, t, rows):
     """(key, read): read(key(levels)) is fn(s * d, w * d) of the (strong,
     weak) level pair w <= s <= t of each row of a two-user block of levels.
 
     The transmitter adapts to the fed-back levels alone, so on either edge a
     trial's power split and min adapted rate are functions of its level
-    pair. Where _table_pays, a scan of `rows` trials tabulates fn, on slabs
-    of at most PAIR_SLAB entries: key gives each row's index s(s+1)/2 + w
-    and read takes its entry, formed from s * d and w * d as a row forms
-    them, so with the row's bits. Otherwise key gives the fed-back gains and
-    read runs fn on them. A caller drops levels between the two steps, so
-    they are not alive through a per-row fn.
+    pair. Where _pair_entries gives a table for a scan of `rows` trials, fn
+    is tabulated on slabs of at most PAIR_SLAB entries: key gives each row's
+    index s(s+1)/2 + w and read takes its entry, formed from s * d and w * d
+    as a row forms them, so with the row's bits. Otherwise key gives the
+    fed-back gains and read runs fn on them. A caller drops levels between
+    the two steps, so they are not alive through a per-row fn.
     """
-    size = (t + 1) * (t + 2) // 2
-    if not _table_pays(size, rows):
+    if not (size := _pair_entries(t, rows)):
         def gains(levels):
             # picked before the multiply by d, which is monotone: the bits of
             # picking from levels * d, without a float copy of the block
@@ -584,16 +586,14 @@ def _min_rate_lookup(b, p, rows):
 
 
 def _split_lookup(b, p, rows):
-    """_pair_lookup of the Bin b's upper-edge power split at power p: its
-    levels run to the largest count + 1."""
+    """_pair_lookup of the Bin b's upper-edge power split at p, to its largest count + 1."""
     return _pair_lookup(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
                         b.delta, max(b.t_outage) + 1, rows)
 
 
 def _vle_lookup(top, rows):
-    """The codeword lengths of levels 0..top, as vle_lengths gives them:
-    the take of a table of all top + 1, built once per scan where
-    _table_pays, or vle_lengths itself."""
+    """The codeword lengths of levels 0..top as vle_lengths gives them: the take
+    of a table of all top + 1, built once per scan where _table_pays, or vle_lengths."""
     return vle_lengths(np.arange(top + 1)).take if _table_pays(top + 1, rows) else vle_lengths
 
 

@@ -3,14 +3,26 @@
 Everything here is written from the defining formulas, not from the package
 internals, so tests compare two independent routes to the same number. The
 one exception, quantized_outage, is an adapter that feeds the package's own
-outage test, not an oracle.
+outage test, not an oracle. One autouse fixture, no_pool_thread_left, guards
+every test.
 """
 
 import math
+import threading
 
 import numpy as np
+import pytest
 
 from nomafb import alloc
+
+
+@pytest.fixture(autouse=True)
+def no_pool_thread_left():
+    """Fail a test that leaves a thread pool's worker alive: every scan shuts
+    its pool down, whether it ends, stops early or fails."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+    assert left == [], "pool threads left alive: %s" % left
 
 
 def grid_min_rate(h1, h2, p, step=1e-5):

@@ -1513,6 +1513,56 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     assert peak <= JOB_PEAK_KIB[kind], "%s job peaked at %.0f KiB" % (kind, peak)
 
 
+class KernelFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_a_failing_scan_keeps_its_job_window(adaptive, workers, monkeypatch):
+    # One rule bounds every scan: at most T = max(pool threads, 1) jobs are
+    # submitted past the one consumed, whatever the trial count. A fixed
+    # scan's W pool threads run whole jobs (T = W); an adaptive scan's
+    # W - 1 only draw (T = max(W - 1, 1)). So a kernel that fails on the
+    # first block of 10^9 trials (30,518 jobs) stops the scan after at most
+    # T + 1 jobs are submitted or drawn, with its error, a few blocks
+    # traced at the peak, and no pool thread left behind.
+    import threading
+    import tracemalloc
+
+    submitted, drawn = [], set()
+    submit, sample = harness.ThreadPoolExecutor.submit, harness.sample_block
+
+    def counting(pool, fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(pool, fn, *args, **kwargs)
+
+    def drawing(params, master, block_index, count=CHUNK):
+        drawn.add(block_index // harness.JOB_CHUNKS)
+        return sample(params, master, block_index, count)
+
+    def kernel(block):
+        raise KernelFailed(len(block))
+        yield  # a generator, as every driver's kernel is
+
+    monkeypatch.setattr(harness.ThreadPoolExecutor, "submit", counting)
+    monkeypatch.setattr(harness, "sample_block", drawing)
+    events = ("out",) if adaptive else ()
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelFailed, match=str(harness.JOB_CHUNKS * CHUNK)):
+            harness._scan(ChannelParams((1.0, 0.5)), 1, workers, [kernel], 10**9, events, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = max(workers - adaptive, 1) + 1  # T + 1
+    assert len(submitted) <= (window if workers > 1 else 0)
+    assert 1 <= len(drawn) <= window and min(drawn) == 0
+    assert peak < 10 << 20, "peak %.1f MB" % (peak / 2**20)
+    assert [t.name for t in threading.enumerate()
+            if t.name.startswith("ThreadPoolExecutor-")] == []
+
+
 class TestDriverGuards:
     def test_kind_mismatch(self):
         cfg = harness.ExperimentConfig(kind="minrate", trials=1000)

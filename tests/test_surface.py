@@ -164,17 +164,19 @@ def test_only_the_upper_edge_kernels_floor_their_outage_tests():
 def test_one_lower_edge_min_rate_path():
     # minrate and rateloss read the min adapted rate of each row's level
     # pair from its _min_rate_lookup. One builder, _pair_lookup, makes the
-    # lookups of both edges: it alone picks a table or a per-row fn, forms
-    # the key, and applies the budget rule _vle_lookup shares and _sweep
-    # reads to group an adaptive sweep's points by the tables they build. So
-    # no driver and no outage helper handles a table.
+    # lookups of both edges: it alone picks a table or a per-row fn and
+    # forms the key. It sizes a table by _pair_entries, which _sweep reads
+    # to group an adaptive sweep's points by the tables they build, and
+    # which applies the budget rule _vle_lookup shares. So no driver and no
+    # outage helper handles a table.
     assert sorted(_call_sites("two_user_rates")) == ["harness._min_rate_lookup.min_rate"]
     assert sorted(_call_sites("_min_rate_lookup")) == ["harness.run_min_rate.kernel_at",
                                                        "harness.run_rate_loss.scans"]
     assert sorted(_call_sites("_pair_lookup")) == ["harness._min_rate_lookup",
                                                    "harness._split_lookup"]
-    assert sorted(_call_sites("_table_pays")) == ["harness._pair_lookup", "harness._sweep",
+    assert sorted(_call_sites("_table_pays")) == ["harness._pair_entries",
                                                   "harness._vle_lookup"]
+    assert sorted(_call_sites("_pair_entries")) == ["harness._pair_lookup", "harness._sweep"]
     tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
     for func in tree.body:
         if isinstance(func, ast.FunctionDef) and (func.name.startswith("run_")
