@@ -2,18 +2,18 @@
 
 Each driver sweeps one variable and runs a vectorized per-chunk kernel for
 each sweep point over the trial stream. A kernel names its metrics, each a
-per-trial array or an event mask; a scan reduces them per chunk and with
-math.fsum in fixed chunk order. Chunks are keyed by index, so the worker
+per-trial array or an event mask; a scan reduces them per chunk and adds the
+chunks' sums exactly, as ints. Chunks are keyed by index, so the worker
 count changes nothing but wall time; adaptive stopping keeps one prefix per
-point, the shortest whose own chunks meet its event target, so the points
-of a sweep can share a scan that samples each block once.
+point, the shortest whose own chunks meet its event target, so the points of
+a sweep can share a scan that samples each block once.
 """
 
 import functools
 import itertools
 import math
 import os
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
@@ -230,35 +230,37 @@ def policy_delta(policy, p):
 # chunk scanning
 
 def _moments(x):
-    """(sum, sum of squares) of one chunk of a metric; of a 0/1 event mask, both its count."""
-    if x.dtype == bool:
-        count = float(np.count_nonzero(x))
-        return count, count
-    return x.sum(), (x * x).sum()
+    """(sum, sum of squares) of one chunk of a metric, of an event mask both its
+    count, as exact ints in units of 2^-1074, as every finite float is. Ints add
+    exactly, and CPython rounds int / int correctly, as fsum does: see _scan."""
+    if x.dtype == bool:  # a count is an int already, and its own sum of squares
+        return (int(np.count_nonzero(x)) << 1074,) * 2
+    (n1, d1), (n2, d2) = (float(s).as_integer_ratio() for s in (x.sum(), (x * x).sum()))
+    return n1 << (1075 - d1.bit_length()), n2 << (1075 - d2.bit_length())  # n * 2^1074 / d
 
 
 def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunks=JOB_CHUNKS):
     """Reduce each kernel's metrics over the first `trials` trials, chunk by chunk.
 
     Each kernel (an adaptive sweep passes one per point) yields (metric,
-    per-trial array or event mask) pairs for a block, each reduced as it
-    comes. A job draws job_chunks consecutive chunks as one block, sampled
-    once for every kernel, runs each live kernel on it and reduces each
-    metric per chunk, on its rows, so a row-local kernel gives each chunk
-    the bits it gives the chunk alone. Jobs are consumed in index order, at
-    most T = max(pool threads, 1) submitted past the one consumed: at most
-    T + 1 are in flight, whatever the trial count. Of W = min(workers,
-    jobs), a scan without events runs whole jobs on W pool threads. With
-    events each kernel keeps the shortest chunk prefix in which every named
-    event count of its own reaches target, which its own per-chunk counts
-    settle, and retires after the job that settles it; W - 1 pool threads
-    only draw, and the calling thread runs every kernel: on small floored
-    tests two threads trade the interpreter lock at each numpy call. At W = 1
-    each job runs inline. Only a failed scan cancels a job: an adaptive scan
-    draws its first min(jobs, last job consumed + W) jobs, each once. Returns
-    one (moments, n, capped) per kernel: moments maps each metric to its
-    fsum-reduced (sum, sum of squares) over the n kept trials; capped says
-    the target was not reached.
+    per-trial array or event mask) pairs for a block. A job draws job_chunks
+    consecutive chunks as one block, sampled once for every kernel, runs each
+    live kernel on it and reduces each metric as it comes, per chunk on its
+    rows, so a row-local kernel gives each chunk the bits it gives the chunk
+    alone. Jobs are consumed in index order, at most T = max(pool threads, 1)
+    submitted past the one consumed: at most T + 1 are in flight, whatever the
+    trial count. Of W = min(workers, jobs), a scan without events runs whole
+    jobs on W pool threads. With events each kernel keeps the shortest chunk
+    prefix in which every named event count of its own reaches target, and
+    leaves the live kernels at the chunk that settles it; W - 1 pool threads
+    only draw, and the calling thread runs every kernel: on small floored tests
+    two threads trade the interpreter lock at each numpy call. At W = 1 each
+    job runs inline. Only a failed scan cancels a job: an adaptive scan draws
+    its first min(jobs, last job consumed + W) jobs, each once. Returns one
+    (moments, n) per kernel: moments maps each metric to its (sum, sum of
+    squares) over the n kept trials, a running total of the chunks' _moments,
+    one pair per metric whatever the trial count, over 2^1074: CPython's int
+    division rounds it correctly, as fsum rounds the chunks' floats.
     """
     n_chunks = (trials + CHUNK - 1) // CHUNK
     n_jobs = (n_chunks + job_chunks - 1) // job_chunks
@@ -278,12 +280,11 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
         for k in live:
             for metric, x in kernels[k](block):
                 for i, part in enumerate(parts[k]):
-                    part[metric] = _moments(x[i * CHUNK:(i + 1) * CHUNK])
+                    part[metric, 1], part[metric, 2] = _moments(x[i * CHUNK:(i + 1) * CHUNK])
                 del x  # so the kernel computes its next metric without this one
         return parts
 
-    partials, keep, live = [[] for _ in kernels], [None] * len(kernels), range(len(kernels))
-    counts = [[0.0] * len(events) for _ in kernels]
+    totals, kept, live = [Counter() for _ in kernels], [0] * len(kernels), [*range(len(kernels))]
     width = min(workers, n_jobs)
     threads = width - bool(events) if width > 1 else 0  # an adaptive scan's caller runs kernels
     ahead = max(threads, 1)  # T, the jobs submitted past the one consumed
@@ -299,22 +300,21 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
                     window.append(submit(ji + ahead))
                 for k, chunk_parts in (step(job(), live) if events else job()).items():
                     for part in chunk_parts:
-                        partials[k].append(part)
-                        counts[k] = [c + part[e][0] for c, e in zip(counts[k], events)]
-                        if events and min(counts[k]) >= target:
-                            keep[k] = len(partials[k])
+                        kept[k] += 1
+                        totals[k].update(part)  # adds each moment; Counter's += drops those <= 0
+                        if events and min(totals[k][e, 1] for e in events) >= target << 1074:
+                            live.remove(k)
                             break
-                if not (live := [k for k in live if keep[k] is None]):
+                if not live:
                     break
             for job in window if pool else ():
                 job()  # a draw past the last job, read so that its error is raised
         finally:  # a failed or interrupted scan drops its queued jobs
             if pool:
                 pool.shutdown(cancel_futures=True)
-    return [({metric: (math.fsum(part[metric][0] for part in parts),
-                       math.fsum(part[metric][1] for part in parts)) for metric in parts[0]},
-             min(len(parts) * CHUNK, trials), stop is None and bool(events))
-            for parts, stop in zip(partials, keep)]
+    return [({metric: (sums[metric, 1] / (1 << 1074), sums[metric, 2] / (1 << 1074))
+              for metric, power in sums if power == 1}, min(chunks * CHUNK, trials))
+            for sums, chunks in zip(totals, kept)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
         found = _scan(params, cfg.seed, workers, kernels, trials, events,
                       cfg.min_outage_events, job_chunks)
         del batch, kernels  # what they hold, such as tables, goes before the next are made
-        for (moments, n, capped), views in zip(found, group):
+        for (moments, n), views in zip(found, group):
             fewest = min((int(moments[e][0]) for e in events), default=None)
             for value, constants in views:
                 own = {}
@@ -401,7 +401,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
                                            key=lambda m: m.metric))
                 # The exact value: points %g prints alike get their own labels.
                 where = "%s=%r" % (stats.sweep, float(value))
-                if capped:
+                if events and fewest < cfg.min_outage_events:  # so the cap was reached
                     stats.notes.append("%s: trial cap %d reached with %d/%d events"
                                        % (where, n, fewest, cfg.min_outage_events))
                 if progress:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import quantized_outage, vle_mean_analytic
@@ -18,6 +20,9 @@ from nomafb.quantizer import (
     rate_levels,
     vle_lengths,
 )
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def tiny(kind, n=1000):
@@ -286,6 +291,26 @@ class TestAdaptiveStopping:
                                      outage_levels(h2, 0.2, t) * 0.2, 1e4, 1.0)[0]
             point = metrics_by_sweep(stats)[40.0]["out_qo[delta=0.2]"]
             assert round(point.value * cap) == np.count_nonzero(out_q) > 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_cap_note_marks_a_missed_target(self, workers):
+        # A point gets the note only when the cap stopped it short of its
+        # target: one whose target is the count it reaches at its cap meets
+        # it there, and one event more is missed, at the cap.
+        cap = 2 * CHUNK + 1000
+        base = dict(kind="outage", p_db=(10.0,), deltas=(0.2,), trial_cap=cap, seed=5,
+                    workers=workers)
+        stats = harness.run_outage(harness.ExperimentConfig(min_outage_events=cap, **base))
+        full = metrics_by_sweep(stats)[10.0]["out_full"]
+        events = round(full.value * full.n)
+        assert full.n == cap and 0 < events < cap
+        met = harness.run_outage(harness.ExperimentConfig(min_outage_events=events, **base))
+        assert met.notes == [] and {m.n for m in met.points} == {cap}
+        missed = harness.run_outage(harness.ExperimentConfig(min_outage_events=events + 1,
+                                                             **base))
+        assert missed.notes == ["p_db=10.0: trial cap %d reached with %d/%d events"
+                                % (cap, events, events + 1)]
+        assert {m.n for m in missed.points} == {cap}
 
 
 class TestMetricLayout:
@@ -1561,6 +1586,79 @@ def test_a_failing_scan_keeps_its_job_window(adaptive, workers, monkeypatch):
     assert peak < 10 << 20, "peak %.1f MB" % (peak / 2**20)
     assert [t.name for t in threading.enumerate()
             if t.name.startswith("ThreadPoolExecutor-")] == []
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_a_scan_holds_no_state_per_chunk(adaptive, monkeypatch):
+    # A scan adds each chunk's moments into one running exact total per
+    # metric, so what it holds does not grow with the trial count. The
+    # kernel yields rateloss_dsweep's 25 metric keys, on zero blocks, so the
+    # scan's own state is all that could grow: a scan that kept per-chunk
+    # sums for one final fsum read 1.6 MB at 200 chunks and 9.1 MB at 2,000.
+    import tracemalloc
+
+    deltas = (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
+    names = ("vle_rx1", "vle_rx2", "r_qr", "rate_loss")
+    events = ("out",) if adaptive else ()
+
+    def kernel(block):
+        yield "out", block[:, 0] > 0  # an event that never comes: an adaptive scan runs on
+        for d in deltas:
+            for name in names:
+                yield (name, d), block[:, 1]
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            found = harness._scan(ChannelParams((1.0, 0.5)), 1, 1, [kernel], chunks * CHUNK,
+                                  events, 1)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        moments, n = found[0][:2]
+        assert n == chunks * CHUNK and len(moments) == 1 + len(deltas) * len(names)
+        return traced
+
+    monkeypatch.setattr(harness, "sample_block",
+                        lambda params, master, block_index, count=CHUNK: np.zeros((count, 2)))
+    harness._scan(ChannelParams((1.0, 0.5)), 1, 1, [kernel], 2 * CHUNK)  # sets up numpy's caches
+    short, long = peak(200), peak(2000)
+    assert long - short < 1 << 20, "peak %.1f MB at 200 chunks, %.1f MB at 2,000" % (
+        short / 2**20, long / 2**20)
+
+
+def moment_int(v):
+    """The int _moments gives the sum of a chunk whose one row is v. Past
+    2^511, where its square would overflow, v is scaled by 2^-500 first,
+    which is exact there."""
+    if abs(v) < 2.0**511:
+        return harness._moments(np.array([v]))[0]
+    return harness._moments(np.array([v / 2.0**500]))[0] << 500
+
+
+FINITE = st.floats(min_value=-2.0**1000, max_value=2.0**1000)
+TINY = st.floats(min_value=-2.0**-1000, max_value=2.0**-1000)  # subnormals and their sums
+EDGES = st.sampled_from([1.0, 1.0 + 2**-52, 2**-53, -2**-53, 2**-54, 2**-1074, -2**-1074,
+                         2.0**-1022, 2.0**1000, -2.0**1000])
+
+
+@PROPERTY
+@given(st.lists(st.one_of(FINITE, TINY, EDGES), max_size=40))
+@example([1.0, 2**-53])  # halfway, to the even 1.0
+@example([1.0 + 2**-52, 2**-53])  # halfway, up to the even neighbour
+@example([1.0, 2**-53, 2**-1074])  # just past halfway
+@example([2.0**1000, 1.0, -2.0**1000])  # the big terms cancel
+@example([2**-1074, 2**-1074, -2.0**-1022])  # a subnormal total
+def test_exact_totals_round_as_fsum_does(values):
+    # A scan reports each metric's running int total over 2^1074, which
+    # CPython's int division rounds correctly, as fsum rounds the floats.
+    # A zero sum may differ in sign only: no metric sums to -0.0, as every
+    # metric is at least +0.0 or a difference x - y, and x - x is +0.0.
+    got, want = sum(map(moment_int, values)) / (1 << 1074), math.fsum(values)
+    if want == 0:
+        assert got == 0
+    else:
+        assert got.hex() == want.hex(), values
 
 
 class TestDriverGuards:

@@ -192,6 +192,17 @@ def test_only_the_scan_samples_blocks():
     assert set(_call_sites("sample_block")) == {"harness._scan.draw"}
 
 
+def test_one_exact_reduction_path():
+    # A scan's step turns each chunk of a metric into exact int moments, and
+    # the scan adds them as they come. A second caller could reduce a metric
+    # with other rounding, and an fsum brought back would need the per-chunk
+    # sums kept until the end, a scan's memory growing with its trial count.
+    assert _call_sites("_moments") == ["harness._scan.step"]
+    tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
+    assert [ast.unparse(n) for n in ast.walk(tree)
+            if "fsum" in (getattr(n, "id", None), getattr(n, "attr", None))] == []
+
+
 def test_sample_block_keeps_the_traced_signature():
     # bench/layertrace.py wraps sample_block and unpacks its arguments by
     # name into (params, master, block_index, count); a parameter added,
