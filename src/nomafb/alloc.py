@@ -262,7 +262,7 @@ def alloc_from_rate(r, gains_desc, p):
         raise ValueError("need a nonnegative rate and positive gains")
     b = 2.0**r - 1.0
     out = np.empty_like(g)
-    consumed = np.zeros_like(b)
+    consumed = np.zeros(np.broadcast_shapes(b.shape, g.shape[:-1]))
     for k in range(g.shape[-1]):
         out[..., k] = b * (consumed + 1.0 / (p * g[..., k]))
         consumed += out[..., k]

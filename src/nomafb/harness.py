@@ -320,6 +320,40 @@ def _scan(params, seed, workers, kernels, trials, events=(), target=0, job_chunk
 # ---------------------------------------------------------------------------
 # the sweep loop
 
+# glibc's mallopt parameters, and the environment settings that already set them
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_MALLOC_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold")
+
+
+@functools.cache
+def fix_malloc_thresholds():
+    """Stop glibc from mapping and trimming heap pages for every chunk temporary.
+
+    A two-user job stacks two chunks, so a float64 column temporary is 256 KiB,
+    above glibc's default 128 KiB mmap threshold: each would map fresh pages
+    (or trim freed ones) and fault them in again. Raising the mmap threshold to
+    4 MiB and the trim threshold to 64 MiB lets freed temporaries be reused in
+    place. Runs once per process; a no-op off glibc or where the environment
+    already sets either threshold. True if the thresholds were set.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (not libc or any(k in os.environ for k in _MALLOC_ENV)
+            or any(t in tunables for t in _MALLOC_TUNABLES)):
+        return False
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(M_MMAP_THRESHOLD, 4 << 20)) and bool(mallopt(M_TRIM_THRESHOLD, 64 << 20))
+
+
 def _points(sweep_value, moments, n):
     """{metric: MetricPoint} with each mean and its standard error."""
     points = {}
@@ -362,6 +396,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     """
     if cfg.kind != kind:
         raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
+    fix_malloc_thresholds()
     params = ChannelParams(cfg.variances)
     workers = resolve_workers(cfg.workers)
     trials = cfg.trial_cap if events else cfg.trials

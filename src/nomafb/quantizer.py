@@ -81,9 +81,9 @@ def _lower_edge(x, delta, t):
 def rate_levels(x, delta, t):
     """Lower-edge bin indices: the largest n <= t (t[j] in column j) with fl(n*delta) <= x."""
     x = np.asarray(x, dtype=np.float64)
-    # One pass that skips NaN, as np.any(x < 0) does; empty x reads as +inf.
-    if np.fmin.reduce(x, axis=None, initial=np.inf) < 0:
-        raise ValueError("gain must be nonnegative")
+    # One pass that keeps NaN, which has no level; empty x reads as +inf.
+    if not np.minimum.reduce(x, axis=None, initial=np.inf) >= 0:
+        raise ValueError("gain must be nonnegative, not NaN")
     return _lower_edge(x, delta, t)[0].astype(np.int64)[()]
 
 
@@ -100,8 +100,8 @@ def outage_levels(x, delta, t):
     tied level, ceil with nudges the smaller; both feed back the same float.
     """
     x = np.asarray(x, dtype=np.float64)
-    if np.fmin.reduce(x, axis=None, initial=np.inf) <= 0:
-        raise ValueError("gain must be positive; zero would quantize to zero")
+    if not np.minimum.reduce(x, axis=None, initial=np.inf) > 0:
+        raise ValueError("gain must be positive, not NaN; zero would quantize to zero")
     m, certified = _lower_edge(x, delta, t)
     m += 1.0 if certified else m * delta < x  # see _certified_floor
     return m.astype(np.int64)[()]

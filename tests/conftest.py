@@ -2,18 +2,23 @@
 
 Everything here is written from the defining formulas, not from the package
 internals, so tests compare two independent routes to the same number. The
-one exception, quantized_outage, is an adapter that feeds the package's own
-outage test, not an oracle. One autouse fixture, no_pool_thread_left, guards
-every test.
+exceptions are not oracles: quantized_outage is an adapter that feeds the
+package's own outage test, and glibc and minor_faults probe the C library's
+heap. One autouse fixture, no_pool_thread_left, guards every test.
 """
 
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nomafb import alloc
+import nomafb
+from nomafb import alloc, harness
 
 
 @pytest.fixture(autouse=True)
@@ -23,6 +28,26 @@ def no_pool_thread_left():
     yield
     left = [t.name for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
     assert left == [], "pool threads left alive: %s" % left
+
+
+def glibc():
+    """Whether this interpreter runs on glibc, whose malloc thresholds a sweep sets."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def minor_faults(script):
+    """The int script prints last, run in a fresh interpreter on this package
+    with glibc's default malloc thresholds: its environment sets none."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in harness._MALLOC_ENV + ("GLIBC_TUNABLES",)}
+    env["PYTHONPATH"] = str(Path(nomafb.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 def grid_min_rate(h1, h2, p, step=1e-5):

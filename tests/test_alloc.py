@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
 from conftest import achievable_check, grid_min_rate, quantized_outage, random_triples, varpi
@@ -248,6 +248,17 @@ class TestAllocFromRate:
             a_star = alloc.equal_rate_split(gd[0], gd[1], p[i])
             assert abs(a[0] - a_star) < 1e-8
             assert abs(a.sum() - 1.0) < 1e-8
+
+    def test_a_scalar_rate_serves_every_row(self):
+        # r broadcasts against the leading axes of the gains: one rate for n
+        # rows splits each row as n copies of it do.
+        rng = np.random.default_rng(111)
+        gd = np.sort(rng.exponential(1.0, (50, 3)), axis=1)[:, ::-1]
+        for r in (0.0, 0.7, np.float64(1.3)):
+            got = alloc.alloc_from_rate(r, gd, 10.0)
+            assert_array_equal(got, alloc.alloc_from_rate(np.full(50, r), gd, 10.0))
+        assert_array_equal(alloc.alloc_from_rate(1.0, np.array([[2.0, 1.0]]), 10.0),
+                           alloc.alloc_from_rate([1.0], np.array([[2.0, 1.0]]), 10.0))
 
     def test_power_fractions_increase_with_weakness(self):
         gd = np.array([3.0, 1.0, 0.4, 0.1])

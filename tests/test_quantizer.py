@@ -115,11 +115,12 @@ class TestLevelInputChecks:
         levels, _ = LEVEL_CHECKS[name]
         assert levels(np.array([]), 0.1, 10).shape == (0,)
 
-    def test_accepts_nan(self, name):
+    def test_rejects_nan(self, name):
+        # NaN has no level: cast to int64 it would read as -2^63.
         levels, _ = LEVEL_CHECKS[name]
-        with np.errstate(invalid="ignore"):  # NaN has no int64 level
-            levels(np.array([np.nan, 0.25]), 0.1, 10)
-            levels(np.array([np.nan]), 0.1, 10)
+        for x in ([np.nan, 0.25], [0.25, np.nan], [np.nan], np.nan, [[0.25, np.nan]]):
+            with pytest.raises(ValueError, match="not NaN"):
+                levels(np.array(x), 0.1, 10)
 
     def test_a_count_past_int64_saturates_nothing(self, name):
         # The count is taken as a float, so the top of the int64 range
@@ -244,7 +245,8 @@ class TestCertifiedLevels:
         with np.errstate(invalid="ignore"):  # NaN has no int64 level
             assert not certifies([0.25, np.nan], delta, t)
             assert not certifies([np.nan, 0.25], delta, t)
-            assert_array_equal(levels(np.array([0.25, np.nan]), delta, t)[:1], [2 + (name == "outage")])
+        with pytest.raises(ValueError, match="not NaN"):
+            levels(np.array([0.25, np.nan]), delta, t)
         tiny = np.array([5e-324, 1e-310, 2.0**-1022, 1e-300])
         assert not any(certifies(g, delta, t) for g in tiny)
         assert_array_equal(levels(tiny, delta, t), [name == "outage"] * 4)

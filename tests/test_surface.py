@@ -301,3 +301,18 @@ def test_readme_kinds_table_lists_each_kinds_options():
         listed[row[0].strip("`")] = sorted(re.findall(r"`(--[\w-]+)`", row[at]))
     assert listed == {kind: sorted(OPTIONS[dest][0] for dest in exp.options)
                       for kind, exp in EXPERIMENTS.items()}
+
+
+def test_one_heap_setting():
+    # Every sweep sets glibc's malloc thresholds first, right after its kind
+    # check and before a kernel factory builds a table or a block is drawn,
+    # so the command line, library callers and the tests share one heap
+    # configuration. The command line only parses, runs and renders.
+    assert _call_sites("fix_malloc_thresholds") == ["harness._sweep"]
+    tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_sweep")
+    kind_check, first = sweep.body[1:3]  # after the docstring
+    assert isinstance(kind_check, ast.If) and ast.unparse(first) == "fix_malloc_thresholds()"
+    text = (Path(nomafb.__file__).parent / "cli.py").read_text()
+    assert [word for word in ("mallopt", "ctypes", "_MALLOC_") if word in text] == []
