@@ -80,11 +80,18 @@ def equal_rate_split(g_strong, g_weak, p):
     _check_power(p)
     if _lowest(gw) < 0 or (gs < gw).any():
         raise ValueError("need g_strong >= g_weak >= 0; order the gains first")
-    served = gw > 0.0
-    a = _split_den(gs, gw, p)
-    np.divide(2.0 * gw, a, out=a, where=served)
-    np.copyto(a, 0.0, where=~served)
+    with np.errstate(invalid="ignore"):  # 0/0 where both gains are 0: unserved, set below
+        a = _served_split(gs, gw, p)
+    np.copyto(a, 0.0, where=~(gw > 0.0))
     return a
+
+
+def _served_split(g_strong, g_weak, p):
+    """equal_rate_split, unchecked, for float64 gains g_strong >= g_weak > 0
+    and a valid p: 2 g_weak / _split_den. The quantized outage test calls it
+    on fed-back upper-edge gains, which are never 0."""
+    a = _split_den(g_strong, g_weak, p)
+    return np.divide(2.0 * g_weak, a, out=a)
 
 
 def two_user_rates(a, g_strong, g_weak, p):

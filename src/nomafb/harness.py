@@ -92,6 +92,12 @@ class ExperimentConfig:
         for name in ("r_th", "eps"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError("%s must be positive and finite" % name)
+        # Every r_ub = log2(1 + p g) of a finite p g is at most 2^10, so a
+        # bisection to eps >= 2^10 / 2^alloc.ITERATION_CAP stays within its cap.
+        least = alloc.ITERATION_CAP - 10
+        if self.eps < 2.0**-least:
+            raise ValueError("eps must be at least 2^-%d: a finer one could need more than %d "
+                             "bisection steps" % (least, alloc.ITERATION_CAP))
         if any(a < b for a, b in zip(self.variances, self.variances[1:])):
             raise ValueError("variances must be nonincreasing (receiver 1 strongest)")
         if len(self.p_db) == 0:
@@ -391,8 +397,7 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     scanned alone, made once the one before it is dropped. With events a
     point's kernel stops at the first chunk where each named event count of
     its own reaches cfg.min_outage_events, or at cfg.trial_cap trials; the
-    points share scans in order, as many as SHARED_TABLES_MAX holds the
-    split tables of in each, made and dropped together.
+    points all share one scan.
     """
     if cfg.kind != kind:
         raise ValueError("config kind is %r, expected %r" % (cfg.kind, kind))
@@ -402,18 +407,8 @@ def _sweep(cfg, kind, scans, progress, events=(), mins=None, drop=()):
     trials = cfg.trial_cap if events else cfg.trials
     stats = RunStats(experiment=kind, sweep=cfg.sweep, seed=cfg.seed)
     job_chunks = 1 if EXPERIMENTS[kind].k_user else JOB_CHUNKS
-    scans, groups = iter(scans), itertools.repeat(1)
-    if events:
-        sizes, total = [], 0
-        for _, _, bins in cfg.points:  # the tables _split_lookup builds
-            entries = sum(_pair_entries(max(b.t_outage) + 1, trials) for b in bins)
-            if sizes and total + entries <= SHARED_TABLES_MAX:
-                sizes[-1], total = sizes[-1] + 1, total + entries
-            else:
-                sizes, total = sizes + [1], entries
-        groups = iter(sizes)
-
-    while batch := list(itertools.islice(scans, next(groups, 0))):
+    scans = iter(scans)
+    while batch := list(itertools.islice(scans, None if events else 1)):
         kernels, group = zip(*batch)
         found = _scan(params, cfg.seed, workers, kernels, trials, events,
                       cfg.min_outage_events, job_chunks)
@@ -500,33 +495,38 @@ def _order_keys(levels, d, top):
     return np.unique(levels * d, return_inverse=True)[1].reshape(levels.shape)
 
 
-def _quantized_outage(block, levels, b, split, p, beta):
+def _quantized_outage(block, levels, b, p, beta):
     """outage_conditions on a two-user block of true gains when both receivers
-    feed back upper-edge levels of the Bin b, with power split by `split`,
-    its _split_lookup. levels is dropped before the split, so a caller
+    feed back upper-edge levels of the Bin b, with power split by the
+    fed-back gains of each row's (strong, weak) level pair. Each int array
+    is dropped once it is scaled, levels once both are picked, so a caller
     passes them as a temporary: a local or the args tuple of f(*args) would
-    keep them alive through it, 512 KiB more at a two-chunk job's peak.
+    keep them alive through the split, 512 KiB more at a two-chunk job's peak.
     """
-    rx1_strong = np.greater_equal(*_order_keys(levels, b.delta, max(b.t_outage) + 1).T)
-    key, read = split
-    fed = key(levels)
+    d = b.delta
+    rx1_strong = np.greater_equal(*_order_keys(levels, d, max(b.t_outage) + 1).T)
+    # picked before the multiply by d, as _pair_lookup's per-row gains are
+    strong, weak = np.maximum(levels[:, 0], levels[:, 1]), np.minimum(levels[:, 0], levels[:, 1])
     del levels
-    a = read(fed)
-    del fed
+    qs = strong * d
+    del strong
+    qw = weak * d
+    del weak
+    a = alloc._served_split(qs, qw, p)  # upper-edge levels are at least 1
+    del qs, qw
     return alloc.outage_conditions(block[:, 0], block[:, 1], a, rx1_strong, p, beta)
 
 
-def _outage_masks(p, beta, bins, rows):
+def _outage_masks(p, beta, bins):
     """masks(block, hmin[, levels]): a generator of a two-user block's
     full-CSI outage mask at power p and SINR threshold beta, then for each
     upper-edge Bin an iterator of its (system, rx1, rx2) masks of
-    _quantized_outage, for a scan of `rows` trials. The splits and floors
-    are made once per point. masks forms each alloc.outage_floor's row mask
-    from hmin, the smaller gain of each row, and drops hmin before its first
-    test; each test runs through _floored. levels, where given, are every
-    row's levels at the one bin; else each test quantizes its own rows.
+    _quantized_outage. The floors are made once per point. masks forms each
+    alloc.outage_floor's row mask from hmin, the smaller gain of each row,
+    and drops hmin before its first test; each test runs through _floored.
+    levels, where given, are every row's levels at the one bin; else each
+    test quantizes its own rows.
     """
-    splits = [_split_lookup(b, p, rows) for b in bins]
     floors = [alloc.outage_floor(p, beta)] + [
         alloc.outage_floor(p, beta, b.delta, min(b.t_outage) + 1) for b in bins]
 
@@ -534,22 +534,19 @@ def _outage_masks(p, beta, bins, rows):
         full, *below = [hmin < c for c in floors]  # the rows each test must run on
         del hmin
         yield from _floored(lambda g: (_full_csi_outage(g, p, beta),), full, block)
-        for b, split, r in zip(bins, splits, below):
+        for b, r in zip(bins, below):
             yield _floored(lambda g, m=None: _quantized_outage(
-                g, outage_levels(g, b.delta, b.t_outage) if m is None else m, b, split, p, beta),
+                g, outage_levels(g, b.delta, b.t_outage) if m is None else m, b, p, beta),
                 r, block, *levels)
 
     return masks
 
 
 # Most entries of a level-pair table: 1 MiB of float64, which holds every
-# pair of levels up to 510 (delta >= ~0.009 on the lower edge and >= 0.00518
-# on the upper at lambda1 = 1). A finer bin splits power per row: its table
-# would outweigh a job's arrays (on the lower edge 563,391 entries at delta =
-# 0.005, 191 MB at 1e-3).
+# pair of levels up to 510 (delta >= ~0.009 at lambda1 = 1). A finer bin
+# splits power per row: its table would outweigh a job's arrays (563,391
+# entries at delta = 0.005, 191 MB at 1e-3).
 PAIR_TABLE_MAX = 1 << 17
-# Most level-pair table entries an adaptive sweep's shared scan holds: 4 MiB.
-SHARED_TABLES_MAX = 4 * PAIR_TABLE_MAX
 # Most entries a table is built on at once: the main thread builds it, on a heap
 # the worker threads do not share, so its temporaries add to a run's peak RSS.
 PAIR_SLAB = 1 << 13
@@ -562,26 +559,21 @@ def _table_pays(size, rows):
     return size <= PAIR_TABLE_MAX and size < rows
 
 
-def _pair_entries(t, rows):
-    """Entries in the level-pair table for levels 0..t and `rows` trials; 0 to split per row."""
-    size = (t + 1) * (t + 2) // 2
-    return size if _table_pays(size, rows) else 0
-
-
 def _pair_lookup(fn, d, t, rows):
     """(key, read): read(key(levels)) is fn(s * d, w * d) of the (strong,
     weak) level pair w <= s <= t of each row of a two-user block of levels.
 
-    The transmitter adapts to the fed-back levels alone, so on either edge a
-    trial's power split and min adapted rate are functions of its level
-    pair. Where _pair_entries gives a table for a scan of `rows` trials, fn
-    is tabulated on slabs of at most PAIR_SLAB entries: key gives each row's
-    index s(s+1)/2 + w and read takes its entry, formed from s * d and w * d
-    as a row forms them, so with the row's bits. Otherwise key gives the
+    The transmitter adapts to the fed-back levels alone, so a trial's min
+    adapted rate is a function of its level pair. Where _table_pays for its
+    (t + 1)(t + 2)/2 pairs and a scan of `rows` trials, fn is tabulated on
+    slabs of at most PAIR_SLAB entries: key gives each row's index
+    s(s+1)/2 + w and read takes its entry, formed from s * d and w * d as a
+    row forms them, so with the row's bits. Otherwise key gives the
     fed-back gains and read runs fn on them. A caller drops levels between
     the two steps, so they are not alive through a per-row fn.
     """
-    if not (size := _pair_entries(t, rows)):
+    size = (t + 1) * (t + 2) // 2
+    if not _table_pays(size, rows):
         def gains(levels):
             # picked before the multiply by d, which is monotone: the bits of
             # picking from levels * d, without a float copy of the block
@@ -618,12 +610,6 @@ def _min_rate_lookup(b, p, rows):
         return np.minimum(r_strong, r_weak, out=r_strong)
 
     return _pair_lookup(min_rate, b.delta, max(b.t_rate), rows)
-
-
-def _split_lookup(b, p, rows):
-    """_pair_lookup of the Bin b's upper-edge power split at p, to its largest count + 1."""
-    return _pair_lookup(lambda qs, qw: alloc.equal_rate_split(qs, qw, p),
-                        b.delta, max(b.t_outage) + 1, rows)
 
 
 def _vle_lookup(top, rows):
@@ -691,7 +677,7 @@ def run_outage(cfg, progress=None):
         beta_tdma = _snr_threshold(2.0 * cfg.r_th)
         labels = ["out_qo[delta=%s]" % _fmt(b.delta) if cfg.policy == "fixed"
                   else "out_qo[policy=%s]" % cfg.policy for b in bins]
-        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins, cfg.trial_cap)
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins)
 
         def kernel(block):
             hmin = np.minimum(block[:, 0], block[:, 1])
@@ -711,7 +697,7 @@ def run_outage(cfg, progress=None):
 
 def run_outage_loss(cfg, progress=None):
     def kernel_at(p, b):
-        masks = _outage_masks(p, _snr_threshold(cfg.r_th), (b,), cfg.trials)
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), (b,))
         lengths = _vle_lookup(max(b.t_outage) + 1, cfg.trials)
 
         def kernel(block):
@@ -790,7 +776,7 @@ def run_diversity(cfg, progress=None):
     )
 
     def kernel_at(p, bins):
-        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins, cfg.trial_cap)
+        masks = _outage_masks(p, _snr_threshold(cfg.r_th), bins)
 
         def kernel(block):
             full, (fixed, rx1, rx2), policy = masks(block, np.minimum(block[:, 0], block[:, 1]))

@@ -499,6 +499,18 @@ class TestTwoUserKernelProperties:
         assert 0.0 <= a <= 1.0
 
     @PROPERTY
+    @given(st.lists(st.tuples(st.floats(0.0, 1e60, exclude_min=True),
+                              st.floats(0.0, 1e60, exclude_min=True)), min_size=1, max_size=8),
+           st.floats(-100.0, 100.0))
+    def test_unchecked_core_has_the_checked_splits_bits(self, pairs, p_db):
+        # The quantized outage test splits fed-back upper-edge gains, never 0,
+        # by alloc._served_split, equal_rate_split's core without its checks.
+        g = np.array(pairs)
+        gs, gw, p = g.max(axis=1), g.min(axis=1), 10.0 ** (p_db / 10.0)
+        assert_array_equal(alloc._served_split(gs, gw, p).view(np.int64),
+                           alloc.equal_rate_split(gs, gw, p).view(np.int64))
+
+    @PROPERTY
     @given(st.integers(0, 10**6), bin_size, power)
     def test_dead_rows_get_nothing_and_warn_nothing(self, level, delta, p):
         # A dead row: the weak receiver fed back level 0, the strong any level.
@@ -592,10 +604,9 @@ class TestSelectFreeOutage:
         q = levels * 0.5
         assert q[0, 0] == q[0, 1] == 2.0**52
         want = _parent_outage_conditions(block[:, 0], block[:, 1], q[:, 0], q[:, 1], 1e-15, 1.0)
-        b = harness.Bin(0.5, (2**53,) * 2, (2**53,) * 2)  # levels to 2^53 + 1: no table
+        b = harness.Bin(0.5, (2**53,) * 2, (2**53,) * 2)
         assert harness._order_keys(levels, 0.5, 2**53 + 1).tolist() == [[0, 0]]
-        got = harness._quantized_outage(block, levels, b, harness._split_lookup(b, 1e-15, 1),
-                                        1e-15, 1.0)
+        got = harness._quantized_outage(block, levels, b, 1e-15, 1.0)
         assert [g.tolist() for g in got] == [w.tolist() for w in want] == [[True], [True], [False]]
         a = alloc.equal_rate_split(q[:, 0], q[:, 1], 1e-15)
         by_int = alloc.outage_conditions(block[:, 0], block[:, 1], a, levels[:, 0] >= levels[:, 1],
@@ -654,8 +665,7 @@ class TestOutageFloor:
         block = both_orders(h, [h, m * delta, h + 0.5 * delta, h + delta, h * spread,
                                 top, 2.0 * top, top * spread])
         levels = quantizer.outage_levels(block, delta, b.t_outage)
-        masks = harness._quantized_outage(block, levels, b, harness._split_lookup(b, p, 1),
-                                          p, beta)
+        masks = harness._quantized_outage(block, levels, b, p, beta)
         assert not any(mask.any() for mask in masks)
         # The strong receiver's SIC step, its SINR for the weak message, is
         # in no outage either, as the floor's docstring shows.

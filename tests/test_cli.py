@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import glibc, minor_faults
-from nomafb import cli
+from nomafb import alloc, cli, harness
 from nomafb.harness import (
     EXPERIMENTS,
     P_DB_MAX,
@@ -687,20 +687,41 @@ class TestOutputFormats:
         assert text.startswith(",".join(cli.COLUMNS))
 
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        # --out naming a directory: the run completes, and its CSV cannot be written
         argv = ["minrate", "--trials", "2000", "--out", str(tmp_path)]
-        code, _, err = self.run_main(argv, capsys)
-        assert code == 1
-        assert "error:" in err
-
-    def test_driver_error_exits_1(self, capsys):
-        # a run error depends on the sampled data: here the largest gain sets
-        # how many bisection steps eps would take
-        argv = ["kuser", "--eps", "1e-30", "--trials", "2000"]
         code, out, err = self.run_main(argv, capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: bisection would need ") and "(cap 64)" in err
+        assert "error: cannot write %s" % tmp_path in err and "usage:" not in err
+
+    def test_driver_error_exits_1(self, capsys, monkeypatch):
+        # An error raised inside a run, after its config passed, is a run error.
+        def fail(*args):
+            raise RuntimeError("bisection failed")
+
+        monkeypatch.setattr(alloc, "batch_max_min_rate", fail)
+        code, out, err = self.run_main(["kuser", "--trials", "2000"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: bisection failed")
         assert "usage:" not in err
+
+    def test_an_eps_past_the_bisection_cap_is_a_usage_error(self, capsys, monkeypatch):
+        # Every r_ub of a finite p g is at most 2^10, so eps >= 2^-54 keeps
+        # each bisection within alloc.ITERATION_CAP steps; a finer eps is
+        # refused before any block is drawn.
+        drawn = []
+        monkeypatch.setattr(harness, "sample_block", lambda *args: drawn.append(args))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kuser", "--eps", "1e-20", "--trials", "100", "--delta", "0.1"])
+        assert exc.value.code == 2 and drawn == []
+        assert ("eps must be at least 2^-54: a finer one could need more than 64 bisection "
+                "steps") in capsys.readouterr().err
+        assert 2.0**-54 == 2.0**10 / 2.0**alloc.ITERATION_CAP
+        monkeypatch.undo()
+        argv = ["kuser", "--eps", repr(2.0**-54), "--trials", "100", "--delta", "0.1"]
+        code, out, _ = self.run_main(argv, capsys)
+        assert code == 0 and "kuser,delta,0.1,rate_loss," in out
 
     def test_cap_note_on_stderr(self, capsys):
         argv = ["outage", "--p-db", "40", "--delta", "0.2", "--min-outage-events", "1e6",

@@ -87,9 +87,9 @@ GOLDEN = {
         ["rateloss", "--p-db", "10", "--delta", "0.0092,0.00919", "--trials", "20000"],
         "f2bde970afbed52837cc2719d1d6c4606bda075b3722b9c12a05a19932e08891",
     ),
-    # The same edge for the upper-edge split table: t_outage = 509 at delta
-    # 0.00518 (levels up to 510, 130,816 pairs) and 510 at 0.00517, split per
-    # row. Pinned on the per-row code, before tables.
+    # Where an upper-edge split table once ended: t_outage = 509 at delta
+    # 0.00518 (levels up to 510) and 510 at 0.00517. Pinned on the per-row
+    # code, before tables; every row splits per row again, so they pin bytes.
     "outage_table_edge": (
         ["outage", "--p-db", "10,20", "--delta", "0.00518,0.00517", "--min-outage-events",
          "1000"],

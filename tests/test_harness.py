@@ -420,12 +420,10 @@ class TestRateLossExamples:
             harness.ExperimentConfig(kind="rateloss", p_db=(0.0, 10.0), trials=1000)
 
 
-def pair_lookup(edge, d, t, p, rows=math.inf):
+def pair_lookup(d, t, p, rows=math.inf):
     """The (key, read) a scan of `rows` trials at power p builds for bin size
-    d and level count t: the min rate of every lower-edge pair, or the split
-    of every upper-edge one."""
-    thin = harness._min_rate_lookup if edge == "lower" else harness._split_lookup
-    return thin(harness.Bin(d, (t, t), (t, t)), p, rows)
+    d and level count t: the min rate of every lower-edge pair."""
+    return harness._min_rate_lookup(harness.Bin(d, (t, t), (t, t)), p, rows)
 
 
 def table_of(lookup):
@@ -444,8 +442,8 @@ def tracking_table_builds(monkeypatch):
     built), the power of each point that makes lookups, in order, and the
     kernel count of each scan. It fails if a table is built during a scan,
     or if a point makes its tables while a table an earlier scan read is
-    still alive: a fixed kind's point is a scan of its own, and the points
-    of an adaptive kind's group share one."""
+    still alive: each point of the fixed kinds that build them is a scan of
+    its own."""
     import weakref
 
     builds, points, scans, pending, scanned = [], [], [], [], []
@@ -480,8 +478,7 @@ def tracking_table_builds(monkeypatch):
 
     monkeypatch.setattr(harness, "_pair_lookup", lookup)
     monkeypatch.setattr(harness, "_scan", recording)
-    for name in ("_min_rate_lookup", "_split_lookup"):
-        monkeypatch.setattr(harness, name, at_point(getattr(harness, name)))
+    monkeypatch.setattr(harness, "_min_rate_lookup", at_point(harness._min_rate_lookup))
     return builds, points, scans
 
 
@@ -498,13 +495,13 @@ class TestMinRateTable:
 
     @staticmethod
     def looked_up(levels, d, t, p):
-        key, read = lookup = pair_lookup("lower", d, t, p)
+        key, read = lookup = pair_lookup(d, t, p)
         assert table_of(lookup).size == (t + 1) * (t + 2) // 2
         return read(key(levels))
 
     @staticmethod
     def per_row(levels, d, t, p):
-        key, read = lookup = pair_lookup("lower", d, t, p, rows=0)
+        key, read = lookup = pair_lookup(d, t, p, rows=0)
         assert table_of(lookup) is None
         return read(key(levels))
 
@@ -521,7 +518,7 @@ class TestMinRateTable:
         got = self.looked_up(levels, d, t, p)
         assert got.dtype == np.float64
         assert_array_equal(got.view(np.int64), want.view(np.int64))
-        assert_array_equal(table_of(pair_lookup("lower", d, t, p)).view(np.int64),
+        assert_array_equal(table_of(pair_lookup(d, t, p)).view(np.int64),
                            want[:s.size].view(np.int64))
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
@@ -547,7 +544,7 @@ class TestMinRateTable:
         assert harness.PAIR_TABLE_MAX == 1 << 17
         assert (default_t_rate(0.0092), default_t_rate(0.00919)) == (510, 511)
         for t in range(505, 516):
-            table = table_of(pair_lookup("lower", 1.0 / (t + 1), t, 10.0))
+            table = table_of(pair_lookup(1.0 / (t + 1), t, 10.0))
             if t <= 510:
                 assert table.size == (t + 1) * (t + 2) // 2 <= harness.PAIR_TABLE_MAX
             else:
@@ -578,28 +575,24 @@ class TestMinRateTable:
         assert len(points) == 3 and len(builds) == 6 and scans == [1, 1, 1]
 
 
-class TestSplitTable:
-    """On the upper edge the power split, too, depends on the gains only
-    through the (strong, weak) level pair, so outage, outageloss and
-    diversity look it up in one table per scan and bin. Every outage mask
-    must carry the bits of the per-row split it replaces."""
+class TestUpperEdgeSplit:
+    """On the upper edge the outage kinds split power by each row's fed-back
+    (strong, weak) gains, one row at a time, through alloc._served_split.
+    Every outage mask must carry the bits of conftest.quantized_outage,
+    which splits by the checked alloc.equal_rate_split."""
 
     @staticmethod
     def masks(levels, d, t, p, seed):
-        """_quantized_outage's three masks, looked up and split per row, on
-        true gains drawn inside each row's bins, at r_th = 1. The per-row
-        masks are those of the fed-back floats' split and roles."""
+        """quantized_outage's three masks, checked against _quantized_outage's
+        bit for bit, on true gains drawn inside each row's bins, at r_th = 1."""
         u = np.random.default_rng(seed).random(levels.shape)
         block = np.asfortranarray((levels - u) * d)  # level m holds gains in ((m-1)d, md]
-        b = harness.Bin(d, (t, t), (t, t))
-        table, per_row = (pair_lookup("upper", d, t, p, rows) for rows in (math.inf, 0))
-        assert table_of(table).size == (t + 2) * (t + 3) // 2 and table_of(per_row) is None
-        masks = [harness._quantized_outage(block, levels, b, split, p, 1.0)
-                 for split in (table, per_row)]
         want = quantized_outage(block[:, 0], block[:, 1], levels[:, 0] * d, levels[:, 1] * d,
                                 p, 1.0)
-        assert all(np.array_equal(got, w) for got, w in zip(masks[1], want))
-        return masks
+        got = harness._quantized_outage(block, levels, harness.Bin(d, (t, t), (t, t)), p, 1.0)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == bool and np.array_equal(g, w)
+        return want
 
     @staticmethod
     def both_ways(s, w, flip):
@@ -608,25 +601,20 @@ class TestSplitTable:
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
     @pytest.mark.parametrize("d", [0.2, 0.05])
-    def test_every_pair_has_the_per_row_bits(self, d, p_db):
+    def test_every_pair_has_the_checked_splits_bits(self, d, p_db):
         p = 10.0 ** (p_db / 10.0)
         t = default_t_outage(d)
-        # Every key, level 0 included, holds the split of its gains.
-        s, w = np.tril_indices(t + 2)
-        assert_array_equal(table_of(pair_lookup("upper", d, t, p)).view(np.int64),
-                           alloc.equal_rate_split(s * d, w * d, p).view(np.int64))
         # The levels a quantizer feeds back, 1 <= w <= s <= t + 1, each pair
         # with receiver 1 strong and then with receiver 2 strong.
+        s, w = np.tril_indices(t + 2)
         s, w = s[w > 0], w[w > 0]
         flip = np.repeat([False, True], s.size)
-        looked_up, per_row = self.masks(self.both_ways(np.tile(s, 2), np.tile(w, 2), flip),
-                                        d, t, p, seed=5)
-        for got, want in zip(looked_up, per_row):
-            assert got.dtype == bool and np.array_equal(got, want)
-        assert 0 < np.count_nonzero(per_row[0]) < per_row[0].size or p_db != 10.0
+        system, _, _ = self.masks(self.both_ways(np.tile(s, 2), np.tile(w, 2), flip),
+                                  d, t, p, seed=5)
+        assert 0 < np.count_nonzero(system) < system.size or p_db != 10.0
 
     @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
-    def test_sampled_and_edge_pairs_have_the_per_row_bits(self, p_db):
+    def test_sampled_and_edge_pairs_have_the_checked_splits_bits(self, p_db):
         p = 10.0 ** (p_db / 10.0)
         d = 0.01
         t = default_t_outage(d)
@@ -636,62 +624,25 @@ class TestSplitTable:
         edge = np.arange(1, t + 2)
         s = np.concatenate([s, edge, edge, np.full(t + 1, t + 1)])  # w = 1, w = s, s = t + 1
         w = np.concatenate([w, np.ones(t + 1, dtype=np.int64), edge, edge])
-        levels = self.both_ways(s, w, rng.random(s.size) < 0.5)
-        looked_up, per_row = self.masks(levels, d, t, p, seed=7)
-        for got, want in zip(looked_up, per_row):
-            assert np.array_equal(got, want)
-
-    def test_no_table_outgrows_its_cap(self):
-        # Levels run to t + 1, so (t+2)(t+3)/2 pairs fit 2^17 entries up to
-        # t = 509; a finer bin splits per row. The golden outage and
-        # outageloss table-edge cases run delta = 0.00518 (t = 509) and
-        # 0.00517 (t = 510).
-        assert (default_t_outage(0.00518), default_t_outage(0.00517)) == (509, 510)
-        for t in range(504, 515):
-            table = table_of(pair_lookup("upper", 1.0 / (t + 2), t, 10.0))
-            if t <= 509:
-                assert table.size == (t + 2) * (t + 3) // 2 <= harness.PAIR_TABLE_MAX
-            else:
-                assert table is None
+        self.masks(self.both_ways(s, w, rng.random(s.size) < 0.5), d, t, p, seed=7)
 
     @pytest.mark.parametrize("kind, fields", [
         ("outage", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.2, 0.05, 0.00517),
                         min_outage_events=3000)),
         ("outageloss", dict(p_db=(10.0,), deltas=(0.2, 0.05, 0.00517), trials=5 * CHUNK - 3)),
-        ("diversity", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.00517,), min_outage_events=500)),
+        ("diversity", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.05,), min_outage_events=500)),
     ])
-    def test_one_table_per_scan_and_bin(self, kind, fields, monkeypatch):
+    def test_outage_kinds_build_no_pair_table(self, kind, fields, monkeypatch):
+        # _pair_lookup builds the lower edge's tables alone: no outage kind
+        # calls it, whatever its bins and trial counts.
         cfg = harness.ExperimentConfig(kind=kind, seed=4, workers=2, **fields)
-        builds, _, _ = tracking_table_builds(monkeypatch)
-        looked_up = harness.run_experiment(cfg)
-        # Every scan builds each bin's table once, whatever its job count,
-        # up to its largest level t + 1; the finest bin is split per row.
-        want = [(b.delta, b.t_outage[0] + 1, b.delta != 0.00517)
-                for _, _, bins in cfg.points for b in bins]
-        assert sorted(builds) == sorted(want) and any(built for _, _, built in want)
-        # Split per row, every row, for the same metrics.
-        forced(monkeypatch, rows=0)
-        assert same_points(looked_up, harness.run_experiment(cfg))
 
-    @pytest.mark.parametrize("kind, fields", [
-        ("outage", dict(deltas=(0.2, 0.05), min_outage_events=500)),
-        ("outageloss", dict(deltas=(0.05,), trials=3 * CHUNK)),
-        ("diversity", dict(deltas=(0.05,), min_outage_events=500)),
-    ])
-    def test_a_points_tables_go_before_the_next_point_builds(self, kind, fields, monkeypatch):
-        # As on the lower edge: a scan's tables are freed after it, before
-        # the next scan's are built. outageloss scans each point alone;
-        # outage and diversity scan their points together, in groups whose
-        # tables fit SHARED_TABLES_MAX, here cut to two points' tables.
-        cfg = harness.ExperimentConfig(kind=kind, p_db=(0.0, 10.0, 20.0), workers=2, **fields)
-        point = sum((max(b.t_outage) + 2) * (max(b.t_outage) + 3) // 2
-                    for b in cfg.points[0][2])
-        assert all(bins == cfg.points[0][2] for _, _, bins in cfg.points)
-        monkeypatch.setattr(harness, "SHARED_TABLES_MAX", 2 * point)
-        builds, points, scans = tracking_table_builds(monkeypatch)
-        harness.run_experiment(cfg)
-        assert len(points) == 3 and len(builds) == 3 * (2 if kind != "outageloss" else 1)
-        assert scans == ([1, 1, 1] if kind == "outageloss" else [2, 1])
+        def lookup(*args):
+            raise AssertionError("an outage kind built a level-pair table")
+
+        monkeypatch.setattr(harness, "_pair_lookup", lookup)
+        stats = harness.run_experiment(cfg)
+        assert {m.sweep_value for m in stats.points} >= {value for value, _, _ in cfg.points}
 
 
 class TestTableUse:
@@ -701,8 +652,8 @@ class TestTableUse:
     def test_role_mask_is_the_fed_back_floats_mask(self, d):
         # _quantized_outage compares the _order_keys of the levels: the
         # levels themselves below 2^52 and the ranks of their floats from
-        # there on. Either way every pair gives its floats' mask, up to the
-        # table cap of 510 and on both sides of 2^52.
+        # there on. Either way every pair gives its floats' mask, up to 510
+        # and on both sides of 2^52.
         bounds = [(np.arange(511), 510)] + [(np.arange(2**52 - 2, top + 1), top)
                                              for top in range(2**52 - 2, 2**52 + 3)]
         for levels, top in bounds:
@@ -728,11 +679,6 @@ class TestTableUse:
     @pytest.mark.parametrize("kind, fields", [
         ("minrate", dict(p_db=(0.0, 20.0), deltas=(0.01,), trials=1000)),
         ("rateloss", dict(p_db=(10.0,), deltas=(0.2, 0.01), trials=1000)),
-        ("outage", dict(p_db=(10.0, 20.0), deltas=(0.01,), min_outage_events=100,
-                        trial_cap=20_000)),
-        ("outageloss", dict(p_db=(10.0,), deltas=(0.01,), trials=20_000)),
-        ("diversity", dict(p_db=(0.0, 5.0, 10.0), deltas=(0.01,), min_outage_events=100,
-                           trial_cap=20_000)),
     ])
     def test_a_short_scan_splits_per_row_with_the_tables_bits(self, kind, fields, monkeypatch):
         # minrate --trials 1000 --delta 0.01 would build 106,953 entries to
@@ -1350,31 +1296,26 @@ class TestSharedScan:
         assert len(seen[0]) == 6 + workers - 1
         assert 1 <= most[0] <= workers
 
-    def test_tables_past_the_budget_split_the_sweep(self, monkeypatch):
-        # delta = 0.00518 (t = 509) gives each point a 130,816-entry split
-        # table beside its policy bin's (28 to 666 entries), so 13 points
-        # would hold about 13 MiB of tables at once. A shared scan holds at
-        # most SHARED_TABLES_MAX entries: four of these points.
-        cfg = harness.ExperimentConfig(kind="diversity", deltas=(0.00518,),
-                                       p_db=tuple(10.0 + 2.5 * i for i in range(13)),
-                                       min_outage_events=1, trial_cap=9 * CHUNK, seed=2,
-                                       workers=2)
-        builds, points, scans = tracking_table_builds(monkeypatch)
-        grouped = harness.run_experiment(cfg)
-        assert len(points) == 13 and len(scans) > 1 and sum(scans) == 13
-        # Each point builds its fixed bin's table and then its policy bin's.
-        tables = [sum((t + 1) * (t + 2) // 2 for _, t, built in builds[i:i + 2] if built)
-                  for i in range(0, len(builds), 2)]
-        assert tables[0] > harness.PAIR_TABLE_MAX // 2 and len(tables) == 13
-        first = 0
-        for n in scans:  # each group as large as the budget allows
-            assert sum(tables[first:first + n]) <= harness.SHARED_TABLES_MAX
-            assert first + n == 13 or sum(tables[first:first + n + 1]) > harness.SHARED_TABLES_MAX
-            first += n
-        # One scan of every point, past the budget, reads the same bits.
-        monkeypatch.setattr(harness, "SHARED_TABLES_MAX", math.inf)
-        groups = len(scans)
-        assert same_points(grouped, harness.run_experiment(cfg)) and scans[groups:] == [13]
+    def test_an_adaptive_sweep_is_one_scan(self, monkeypatch):
+        # Every point of an adaptive sweep shares one scan, however fine its
+        # bins: diversity at delta = 0.00518 (t = 509) runs its 13 points'
+        # kernels on each block, drawn by one pool.
+        from nomafb import cli
+
+        pools = []
+
+        class RecordingPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+        cfg, _ = cli.parse_config(["diversity", "--p-db", "10:34:2", "--delta", "0.00518",
+                                   "--min-outage-events", "1", "--trial-cap", str(9 * CHUNK),
+                                   "--seed", "2", "--workers", "2"])
+        scans = scanned_kernels(cfg, monkeypatch)
+        assert [len(kernels) for _, kernels, _ in scans] == [len(cfg.points)] == [13]
+        assert len(pools) <= 1
 
 
 def test_outage_kinds_share_one_quantized_outage():
@@ -1426,7 +1367,7 @@ def test_floored_kernels_give_the_masks_of_every_row(kind, r_th, monkeypatch):
     for (value, p, bins), kernel in zip(cfg.points, kernels):
         full = p * alloc.sic_snr(np.maximum(h1, h2), np.minimum(h1, h2), p) < beta
         q = [harness._quantized_outage(block, outage_levels(block, b.delta, b.t_outage), b,
-                                       harness._split_lookup(b, p, 2 * CHUNK), p, beta)
+                                       p, beta)
              for b in bins]
         if kind == "outage":
             want = {"out_full": full,
@@ -1508,7 +1449,10 @@ JOB_PEAK_ARGV = {
 # outageloss at 2,117 and diversity, which tests its fixed bin and its
 # policy's, at 1,796; diversity's pin is that plus 5 %. Since an adaptive
 # kind's points share one scan, its first job runs all five points' kernels:
-# outage peaks at 1,701 and diversity at 1,825, under the pins kept.
+# outage peaks at 1,701 and diversity at 1,825, under the pins kept. With
+# every upper-edge row split on its own again, the int max and min of its
+# levels scaled one at a time, outage peaks at 1,705, outageloss at 2,183
+# and diversity at 1,829, under the pins kept.
 JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss": 2222,
                 "diversity": 1886}
 

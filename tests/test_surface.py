@@ -129,18 +129,19 @@ def test_one_upper_edge_outage_path():
     # Both quantizers order the receivers by their fed-back gains and split
     # power by the same closed form; only the bin edge differs. The outage
     # kinds all take their outage masks from one factory, _outage_masks. Its
-    # masks run the full-CSI test and _quantized_outage, which reads the
-    # split of each row's level pair from the factory's _split_lookup. The
-    # split is formed only in the two edges' lookups, so no second copy can
-    # pick the strong and weak gains some other way. The two-user role mask
-    # and kuser's fed-back order both order levels by _order_keys, so one
-    # rule decides where the levels stop ordering as their floats do.
+    # masks run the full-CSI test and _quantized_outage, which splits each
+    # row by alloc._served_split, the core equal_rate_split runs after its
+    # checks. The split is formed only there and in the lower edge's lookup,
+    # so no second copy can pick the strong and weak gains some other way.
+    # The two-user role mask and kuser's fed-back order both order levels by
+    # _order_keys, so one rule decides where the levels stop ordering as
+    # their floats do.
     assert _call_sites("outage_conditions") == ["harness._quantized_outage"]
     assert sorted(_call_sites("_order_keys")) == ["harness._fed_back_order",
                                                   "harness._quantized_outage"]
-    assert sorted(_call_sites("equal_rate_split")) == ["harness._min_rate_lookup.min_rate",
-                                                       "harness._split_lookup"]
-    assert _call_sites("_split_lookup") == ["harness._outage_masks"]
+    assert _call_sites("equal_rate_split") == ["harness._min_rate_lookup.min_rate"]
+    assert sorted(_call_sites("_served_split")) == ["alloc.equal_rate_split",
+                                                    "harness._quantized_outage"]
     assert _call_sites("_quantized_outage") == ["harness._outage_masks.masks"]
     assert _call_sites("_full_csi_outage") == ["harness._outage_masks.masks"]
     assert sorted(_call_sites("_outage_masks")) == [
@@ -152,8 +153,7 @@ def test_only_the_upper_edge_kernels_floor_their_outage_tests():
     # alloc.outage_floor certifies rows in no outage for one test: the
     # full-CSI test, or the upper-edge quantized test of one bin. The outage
     # mask factory takes the floors of a point, one call for the full-CSI
-    # test and one for its bins, beside its level-pair splits; a floor taken
-    # elsewhere could skip the rows of a test it was not derived for. Its
+    # test and one for its bins; a floor taken elsewhere could skip the rows of a test it was not derived for. Its
     # tests gather the rows below a floor in _floored alone, so every floored
     # test picks, gathers and scatters its rows one way.
     assert _call_sites("outage_floor") == ["harness._outage_masks"] * 2
@@ -163,24 +163,20 @@ def test_only_the_upper_edge_kernels_floor_their_outage_tests():
 
 def test_one_lower_edge_min_rate_path():
     # minrate and rateloss read the min adapted rate of each row's level
-    # pair from its _min_rate_lookup. One builder, _pair_lookup, makes the
-    # lookups of both edges: it alone picks a table or a per-row fn and
-    # forms the key. It sizes a table by _pair_entries, which _sweep reads
-    # to group an adaptive sweep's points by the tables they build, and
-    # which applies the budget rule _vle_lookup shares. So no driver and no
-    # outage helper handles a table.
+    # pair from its _min_rate_lookup. One builder, _pair_lookup, makes that
+    # lookup: it alone picks a table or a per-row fn and forms the key, by
+    # the budget rule _table_pays, which _vle_lookup shares. So no driver,
+    # no outage helper and not the sweep loop handles a table.
     assert sorted(_call_sites("two_user_rates")) == ["harness._min_rate_lookup.min_rate"]
     assert sorted(_call_sites("_min_rate_lookup")) == ["harness.run_min_rate.kernel_at",
                                                        "harness.run_rate_loss.scans"]
-    assert sorted(_call_sites("_pair_lookup")) == ["harness._min_rate_lookup",
-                                                   "harness._split_lookup"]
-    assert sorted(_call_sites("_table_pays")) == ["harness._pair_entries",
+    assert _call_sites("_pair_lookup") == ["harness._min_rate_lookup"]
+    assert sorted(_call_sites("_table_pays")) == ["harness._pair_lookup",
                                                   "harness._vle_lookup"]
-    assert sorted(_call_sites("_pair_entries")) == ["harness._pair_lookup", "harness._sweep"]
     tree = ast.parse((Path(nomafb.__file__).parent / "harness.py").read_text())
     for func in tree.body:
-        if isinstance(func, ast.FunctionDef) and (func.name.startswith("run_")
-                                                  or func.name == "_quantized_outage"):
+        if isinstance(func, ast.FunctionDef) and (func.name.startswith("run_") or func.name in (
+                "_quantized_outage", "_outage_masks", "_sweep")):
             names = {n.id for n in ast.walk(func) if isinstance(n, ast.Name)}
             assert not {name for name in names if "table" in name}, func.name
 
