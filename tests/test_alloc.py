@@ -322,6 +322,15 @@ class TestSolver:
     def test_degenerate_low_power_returns_zero(self):
         assert solve_one(np.array([1e-12, 1e-13]), 1.0, eps=1e-4) == (0.0, 0)
 
+    @pytest.mark.parametrize("p", [1.0, 10.0 ** (harness.P_DB_MAX / 10.0)])
+    def test_the_least_config_eps_fits_the_cap(self, p):
+        # The largest finite p g puts r_ub just under 2^10, so at the least
+        # eps ExperimentConfig accepts, 2^10 / 2^ITERATION_CAP, the bisection
+        # takes exactly ITERATION_CAP steps.
+        g = np.full((1, 3), np.finfo(np.float64).max / p)
+        r, iterations = alloc.batch_max_min_rate(g, p, 2.0**10 / 2.0**alloc.ITERATION_CAP)
+        assert iterations == alloc.ITERATION_CAP and 0.0 < r[0] < 2.0**10
+
     def test_iteration_cap_enforced(self):
         with pytest.raises(RuntimeError):
             alloc.batch_max_min_rate(np.array([[1.0, 0.5]]), 10.0, eps=1e-30)

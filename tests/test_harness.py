@@ -168,6 +168,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             harness.ExperimentConfig(kind=kind, **{field: 0})
 
+    @pytest.mark.parametrize("cap", [64, 70])
+    def test_eps_floor_follows_the_bisection_cap(self, cap, monkeypatch):
+        # Every r_ub of a finite p g is at most 2^10, so eps >= 2^10 / 2^cap
+        # keeps each bisection within alloc.ITERATION_CAP = cap steps: the
+        # least eps moves with the cap, and a float below it is refused.
+        monkeypatch.setattr(alloc, "ITERATION_CAP", cap)
+        least = 2.0 ** (10 - cap)
+        assert harness.ExperimentConfig(kind="kuser", eps=least).eps == least
+        message = ("eps must be at least 2\\^-%d: a finer one could need more than %d "
+                   "bisection steps" % (cap - 10, cap))
+        with pytest.raises(ValueError, match=message):
+            harness.ExperimentConfig(kind="kuser", eps=math.nextafter(least, 0.0))
+
 
 def _pcube(p_db, policy="pcube"):
     return harness.policy_delta(policy, 10.0 ** (p_db / 10.0))
@@ -625,6 +638,20 @@ class TestUpperEdgeSplit:
         s = np.concatenate([s, edge, edge, np.full(t + 1, t + 1)])  # w = 1, w = s, s = t + 1
         w = np.concatenate([w, np.ones(t + 1, dtype=np.int64), edge, edge])
         self.masks(self.both_ways(s, w, rng.random(s.size) < 0.5), d, t, p, seed=7)
+
+    @pytest.mark.parametrize("p_db", [-100.0, 10.0, 100.0])
+    def test_every_pair_of_the_table_edge_bins_has_the_checked_splits_bits(self, p_db):
+        # The bins of the golden *_table_edge cases: t = 509 at delta 0.00518,
+        # where (t + 2)(t + 3) / 2 level pairs fill PAIR_TABLE_MAX, and 510 at
+        # 0.00517. Both split every fed-back pair per row, as the checked
+        # split does.
+        p = 10.0 ** (p_db / 10.0)
+        for d in (0.00518, 0.00517):
+            t = default_t_outage(d)
+            s, w = np.tril_indices(t + 2)
+            s, w = s[w > 0], w[w > 0]
+            flip = np.repeat([False, True], s.size)
+            self.masks(self.both_ways(np.tile(s, 2), np.tile(w, 2), flip), d, t, p, seed=9)
 
     @pytest.mark.parametrize("kind, fields", [
         ("outage", dict(p_db=(0.0, 10.0, 20.0), deltas=(0.2, 0.05, 0.00517),
