@@ -403,14 +403,17 @@ def batch_max_min_rate(gains_desc, p, eps):
     # A power or sum past the float64 range is +inf, varpi's correct
     # "infeasible" verdict on a valid row, so it is no cause for a warning.
     with np.errstate(over="ignore"):
-        inv_pg = 1.0 / pg
+        # pg is read no more: its buffer holds 1/(p g) from here on, and the
+        # rows the reference decides again form their p g anew, the same products.
+        inv_pg = np.divide(1.0, pg, out=pg)
+        del pg
         for _ in range(n_iter):
             np.add(lo, hi, out=mid)
             mid *= 0.5
             _varpi_horner(np.exp2(mid, out=y), inv_pg, out=v)
             near = _distrusted(v, y, band, t)  # y holds the y - 1 Horner leaves
             if near is not None:
-                v[near] = _varpi_rows(mid[near], pg[:, near])
+                v[near] = _varpi_rows(mid[near], (p * g[near]).T)
             np.less(v, 1.0, out=t)  # 1.0 where feasible, else 0.0
             # 0 <= lo <= mid <= hi, so these maxima pick exactly what
             # np.where(feasible, ...) would, at a fraction of its cost.

@@ -41,7 +41,8 @@ WORKERS_ENV = "NOMAFB_WORKERS"
 MAX_WORKERS_PER_CPU = 4
 # Largest |p_db|: P = 10^(p_db/10) and every kernel stay finite to 10^(+-100).
 P_DB_MAX = 1000.0
-# Most receivers a kuser run takes: one 16,384-trial block of 64 peaks at 119 MB RSS.
+# Most receivers a kuser run takes. At 64, `kuser --k 64 --trials 16384 --workers 1`
+# peaks at 78 MB RSS and `--trials 65536 --workers 2` at 121 MB.
 MAX_RECEIVERS = 64
 # Chunks per scan job of a row-local kernel. Two threads overlap numpy calls
 # on 32,768-element arrays (x1.7 on 2 CPUs) far more reliably than on
@@ -888,9 +889,14 @@ def run_k_user(cfg, progress=None):
             for i in range(k):
                 lv[i] = outage_levels(block[:, i], d, t_o[i])
                 yield "vle_o%d" % i, vle_o(lv[i])
+            # Each (K, n) int array goes at its last read.
             at = _fed_back_order(lv, d, max(t_o) + 1)
-            alphas = _quantized_max_min(lv.take(at).T, d, p, cfg.eps, split=True)
+            fed = lv.take(at).T
+            del lv
+            alphas = _quantized_max_min(fed, d, p, cfg.eps, split=True)
+            del fed
             gains = np.ravel(block, order="F").take(at).T
+            del at
             out_q = _row_min(alloc.sic_rates(alphas, gains, p)) < cfg.r_th
 
             yield from (("rate_loss", r_true - r_q), ("out_full", out_full),

@@ -425,6 +425,35 @@ class TestBatchBitExact:
                 assert np.array_equal(got, full[rows]), (k, p_db, len(rows))
                 assert np.array_equal(got, _parent_varpi_rows(rates[rows], desc[rows], p))
 
+    @pytest.mark.parametrize("k", [*range(1, 11), 64])
+    def test_every_row_the_reference_decides_forms_its_p_g_anew(self, k, monkeypatch):
+        # A band of 1 decides no row by Horner, so every row of every step
+        # takes _varpi_rows, on p g formed again from the caller's gains
+        # after the solver's own p g buffer took 1/(p g).
+        rows = []
+        reference = alloc._varpi_rows
+
+        def counted(r, pg):
+            rows.append(len(r))
+            return reference(r, pg)
+
+        monkeypatch.setattr(alloc, "_horner_band", lambda k, top, pg_max: 1.0)
+        monkeypatch.setattr(alloc, "_varpi_rows", counted)
+        rng = np.random.default_rng(800 + k)
+        # a read-only, negative-stride view, as the drivers pass
+        desc = np.sort(10.0 ** rng.uniform(-3.0, 3.0, (300, k)), axis=1)[:, ::-1]
+        desc.flags.writeable = False
+        before = desc.copy()
+        for p_db in (-30.0, 0.0, 40.0):
+            p = 10.0 ** (p_db / 10.0)
+            del rows[:]
+            r, iters = alloc.batch_max_min_rate(desc, p, 1e-8)
+            with np.errstate(over="ignore"):
+                want_r, want_iter = _parent_batch_max_min_rate(desc, p, 1e-8)
+            assert iters == want_iter > 0 and rows == [len(desc)] * iters
+            assert np.array_equal(r, want_r), (k, p_db)
+            assert np.array_equal(desc, before)
+
 
 def rate_k(alphas, gains_desc, p, k):
     """Rate of the k-th receiver (1-based) under SIC in descending-gain order,

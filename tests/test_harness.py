@@ -1484,10 +1484,22 @@ JOB_PEAK_KIB = {"minrate": 1751, "rateloss": 2226, "outage": 1987, "outageloss":
                 "diversity": 1886}
 
 
-@pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))
-def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
+def traced_peak_kib(params, kernels, trials, job_chunks):
+    """Traced peak, in KiB, of a one-worker scan of kernels over `trials`
+    trials, run once untraced first so that numpy's caches are set up."""
     import tracemalloc
 
+    harness._scan(params, 1, 1, kernels, trials, job_chunks=job_chunks)
+    tracemalloc.start()
+    try:
+        harness._scan(params, 1, 1, kernels, trials, job_chunks=job_chunks)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", sorted(JOB_PEAK_ARGV))
+def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     from nomafb import cli
 
     cfg, _ = cli.parse_config(JOB_PEAK_ARGV[kind])
@@ -1499,14 +1511,29 @@ def test_a_two_chunk_job_keeps_its_traced_peak(kind, monkeypatch):
     first = replace(cfg, min_outage_events=1) if adaptive else replace(cfg, p_db=cfg.p_db[:1])
     params, kernels, _ = scanned_kernels(first, monkeypatch)[0]
     assert len(kernels) == (len(cfg.points) if adaptive else 1)
-    harness._scan(params, 1, 1, kernels, 2 * CHUNK)  # first calls set up numpy's caches
-    tracemalloc.start()
-    try:
-        harness._scan(params, 1, 1, kernels, 2 * CHUNK)
-        peak = tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak_kib(params, kernels, 2 * CHUNK, harness.JOB_CHUNKS)
     assert peak <= JOB_PEAK_KIB[kind], "%s job peaked at %.0f KiB" % (kind, peak)
+
+
+# Traced peak, in KiB, of one one-chunk kuser job at delta 0.05 and 10 dB,
+# by receiver count K, at one worker: what it reaches with the solver's 1/(p g)
+# in the buffer of p g and each (K, n) int array of the kernel dropped at its
+# last read (3,171, 11,325 and 42,090) plus 5 %. A (16,384, K) float64 array
+# is 128 K KiB, so these are 6.5, 5.8 and 5.4 of them; the kernel peaked at
+# 3,683, 15,421 and 58,474 KiB (7.2, 7.5 and 7.1 arrays) while it kept both.
+KUSER_JOB_PEAK_KIB = {4: 3329, 16: 11891, 64: 44194}
+
+
+@pytest.mark.parametrize("k", sorted(KUSER_JOB_PEAK_KIB))
+def test_a_k_user_job_keeps_its_traced_peak(k, monkeypatch):
+    from nomafb import cli
+
+    cfg, _ = cli.parse_config(["kuser", "--k", str(k), "--delta", "0.05", "--p-db", "10",
+                               "--trials", str(CHUNK)])
+    [(params, kernels, job_chunks)] = scanned_kernels(cfg, monkeypatch)
+    assert job_chunks == 1 and len(kernels) == 1
+    peak = traced_peak_kib(params, kernels, CHUNK, job_chunks)
+    assert peak <= KUSER_JOB_PEAK_KIB[k], "K = %d job peaked at %.0f KiB" % (k, peak)
 
 
 class FakeLibc:
